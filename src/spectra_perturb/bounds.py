@@ -5,6 +5,8 @@ perturbation ``e``, and an ordered Schur form of ``a + e``.  The catalog
 evaluates every known Frobenius bound on the optimal-matching distance
 between the two spectra, plus upper/lower estimates of the triangular
 excess ||strict_upper(T)||_F that several of those bounds consume.
+:func:`make_case` checks its inputs once; :func:`evaluate_all` then
+trusts the case arrays and computes each per-case quantity once.
 
 Catalog entries carry stable string ids (``eq_1_4`` ... ``thm_4_3_b``)
 used by the command-line tools and by campaign CSV columns.  The ids are
@@ -14,7 +16,7 @@ wire-format identifiers; treat them as opaque.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,15 +33,13 @@ from .decomp import (
 )
 from .matching import optimal_match
 from .matrices import (
-    STRUCTURE_TOL,
+    _commutator_defect,
+    _is_normal,
     as_matrix,
-    conjugate_transpose,
-    frobenius_norm,
     is_hermitian,
     is_normal,
-    strict_upper,
 )
-from .quantities import delta, w_lower
+from .quantities import _delta, w_lower
 
 __all__ = [
     "NumericalConsistencyError",
@@ -54,21 +54,8 @@ __all__ = [
     "SCHUR_DEPENDENT_IDS",
     "catalog_entries",
     "family_of",
-    "bound_hoffman_wielandt",
-    "bound_sun_sqrt_n",
-    "bound_li_sun",
-    "bound_kahan",
-    "bound_sun_departure",
-    "bound_li_vong_a",
-    "bound_li_vong_b",
-    "bandwidth_bounds",
-    "bandwidth_base_bounds",
-    "worst_case_bounds",
-    "block_bounds",
-    "hermitian_bounds",
     "henrici_delta_upper",
     "sun_delta_lower",
-    "skew_delta_bounds",
     "rotated_perturbation",
     "rotated_perturbation_residual",
     "evaluate_all",
@@ -78,8 +65,8 @@ __all__ = [
 # and clamped to zero; anything more negative is a real inconsistency.
 RADICAND_TOL = 1e-9
 
-# Default entry threshold, relative to ||.||_F, for bandwidth detection
-# on rotated perturbations (floating-point products have no exact zeros).
+# Entry threshold, relative to ||.||_F, for bandwidth detection on
+# rotated perturbations (floating-point products have no exact zeros).
 W_PRODUCT_RTOL = 1e-13
 
 # Default violation slack factor: a bound b flags as violated only when
@@ -121,7 +108,8 @@ class PerturbationCase:
     """A matrix pair (A, A + E) with an ordered Schur form of A + E.
 
     Instances are built by :func:`make_case` and treated as immutable.
-    ``a_is_hermitian`` implies ``a_is_normal``.
+    ``a_is_normal`` is always true, since :func:`make_case` refuses a
+    non-normal ``a``; ``a_is_hermitian`` may be either.
     """
 
     a: np.ndarray
@@ -137,26 +125,26 @@ class PerturbationCase:
         return self.a.shape[0]
 
 
-def make_case(
-    a,
-    e,
-    *,
-    schur: SchurForm | None = None,
-    structure_tol: float = STRUCTURE_TOL,
-    block_tol: float = 1e-12,
-) -> PerturbationCase:
+def make_case(a, e, *, schur: SchurForm | None = None) -> PerturbationCase:
     """Assemble a :class:`PerturbationCase` from a matrix pair.
 
+    This is the single input check of the case pipeline: ``a`` and ``e``
+    must be finite square matrices of one shape, and ``a`` must be normal
+    at :data:`~spectra_perturb.matrices.STRUCTURE_TOL`, else ValueError.
     When ``schur`` is given it must be a valid Schur form of ``a + e``;
     it is validated and then reordered into the canonical eigenvalue
     order.  Otherwise a fresh decomposition is computed.  Eigenvalue
-    blocks are detected on the ordered triangular factor at ``block_tol``
-    relative to its Frobenius norm.
+    blocks are detected on the ordered triangular factor.
     """
     a = np.array(as_matrix(a, "a"), dtype=np.complex128, copy=True)
     e = np.array(as_matrix(e, "e"), dtype=np.complex128, copy=True)
     if a.shape != e.shape:
         raise ValueError(f"shape mismatch: a is {a.shape}, e is {e.shape}")
+    hermitian = is_hermitian(a)
+    # Hermitian implies normal: a Hermitian A passes even where the
+    # commutator test's tighter tolerance would reject it.
+    if not (hermitian or is_normal(a)):
+        raise ValueError("matrix A is not normal at tolerance; the catalog does not apply")
     a_tilde = a + e
     if schur is None:
         form = schur_decompose(a_tilde)
@@ -168,18 +156,13 @@ def make_case(
         )
         validate_schur_form(form, a_tilde)
     form = reorder_schur(form)
-    block = detect_block_structure(form.t, tol=block_tol)
-    hermitian = is_hermitian(a, structure_tol)
-    # Hermitian implies normal; take the union so borderline tolerance
-    # cases cannot leave the flags inconsistent.
-    normal = hermitian or is_normal(a, structure_tol)
     return PerturbationCase(
         a=a,
         e=e,
         a_tilde=a_tilde,
         schur_tilde=form,
-        block=block,
-        a_is_normal=normal,
+        block=detect_block_structure(form.t),
+        a_is_normal=True,
         a_is_hermitian=hermitian,
     )
 
@@ -187,13 +170,14 @@ def make_case(
 def rotated_perturbation(case: PerturbationCase) -> np.ndarray:
     """The perturbation expressed in the Schur basis of A + E."""
     q = case.schur_tilde.q
-    return conjugate_transpose(q) @ case.e @ q
+    return q.conj().T @ case.e @ q
 
 
 def rotated_perturbation_residual(case: PerturbationCase) -> float:
     """||Q* E Q - strict_upper(T)||_F, the part of the rotated
     perturbation not explained by the triangular excess."""
-    return frobenius_norm(rotated_perturbation(case) - strict_upper(case.schur_tilde.t))
+    residual = rotated_perturbation(case) - np.triu(case.schur_tilde.t, 1)
+    return float(np.linalg.norm(residual, "fro"))
 
 
 # ---------------------------------------------------------------------------
@@ -201,35 +185,49 @@ def rotated_perturbation_residual(case: PerturbationCase) -> float:
 
 
 class _Stats:
+    """Every per-case quantity the catalog and the campaign checks use,
+    computed once from the trusted case arrays.  ``rank`` (the numerical
+    rank of A + E) is computed only when the Hermitian entries run."""
+
     __slots__ = (
         "n",
         "e_norm",
         "e2",
+        "a_norm",
+        "tilde_norm",
         "excess",
         "delta_e",
         "delta_a",
         "w",
         "s",
         "mix",
+        "defect",
         "tilde_is_normal",
+        "rank",
         "scale",
     )
 
-    def __init__(self, case: PerturbationCase, w_rtol: float):
+    def __init__(self, case: PerturbationCase, hermitian: bool):
         n = case.n
-        e_norm = frobenius_norm(case.e)
-        excess = frobenius_norm(strict_upper(case.schur_tilde.t))
+        e_norm = float(np.linalg.norm(case.e, "fro"))
+        a_norm = float(np.linalg.norm(case.a, "fro"))
+        tilde_norm = float(np.linalg.norm(case.a_tilde, "fro"))
+        excess = float(np.linalg.norm(np.triu(case.schur_tilde.t, 1), "fro"))
         rotated = rotated_perturbation(case)
         self.n = n
         self.e_norm = e_norm
         self.e2 = e_norm**2
+        self.a_norm = a_norm
+        self.tilde_norm = tilde_norm
         self.excess = excess
-        self.delta_e = delta(case.e)
-        self.delta_a = delta(case.a)
-        self.w = w_lower(rotated, tol=w_rtol * frobenius_norm(rotated))
+        self.delta_e = _delta(case.e, e_norm)
+        self.delta_a = _delta(case.a, a_norm)
+        self.w = w_lower(rotated, tol=W_PRODUCT_RTOL * float(np.linalg.norm(rotated, "fro")))
         self.s = case.block.s
-        self.mix = min(frobenius_norm(case.a), math.sqrt(max(n - 1, 0)) * spectral_norm(case.a))
-        self.tilde_is_normal = is_normal(case.a_tilde)
+        self.mix = min(a_norm, math.sqrt(max(n - 1, 0)) * spectral_norm(case.a))
+        self.defect = _commutator_defect(case.a_tilde)
+        self.tilde_is_normal = _is_normal(self.defect, tilde_norm)
+        self.rank = numerical_rank(case.a_tilde) if hermitian else 0
         self.scale = 1.0 + self.e2 + excess**2
 
 
@@ -260,7 +258,7 @@ def _tilde_normal(case: PerturbationCase, st: _Stats) -> bool:
 
 
 def _tilde_nonzero(case: PerturbationCase, st: _Stats) -> bool:
-    return frobenius_norm(case.a_tilde) > 0.0
+    return st.tilde_norm > 0.0
 
 
 def _v_hw(case, st):
@@ -373,19 +371,19 @@ def _v_4_6e(case, st):
 
 
 def _v_henrici(case, st):
-    return henrici_delta_upper(case.a_tilde)
+    return _henrici(st.n, st.defect)
 
 
 def _v_sun(case, st):
-    return sun_delta_lower(case.a_tilde)
+    return _sun(st.tilde_norm, st.defect)
 
 
 def _v_4_3a(case, st):
-    return _skew_delta_bound(case.a_tilde, case.a_tilde)
+    return _skew_delta_bound(case.a_tilde, st.rank)
 
 
 def _v_4_3b(case, st):
-    return _skew_delta_bound(case.e, case.a_tilde)
+    return _skew_delta_bound(case.e, st.rank)
 
 
 # (entry, applicability predicate, value function); catalog order is the
@@ -469,131 +467,35 @@ def henrici_delta_upper(m) -> float:
     """((n^3 - n) / 12)^(1/4) * sqrt(||M M* - M* M||_F): an upper bound
     on the triangular excess of any Schur form of M."""
     m = as_matrix(m)
-    n = m.shape[0]
-    defect = frobenius_norm(m @ conjugate_transpose(m) - conjugate_transpose(m) @ m)
-    return ((n**3 - n) / 12.0) ** 0.25 * math.sqrt(defect)
+    return _henrici(m.shape[0], _commutator_defect(m))
 
 
 def sun_delta_lower(m) -> float:
     """sqrt(||M||_F^2 - sqrt(||M||_F^4 - ||M M* - M* M||_F^2 / 2)): a
     lower bound on the triangular excess of any Schur form of M."""
     m = as_matrix(m)
-    nrm2 = frobenius_norm(m) ** 2
-    defect = frobenius_norm(m @ conjugate_transpose(m) - conjugate_transpose(m) @ m)
+    return _sun(float(np.linalg.norm(m, "fro")), _commutator_defect(m))
+
+
+def _henrici(n: int, defect: float) -> float:
+    return ((n**3 - n) / 12.0) ** 0.25 * math.sqrt(defect)
+
+
+def _sun(nrm: float, defect: float) -> float:
+    nrm2 = nrm**2
     inner = nrm2**2 - 0.5 * defect**2
     scale = 1.0 + nrm2**2
     inner = _safe_sqrt(inner, scale, "sun_3_7 inner radicand")
     return _safe_sqrt(nrm2 - inner, 1.0 + nrm2, "sun_3_7")
 
 
-def _skew_delta_bound(m, rank_source) -> float:
+def _skew_delta_bound(m: np.ndarray, r: int) -> float:
     """(1/sqrt(2)) * sqrt(||K||_F^2 - |tr K|^2 / r) for K = M - M* and
-    r the numerical rank of ``rank_source``."""
-    m = as_matrix(m)
-    skew = m - conjugate_transpose(m)
-    r = numerical_rank(as_matrix(rank_source))
-    if r == 0:
-        raise ValueError("rank source is numerically zero")
-    nrm2 = frobenius_norm(skew) ** 2
+    r >= 1 the numerical rank of A + E."""
+    skew = m - m.conj().T
+    nrm2 = float(np.linalg.norm(skew, "fro")) ** 2
     radicand = nrm2 - abs(complex(np.trace(skew))) ** 2 / r
     return _safe_sqrt(radicand, 1.0 + nrm2, "thm_4_3") / SQRT2
-
-
-def skew_delta_bounds(case: PerturbationCase) -> tuple[float, float]:
-    """Both skew-part excess bounds for a Hermitian-base case: one from
-    A + E and one from E alone.  Equal in exact arithmetic because the
-    skew parts coincide when A is Hermitian."""
-    if not case.a_is_hermitian:
-        raise ValueError("skew excess bounds require a Hermitian base matrix")
-    if frobenius_norm(case.a_tilde) == 0.0:
-        raise ValueError("perturbed matrix is zero")
-    return (
-        _skew_delta_bound(case.a_tilde, case.a_tilde),
-        _skew_delta_bound(case.e, case.a_tilde),
-    )
-
-
-# ---------------------------------------------------------------------------
-# single-bound convenience ops
-
-
-def _single(case: PerturbationCase, bound_id: str, w_rtol: float = W_PRODUCT_RTOL) -> float:
-    entry, pred, value = _BY_ID[bound_id]
-    st = _Stats(case, w_rtol)
-    if not pred(case, st):
-        raise ValueError(f"{bound_id} is not applicable to this case")
-    return float(value(case, st))
-
-
-def bound_hoffman_wielandt(case: PerturbationCase) -> float:
-    """||E||_F, valid only when A + E is itself normal."""
-    return _single(case, "hoffman_wielandt")
-
-
-def bound_sun_sqrt_n(case: PerturbationCase) -> float:
-    """sqrt(n) * ||E||_F."""
-    return _single(case, "eq_1_4")
-
-
-def bound_li_sun(case: PerturbationCase) -> float:
-    """sqrt(n - s + 1) * ||E||_F with s the eigenvalue block count."""
-    return _single(case, "eq_1_5")
-
-
-def bound_kahan(case: PerturbationCase) -> float:
-    """sqrt(2) * ||E||_F, for Hermitian A."""
-    return _single(case, "eq_1_6")
-
-
-def bound_sun_departure(case: PerturbationCase) -> float:
-    """Mixed-norm bound built from the triangular excess of A + E."""
-    return _single(case, "eq_1_7")
-
-
-def bound_li_vong_a(case: PerturbationCase) -> float:
-    return _single(case, "eq_1_8")
-
-
-def bound_li_vong_b(case: PerturbationCase) -> float:
-    return _single(case, "eq_1_9")
-
-
-def _family_values(
-    case: PerturbationCase, ids: tuple[str, ...], w_rtol: float = W_PRODUCT_RTOL
-) -> dict[str, float]:
-    st = _Stats(case, w_rtol)
-    out = {}
-    for bound_id in ids:
-        _, _, value = _BY_ID[bound_id]
-        out[bound_id] = float(value(case, st))
-    return out
-
-
-def bandwidth_bounds(case: PerturbationCase, w_rtol: float = W_PRODUCT_RTOL) -> dict[str, float]:
-    """The four rotated-bandwidth bounds (ids eq_3_3a..eq_3_3d)."""
-    return _family_values(case, ("eq_3_3a", "eq_3_3b", "eq_3_3c", "eq_3_3d"), w_rtol)
-
-
-def bandwidth_base_bounds(case: PerturbationCase, w_rtol: float = W_PRODUCT_RTOL) -> dict[str, float]:
-    """The two bandwidth bounds phrased in delta(A) (ids eq_3_4a, eq_3_4b)."""
-    return _family_values(case, ("eq_3_4a", "eq_3_4b"), w_rtol)
-
-
-def worst_case_bounds(case: PerturbationCase) -> dict[str, float]:
-    """The six bandwidth-free bounds (ids eq_3_5a..eq_3_5f)."""
-    return _family_values(case, ("eq_3_5a", "eq_3_5b", "eq_3_5c", "eq_3_5d", "eq_3_5e", "eq_3_5f"))
-
-
-def block_bounds(case: PerturbationCase) -> dict[str, float]:
-    """The three block-count refinements (ids eq_3_11a..eq_3_11c)."""
-    return _family_values(case, ("eq_3_11a", "eq_3_11b", "eq_3_11c"))
-
-
-def hermitian_bounds(case: PerturbationCase) -> dict[str, float]:
-    """The five Hermitian-base bounds (ids eq_4_6a..eq_4_6e)."""
-    if not case.a_is_hermitian:
-        raise ValueError("hermitian bounds require a Hermitian base matrix")
-    return _family_values(case, ("eq_4_6a", "eq_4_6b", "eq_4_6c", "eq_4_6d", "eq_4_6e"))
 
 
 # ---------------------------------------------------------------------------
@@ -624,6 +526,9 @@ class BoundReport:
     d_inf: float
     bounds: tuple[BoundValue, ...]
     violations: tuple[str, ...]
+    # the per-case quantities behind the values, reused by the campaign
+    # checks; not part of the wire format
+    _stats: _Stats | None = field(default=None, repr=False, compare=False)
 
     def value_of(self, bound_id: str) -> float | None:
         for bv in self.bounds:
@@ -654,7 +559,6 @@ def evaluate_all(
     case: PerturbationCase,
     include_hermitian: bool | None = None,
     tol_factor: float = VIOLATION_TOL_FACTOR,
-    w_rtol: float = W_PRODUCT_RTOL,
 ) -> BoundReport:
     """Evaluate the full catalog against the true matching distance.
 
@@ -666,15 +570,16 @@ def evaluate_all(
     """
     if include_hermitian is None:
         include_hermitian = case.a_is_hermitian
-    st = _Stats(case, w_rtol)
+    hermitian = bool(include_hermitian) and case.a_is_hermitian
+    st = _Stats(case, hermitian)
     match = optimal_match(eigenvalues(case.a), case.schur_tilde.eigenvalues)
-    tol = tol_factor * (1.0 + frobenius_norm(case.a) + st.e_norm)
+    tol = tol_factor * (1.0 + st.a_norm + st.e_norm)
     values: list[BoundValue] = []
     violations: list[str] = []
     for entry, pred, value_fn in _CATALOG:
         applicable = bool(pred(case, st))
         if entry.requires_hermitian:
-            applicable = applicable and include_hermitian and case.a_is_hermitian
+            applicable = applicable and hermitian
         value = float(value_fn(case, st)) if applicable else None
         values.append(
             BoundValue(
@@ -697,4 +602,5 @@ def evaluate_all(
         d_inf=match.d_inf,
         bounds=tuple(values),
         violations=tuple(violations),
+        _stats=st,
     )

@@ -31,7 +31,6 @@ from .ensembles import (
     derive_trial_seed,
     random_case,
 )
-from .matrices import frobenius_norm, strict_upper
 
 __all__ = [
     "ORDERING_PAIRS",
@@ -123,9 +122,9 @@ def _check_orderings(values: dict, failures: list, strict: dict) -> None:
         strict[f"{sharp_id}<{base_id}"] = bool(sharp < base - tol)
 
 
-def _check_sandwich(case, values: dict, excess: float, failures: list) -> None:
+def _check_sandwich(tilde_norm: float, values: dict, excess: float, failures: list) -> None:
     lower, upper = values["sun_3_7"], values["henrici_3_6"]
-    slack = 1e-9 * max(1.0, frobenius_norm(case.a_tilde))
+    slack = 1e-9 * max(1.0, tilde_norm)
     if lower > excess + slack:
         failures.append(f"sandwich: lower estimate {lower!r} exceeds excess {excess!r}")
     if upper < excess - slack:
@@ -170,15 +169,15 @@ def run_trial(config: CampaignConfig, index: int) -> TrialRecord:
     report = evaluate_all(case, tol_factor=config.tol_factor)
     values = {bv.id: bv.value for bv in report.bounds}
 
-    e_norm = frobenius_norm(case.e)
-    excess = frobenius_norm(strict_upper(case.schur_tilde.t))
+    st = report._stats
+    e_norm, excess = st.e_norm, st.excess
     failures: list[str] = []
     strict: dict[str, bool] = {}
 
     if report.d_inf > report.d2 + 1e-12 * (1.0 + report.d2):
         failures.append(f"metric: d_inf={report.d_inf!r} exceeds d2={report.d2!r}")
     _check_orderings(values, failures, strict)
-    _check_sandwich(case, values, excess, failures)
+    _check_sandwich(st.tilde_norm, values, excess, failures)
     if case.a_is_hermitian:
         _check_hermitian(values, e_norm, excess, failures)
 

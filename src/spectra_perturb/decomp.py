@@ -23,7 +23,6 @@ __all__ = [
     "SchurForm",
     "BlockStructure",
     "TAU_SCHUR",
-    "hessenberg_reduce",
     "schur_decompose",
     "validate_schur_form",
     "reorder_schur",
@@ -37,9 +36,6 @@ __all__ = [
 #: Residual budget for Schur-form invariants (reconstruction, unitarity,
 #: triangularity), relative to n * max(1, ||M||_F).
 TAU_SCHUR = 1e-10
-
-#: Default iteration budget factor: max_iter = 40 * n.
-MAX_ITER_FACTOR = 40
 
 
 @dataclass(eq=False)
@@ -70,46 +66,16 @@ class BlockStructure:
         return len(self.sizes)
 
 
-def hessenberg_reduce(m) -> tuple[np.ndarray, np.ndarray]:
-    """Unitary reduction to upper Hessenberg form.
+def schur_decompose(m) -> SchurForm:
+    """Complex Schur decomposition M = q t q* of a square matrix.
 
-    Returns (q, h) with q h q* = M and h zero below the first
-    subdiagonal.  Matrices of order <= 2 are already Hessenberg and are
-    returned unchanged with q = I.
+    Delegates to LAPACK's implicit-shift QR, which manages its own
+    iteration budget; a convergence failure raises LinAlgError rather
+    than returning a truncated factorization.  An already upper
+    triangular input is returned as-is with q = I.
     """
     m = as_matrix(m)
     n = m.shape[0]
-    if n <= 2:
-        return np.eye(n, dtype=np.complex128), m.astype(np.complex128, copy=True)
-    h, q = scipy.linalg.hessenberg(m, calc_q=True)
-    h = np.asarray(h, dtype=np.complex128)
-    q = np.asarray(q, dtype=np.complex128)
-    # gehrd leaves exact zeros below the subdiagonal; enforce it anyway
-    h[np.tril_indices(n, -2)] = 0.0
-    return q, h
-
-
-def schur_decompose(m, max_iter: int | None = None) -> SchurForm:
-    """Complex Schur decomposition M = q t q*.
-
-    Parameters
-    ----------
-    m : array_like
-        Square matrix.
-    max_iter : int, optional
-        Iteration budget; defaults to 40 n and must be at least 30 n.
-        The LAPACK backend manages its sweep schedule internally within
-        an equivalent budget; a convergence failure raises LinAlgError
-        rather than returning a truncated factorization.
-
-    An already upper triangular input is returned as-is with q = I.
-    """
-    m = as_matrix(m)
-    n = m.shape[0]
-    if max_iter is None:
-        max_iter = MAX_ITER_FACTOR * n
-    if max_iter < 30 * n:
-        raise ValueError(f"max_iter must be at least 30*n = {30 * n}, got {max_iter}")
     if np.all(np.tril(m, -1) == 0):
         t = m.astype(np.complex128, copy=True)
         q = np.eye(n, dtype=np.complex128)
@@ -120,7 +86,7 @@ def schur_decompose(m, max_iter: int | None = None) -> SchurForm:
     return SchurForm(q=q, t=t, eigenvalues=np.diag(t).copy())
 
 
-def validate_schur_form(form: SchurForm, source, tau: float = TAU_SCHUR) -> None:
+def validate_schur_form(form: SchurForm, source) -> None:
     """Check the SchurForm invariants against its source matrix.
 
     Raises ValueError naming the first violated invariant.
@@ -130,10 +96,10 @@ def validate_schur_form(form: SchurForm, source, tau: float = TAU_SCHUR) -> None
     n = t.shape[0]
     if q.shape != source.shape or t.shape != source.shape:
         raise ValueError("factor shapes do not match the source matrix")
-    budget = tau * n * max(1.0, frobenius_norm(source))
-    if np.linalg.norm(q.conj().T @ q - np.eye(n), "fro") > tau * n:
+    budget = TAU_SCHUR * n * max(1.0, frobenius_norm(source))
+    if np.linalg.norm(q.conj().T @ q - np.eye(n), "fro") > TAU_SCHUR * n:
         raise ValueError("q is not unitary within tolerance")
-    if np.linalg.norm(np.tril(t, -1), "fro") > tau * max(1.0, frobenius_norm(t)):
+    if np.linalg.norm(np.tril(t, -1), "fro") > TAU_SCHUR * max(1.0, frobenius_norm(t)):
         raise ValueError("t is not upper triangular within tolerance")
     if np.linalg.norm(q @ t @ q.conj().T - source, "fro") > budget:
         raise ValueError("q t q* does not reconstruct the source matrix")
@@ -167,7 +133,7 @@ def _swap_adjacent(t: np.ndarray, q: np.ndarray, k: int) -> None:
     q[:, k : k + 2] = q[:, k : k + 2] @ g
 
 
-def reorder_schur(form: SchurForm, key: str = "descending-modulus") -> SchurForm:
+def reorder_schur(form: SchurForm) -> SchurForm:
     """Reorder a Schur form so diag(t) is sorted by descending modulus.
 
     Ties are broken by descending real part, then descending imaginary
@@ -175,8 +141,6 @@ def reorder_schur(form: SchurForm, key: str = "descending-modulus") -> SchurForm
     bubble sort of adjacent unitary swaps, so q t q* is preserved to
     working accuracy.
     """
-    if key != "descending-modulus":
-        raise ValueError(f"unknown ordering key: {key!r}")
     t = form.t.copy()
     q = form.q.copy()
     n = t.shape[0]
@@ -202,19 +166,14 @@ def spectral_norm(m) -> float:
     return float(np.sqrt(max(0.0, float(ev[-1]))))
 
 
-def numerical_rank(m, rtol: float | None = None) -> int:
-    """Number of singular values above ``rtol * sigma_max``.
+def numerical_rank(m) -> int:
+    """Number of singular values above ``64 n eps * sigma_max``.
 
-    Default rtol is 64 n eps.  Uses a true SVD: singular values computed
-    through M* M lose half the working precision, which misclassifies
-    exact zeros at this threshold.
+    Uses a true SVD: singular values computed through M* M lose half the
+    working precision, which misclassifies exact zeros at this threshold.
     """
     m = as_matrix(m)
-    n = m.shape[0]
-    if rtol is None:
-        rtol = 64 * n * float(np.finfo(np.float64).eps)
-    if rtol <= 0:
-        raise ValueError("rtol must be positive")
+    rtol = 64 * m.shape[0] * float(np.finfo(np.float64).eps)
     sigma = np.linalg.svd(m, compute_uv=False)
     if sigma[0] == 0.0:
         return 0
@@ -246,7 +205,7 @@ def detect_block_structure(t, tol: float = 1e-12) -> BlockStructure:
     """
     t = as_matrix(t, "triangular factor")
     n = t.shape[0]
-    nrm = frobenius_norm(t)
+    nrm = float(np.linalg.norm(t, "fro"))
     if np.linalg.norm(np.tril(t, -1), "fro") > tol * max(1.0, nrm):
         raise ValueError("t is not upper triangular")
     if n == 1:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .bounds import PerturbationCase, make_case
 from .decomp import SchurForm, _order_key
-from .matrices import as_matrix, frobenius_norm
+from .matrices import frobenius_norm
 
 __all__ = [
     "KINDS",

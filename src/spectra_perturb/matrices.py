@@ -1,8 +1,10 @@
 """Dense complex matrix primitives shared by the whole package.
 
-Matrices are plain numpy ``complex128`` arrays.  Every public function
-validates its input on entry, so non-finite entries are rejected at
-construction time and never propagate into the numerics.
+Matrices are plain numpy ``complex128`` arrays.  Inputs are checked at
+the boundary: each public function here validates its argument through
+:func:`as_matrix` (or :func:`as_spectrum`), ``make_case`` validates a
+matrix pair once, and JSON loading validates every entry.  Inside the
+package, the arrays of a built case are trusted and not checked again.
 """
 
 from __future__ import annotations
@@ -15,17 +17,10 @@ __all__ = [
     "as_matrix",
     "as_spectrum",
     "conjugate_transpose",
-    "matmul",
-    "add",
-    "subtract",
-    "scale",
     "frobenius_norm",
-    "trace",
     "diagonal_part",
     "strict_lower",
     "strict_upper",
-    "hadamard_product",
-    "entrywise_abs",
     "commutator_defect",
     "is_normal",
     "is_hermitian",
@@ -35,7 +30,7 @@ __all__ = [
     "load_matrix",
 ]
 
-#: Default relative tolerance for the normality / Hermitian predicates.
+#: Relative tolerance of the normality / Hermitian predicates.
 STRUCTURE_TOL = 1e-10
 
 
@@ -69,43 +64,8 @@ def conjugate_transpose(m) -> np.ndarray:
     return as_matrix(m).conj().T
 
 
-def matmul(a, b) -> np.ndarray:
-    a = as_matrix(a, "left factor")
-    b = as_matrix(b, "right factor")
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a @ b
-
-
-def add(a, b) -> np.ndarray:
-    a = as_matrix(a, "left term")
-    b = as_matrix(b, "right term")
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a + b
-
-
-def subtract(a, b) -> np.ndarray:
-    a = as_matrix(a, "left term")
-    b = as_matrix(b, "right term")
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a - b
-
-
-def scale(alpha, m) -> np.ndarray:
-    alpha = complex(alpha)
-    if not (np.isfinite(alpha.real) and np.isfinite(alpha.imag)):
-        raise ValueError("scale factor must be finite")
-    return alpha * as_matrix(m)
-
-
 def frobenius_norm(m) -> float:
     return float(np.linalg.norm(as_matrix(m), "fro"))
-
-
-def trace(m) -> complex:
-    return complex(np.trace(as_matrix(m)))
 
 
 def diagonal_part(m) -> np.ndarray:
@@ -124,43 +84,33 @@ def strict_upper(m) -> np.ndarray:
     return np.triu(as_matrix(m), 1)
 
 
-def hadamard_product(a, b) -> np.ndarray:
-    """Entrywise product A o B."""
-    a = as_matrix(a, "left factor")
-    b = as_matrix(b, "right factor")
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a * b
-
-
-def entrywise_abs(m) -> np.ndarray:
-    """Entrywise modulus |M|; the result is a real-valued array."""
-    return np.abs(as_matrix(m))
-
-
 def commutator_defect(m) -> float:
     """Frobenius norm of M M* - M* M; zero exactly when M is normal."""
-    m = as_matrix(m)
+    return _commutator_defect(as_matrix(m))
+
+
+def _commutator_defect(m: np.ndarray) -> float:
     h = m.conj().T
     return float(np.linalg.norm(m @ h - h @ m, "fro"))
 
 
-def is_normal(m, tol: float = STRUCTURE_TOL) -> bool:
-    """Whether M M* = M* M within ``tol * max(1, ||M||_F^2)``.
+def _is_normal(defect: float, nrm: float) -> bool:
+    # The commutator defect scales quadratically with M, hence the
+    # squared norm in the threshold.
+    return defect <= STRUCTURE_TOL * max(1.0, nrm * nrm)
 
-    The commutator defect scales quadratically with M, hence the squared
-    norm in the threshold.
-    """
+
+def is_normal(m) -> bool:
+    """Whether M M* = M* M within ``STRUCTURE_TOL * max(1, ||M||_F^2)``."""
     m = as_matrix(m)
-    nrm = float(np.linalg.norm(m, "fro"))
-    return commutator_defect(m) <= tol * max(1.0, nrm * nrm)
+    return _is_normal(_commutator_defect(m), float(np.linalg.norm(m, "fro")))
 
 
-def is_hermitian(m, tol: float = STRUCTURE_TOL) -> bool:
-    """Whether M = M* within ``tol * max(1, ||M||_F)``."""
+def is_hermitian(m) -> bool:
+    """Whether M = M* within ``STRUCTURE_TOL * max(1, ||M||_F)``."""
     m = as_matrix(m)
     defect = float(np.linalg.norm(m - m.conj().T, "fro"))
-    return defect <= tol * max(1.0, float(np.linalg.norm(m, "fro")))
+    return defect <= STRUCTURE_TOL * max(1.0, float(np.linalg.norm(m, "fro")))
 
 
 # -- JSON wire format ---------------------------------------------------

@@ -33,10 +33,13 @@ def delta(m) -> float:
     |tr|^2/n marginally above the squared norm.
     """
     m = as_matrix(m)
-    n = m.shape[0]
-    nrm2 = float(np.linalg.norm(m, "fro")) ** 2
+    return _delta(m, float(np.linalg.norm(m, "fro")))
+
+
+def _delta(m: np.ndarray, nrm: float) -> float:
+    """``delta`` of a trusted array whose Frobenius norm ``nrm`` is known."""
     t = complex(np.trace(m))
-    return math.sqrt(max(0.0, nrm2 - abs(t) ** 2 / n))
+    return math.sqrt(max(0.0, nrm**2 - abs(t) ** 2 / m.shape[0]))
 
 
 def _band_width(m: np.ndarray, tol: float, lower: bool) -> int:

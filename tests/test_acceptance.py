@@ -23,7 +23,6 @@ from spectra_perturb import (
     fixture_matrices,
     frobenius_norm,
     henrici_delta_upper,
-    hermitian_bounds,
     optimal_match,
     phi1,
     phi2,
@@ -97,10 +96,10 @@ def test_shifted_identity_sweep(acceptance):
         excess = frobenius_norm(strict_upper(case.schur_tilde.t))
         assert abs(excess - 1.0) <= 1e-9
         assert abs(frobenius_norm(case.e) ** 2 - (n - 1)) <= 1e-9
-        values = hermitian_bounds(case)
         for bid, closed_form in expect["bounds"].items():
-            assert abs(values[bid] - closed_form) <= 1e-9, (n, bid)
-            assert values[bid] >= root_n - 1e-12, (n, bid)
+            value = report.value_of(bid)
+            assert abs(value - closed_form) <= 1e-9, (n, bid)
+            assert value >= root_n - 1e-12, (n, bid)
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
     acceptance.ok(3)

@@ -12,16 +12,6 @@ from spectra_perturb import (
     EnsembleSpec,
     NumericalConsistencyError,
     SchurForm,
-    bandwidth_base_bounds,
-    bandwidth_bounds,
-    block_bounds,
-    bound_hoffman_wielandt,
-    bound_kahan,
-    bound_li_sun,
-    bound_li_vong_a,
-    bound_li_vong_b,
-    bound_sun_departure,
-    bound_sun_sqrt_n,
     catalog_entries,
     delta,
     evaluate_all,
@@ -30,15 +20,12 @@ from spectra_perturb import (
     fixture_expectations,
     frobenius_norm,
     henrici_delta_upper,
-    hermitian_bounds,
     make_case,
     random_case,
     rotated_perturbation,
     rotated_perturbation_residual,
-    skew_delta_bounds,
     sun_delta_lower,
     w_lower,
-    worst_case_bounds,
 )
 
 from conftest import haar_rotated_diagonal, random_complex, rng_for
@@ -58,8 +45,8 @@ def test_make_case_flags():
     assert case.a_is_hermitian and case.a_is_normal
     case = make_case(np.diag([1.0j, 2.0]), np.zeros((2, 2)))
     assert case.a_is_normal and not case.a_is_hermitian
-    case = make_case([[0.0, 1.0], [0.0, 0.0]], np.zeros((2, 2)))
-    assert not case.a_is_normal and not case.a_is_hermitian
+    with pytest.raises(ValueError, match="not normal"):
+        make_case([[0.0, 1.0], [0.0, 0.0]], np.zeros((2, 2)))
 
 
 def test_make_case_rejects_wrong_schur():
@@ -141,44 +128,34 @@ def test_catalog_applicability_flags():
 
 
 def test_two_by_two_baseline_values():
-    case = fixture("intro_2x2")
+    report = evaluate_all(fixture("intro_2x2"))
     expect = fixture_expectations("intro_2x2")["bounds"]
-    assert abs(bound_sun_sqrt_n(case) - expect["eq_1_4"]) < 1e-12
-    assert abs(bound_kahan(case) - expect["eq_1_6"]) < 1e-12
-    assert abs(bound_sun_departure(case) - expect["eq_1_7"]) < 1e-12
-    assert abs(bound_li_vong_a(case) - expect["eq_1_8"]) < 1e-12
-    assert abs(bound_li_vong_b(case) - expect["eq_1_9"]) < 1e-12
+    for bid in ("eq_1_4", "eq_1_6", "eq_1_7", "eq_1_8", "eq_1_9"):
+        assert abs(report.value_of(bid) - expect[bid]) < 1e-12, bid
     # both eigenvalues collapse to one cluster here, so s = 1
-    assert abs(bound_li_sun(case) - bound_sun_sqrt_n(case)) < 1e-12
+    assert abs(report.value_of("eq_1_5") - report.value_of("eq_1_4")) < 1e-12
 
 
 def test_two_by_two_family_values():
-    case = fixture("intro_2x2")
+    report = evaluate_all(fixture("intro_2x2"))
     expect = fixture_expectations("intro_2x2")["bounds"]
-    assert abs(worst_case_bounds(case)["eq_3_5a"] - expect["eq_3_5a"]) < 1e-12
-    assert abs(worst_case_bounds(case)["eq_3_5f"] - expect["eq_3_5f"]) < 1e-12
-    assert abs(bandwidth_base_bounds(case)["eq_3_4b"] - expect["eq_3_4b"]) < 1e-12
-    herm = hermitian_bounds(case)
-    assert abs(herm["eq_4_6d"] - expect["eq_4_6d"]) < 1e-12
-    assert abs(herm["eq_4_6e"] - expect["eq_4_6e"]) < 1e-12
+    for bid in ("eq_3_5a", "eq_3_5f", "eq_3_4b", "eq_4_6d", "eq_4_6e"):
+        assert abs(report.value_of(bid) - expect[bid]) < 1e-12, bid
 
 
 def test_two_by_two_excess_estimates():
     case = fixture("intro_2x2")
     assert abs(henrici_delta_upper(case.a_tilde) - 2.0) < 1e-12
     assert abs(sun_delta_lower(case.a_tilde) - 2.0) < 1e-12
-    lo, hi = skew_delta_bounds(case)
-    assert abs(lo - 2.0) < 1e-12
-    assert abs(hi - 2.0) < 1e-12
+    report = evaluate_all(case)
+    for bid in ("henrici_3_6", "sun_3_7", "thm_4_3_a", "thm_4_3_b"):
+        assert abs(report.value_of(bid) - 2.0) < 1e-12, bid
 
 
 def test_two_by_two_matching_distance_not_normal():
     # the perturbed matrix is defective, so the normal-pair shortcut
     # must be reported as not applicable rather than evaluated
-    case = fixture("intro_2x2")
-    with pytest.raises(ValueError):
-        bound_hoffman_wielandt(case)
-    report = evaluate_all(case)
+    report = evaluate_all(fixture("intro_2x2"))
     hw = [bv for bv in report.bounds if bv.id == "hoffman_wielandt"][0]
     assert not hw.applicable and hw.value is None
     assert abs(report.d2 - 3.0) < 1e-9
@@ -191,8 +168,8 @@ def test_normal_pair_shortcut_equals_perturbation_norm():
     q = np.linalg.qr(random_complex(rng, (4, 4)))[0]
     a = (q * np.array([1.0, 2.0, -1.0, 4.0])) @ q.conj().T
     e = (q * np.array([0.1, -0.2, 0.05, 0.3])) @ q.conj().T
-    case = make_case(a, e)
-    assert abs(bound_hoffman_wielandt(case) - frobenius_norm(e)) < 1e-12
+    report = evaluate_all(make_case(a, e))
+    assert abs(report.value_of("hoffman_wielandt") - frobenius_norm(e)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -211,15 +188,17 @@ def test_zero_perturbation_report():
 
 
 def test_skew_bounds_error_paths():
-    case = make_case(np.diag([1.0j, 1.0]), np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        hermitian_bounds(case)
-    with pytest.raises(ValueError):
-        skew_delta_bounds(case)
-    # Hermitian base but identically zero perturbed matrix
-    case = make_case(np.eye(2), -np.eye(2))
-    with pytest.raises(ValueError):
-        skew_delta_bounds(case)
+    # non-Hermitian base: neither the skew nor the Hermitian family applies
+    report = evaluate_all(make_case(np.diag([1.0j, 1.0]), np.zeros((2, 2))))
+    for bid in ("thm_4_3_a", "thm_4_3_b", "eq_4_6a", "eq_4_6e"):
+        assert report.value_of(bid) is None, bid
+    # Hermitian base but identically zero perturbed matrix: the skew
+    # bounds divide by the rank of A + E, so only they drop out
+    report = evaluate_all(make_case(np.eye(2), -np.eye(2)))
+    applicable = {bv.id: bv.applicable for bv in report.bounds}
+    assert not applicable["thm_4_3_a"] and not applicable["thm_4_3_b"]
+    assert report.value_of("thm_4_3_a") is None and report.value_of("thm_4_3_b") is None
+    assert applicable["eq_4_6a"] and applicable["henrici_3_6"]
 
 
 def test_hermitian_entries_gated_by_structure():
@@ -266,11 +245,10 @@ def test_block_family_collapses_at_single_cluster():
     spec = EnsembleSpec(n=6, kind="normal", trace_mode="generic", seed=11)
     case = random_case(spec)
     assert case.block.s == 1  # generic spectra give one dense cluster
-    blk = block_bounds(case)
-    wc = worst_case_bounds(case)
-    assert abs(blk["eq_3_11a"] - wc["eq_3_5a"]) < 1e-12
-    assert abs(blk["eq_3_11b"] - wc["eq_3_5b"]) < 1e-12
-    assert abs(blk["eq_3_11c"] - wc["eq_3_5d"]) < 1e-12
+    v = evaluate_all(case).value_of
+    assert abs(v("eq_3_11a") - v("eq_3_5a")) < 1e-12
+    assert abs(v("eq_3_11b") - v("eq_3_5b")) < 1e-12
+    assert abs(v("eq_3_11c") - v("eq_3_5d")) < 1e-12
 
 
 def test_bandwidth_family_collapses_at_full_width():
@@ -278,15 +256,13 @@ def test_bandwidth_family_collapses_at_full_width():
     case = random_case(spec)
     rotated = rotated_perturbation(case)
     assert w_lower(rotated, tol=1e-13 * frobenius_norm(rotated)) == case.n - 1
-    bw = bandwidth_bounds(case)
-    base = bandwidth_base_bounds(case)
-    wc = worst_case_bounds(case)
-    assert abs(bw["eq_3_3a"] - wc["eq_3_5a"]) < 1e-12
-    assert abs(bw["eq_3_3b"] - wc["eq_3_5b"]) < 1e-12
-    assert abs(bw["eq_3_3c"] - wc["eq_3_5c"]) < 1e-12
-    assert abs(bw["eq_3_3d"] - wc["eq_3_5d"]) < 1e-12
-    assert abs(base["eq_3_4a"] - wc["eq_3_5e"]) < 1e-12
-    assert abs(base["eq_3_4b"] - wc["eq_3_5f"]) < 1e-12
+    v = evaluate_all(case).value_of
+    assert abs(v("eq_3_3a") - v("eq_3_5a")) < 1e-12
+    assert abs(v("eq_3_3b") - v("eq_3_5b")) < 1e-12
+    assert abs(v("eq_3_3c") - v("eq_3_5c")) < 1e-12
+    assert abs(v("eq_3_3d") - v("eq_3_5d")) < 1e-12
+    assert abs(v("eq_3_4a") - v("eq_3_5e")) < 1e-12
+    assert abs(v("eq_3_4b") - v("eq_3_5f")) < 1e-12
 
 
 def test_excess_linear_bounds_collapse_when_perturbed_stays_normal():
@@ -376,7 +352,8 @@ def test_skew_estimates_dominate_excess_and_agree():
         spec = EnsembleSpec(n=2 + seed % 10, kind="hermitian", trace_mode="generic", seed=seed)
         case = random_case(spec)
         excess = frobenius_norm(np.triu(case.schur_tilde.t, 1))
-        via_tilde, via_e = skew_delta_bounds(case)
+        report = evaluate_all(case)
+        via_tilde, via_e = report.value_of("thm_4_3_a"), report.value_of("thm_4_3_b")
         tol = 1e-12 * max(1.0, frobenius_norm(case.e))
         assert via_tilde >= excess - tol
         assert abs(via_tilde - via_e) <= tol

@@ -9,7 +9,6 @@ from spectra_perturb import (
     detect_block_structure,
     eigenvalues,
     frobenius_norm,
-    hessenberg_reduce,
     numerical_rank,
     optimal_match,
     reorder_schur,
@@ -29,16 +28,6 @@ def schur_residuals(m, form):
     triangularity = frobenius_norm(np.tril(form.t, -1))
     reconstruction = frobenius_norm(form.q @ form.t @ form.q.conj().T - m)
     return unitarity, triangularity, reconstruction
-
-
-def test_hessenberg_reduce_properties(rng):
-    m = random_complex(rng, (7, 7))
-    q, h = hessenberg_reduce(m)
-    n = 7
-    assert frobenius_norm(q.conj().T @ q - np.eye(n)) < 1e-13 * n
-    # everything below the first subdiagonal vanishes
-    assert np.all(h[np.tril_indices(n, -2)] == 0)
-    assert frobenius_norm(q @ h @ q.conj().T - m) < 1e-12 * max(1.0, frobenius_norm(m))
 
 
 def test_schur_decompose_quality(rng):
@@ -66,11 +55,6 @@ def test_schur_triangular_fast_path():
     form = schur_decompose(t_in)
     assert np.array_equal(form.t, t_in)
     assert np.array_equal(form.q, np.eye(3, dtype=complex))
-
-
-def test_schur_max_iter_floor():
-    with pytest.raises(ValueError):
-        schur_decompose(np.eye(4), max_iter=10)
 
 
 def test_validate_schur_form_catches_mismatch(rng):
@@ -105,12 +89,6 @@ def test_reorder_breaks_modulus_ties_deterministically():
     assert abs(ordered.eigenvalues[1] + 1.0j) < 1e-14
 
 
-def test_reorder_rejects_unknown_key(rng):
-    form = schur_decompose(random_complex(rng, (3, 3)))
-    with pytest.raises(ValueError):
-        reorder_schur(form, key="ascending")
-
-
 def test_order_key_is_descending_modulus_then_real_then_imag():
     assert _order_key(2.0) < _order_key(1.0)
     assert _order_key(1.0) < _order_key(-1.0)
@@ -134,8 +112,6 @@ def test_numerical_rank():
     # rank-1 outer product
     v = np.array([1.0, 2.0, 3.0])
     assert numerical_rank(np.outer(v, v)) == 1
-    with pytest.raises(ValueError):
-        numerical_rank(np.eye(2), rtol=-1.0)
 
 
 def test_numerical_rank_random_products(rng):

@@ -20,10 +20,9 @@ from spectra_perturb import (
     strict_lower,
     strict_upper,
 )
-from spectra_perturb.matrices import add, hadamard_product, matmul, scale, subtract, trace
 
 from conftest import haar_rotated_diagonal, random_complex
-from oracles import naive_frobenius, naive_matmul
+from oracles import naive_frobenius
 
 
 def test_as_matrix_accepts_lists_and_arrays():
@@ -55,27 +54,6 @@ def test_as_spectrum():
         as_spectrum([])
     with pytest.raises(ValueError):
         as_spectrum([1, math.nan])
-
-
-def test_matmul_against_naive(rng):
-    for _ in range(10):
-        a = random_complex(rng, (4, 4))
-        b = random_complex(rng, (4, 4))
-        assert np.allclose(matmul(a, b), naive_matmul(a, b), atol=1e-12)
-
-
-def test_arithmetic_shape_checks():
-    a = np.eye(2)
-    b = np.eye(3)
-    for op in (matmul, add, subtract, hadamard_product):
-        with pytest.raises(ValueError):
-            op(a, b)
-
-
-def test_scale_and_trace():
-    m = as_matrix([[1, 2], [3, 4]])
-    assert np.allclose(scale(2.0, m), 2 * m)
-    assert trace(m) == 5.0 + 0.0j
 
 
 def test_frobenius_norm_against_naive(rng):
