@@ -142,7 +142,7 @@ def _cmd_bounds(args) -> int:
     try:
         a = load_matrix(args.a)
         e = load_matrix(args.e)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise _InputError(f"cannot load matrices: {exc}") from exc
     if a.shape != e.shape:
         raise _InputError(f"dimension mismatch: A is {a.shape[0]} x {a.shape[0]}, E is {e.shape[0]} x {e.shape[0]}")

@@ -9,7 +9,9 @@ package, the arrays of a built case are trusted and not checked again.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 
 import numpy as np
 
@@ -121,16 +123,21 @@ def is_hermitian(m) -> bool:
 def matrix_to_json(m) -> dict:
     """Encode a matrix as its wire-format dictionary."""
     m = as_matrix(m)
-    n = m.shape[0]
-    flat = m.ravel()
-    return {"n": n, "entries": [[float(z.real), float(z.imag)] for z in flat]}
+    pairs = np.stack([m.real, m.imag], -1).reshape(-1, 2)
+    return {"n": m.shape[0], "entries": pairs.tolist()}
 
 
 def matrix_from_json(obj) -> np.ndarray:
     """Decode and validate the wire-format dictionary.
 
+    The entries are checked in bulk (pair types and lengths, then the
+    number types, then finiteness of the decoded values) and decoded in
+    one pass; an integer entry becomes the float ``float(x)`` gives.
     Raises ValueError on a malformed object: wrong entry count, entries
-    that are not [re, im] pairs, or non-finite values.
+    that are not [re, im] pairs of int or float (bools excluded), or
+    values that are not finite or too large for a float.  When a bulk
+    check fails, the entries are walked in order and the message names
+    the first bad entry.
     """
     if not isinstance(obj, dict):
         raise ValueError("matrix JSON must be an object")
@@ -143,19 +150,53 @@ def matrix_from_json(obj) -> np.ndarray:
         raise ValueError(
             f"matrix JSON needs exactly {n * n} entries, got {found}"
         )
-    out = np.empty(n * n, dtype=np.complex128)
+    flat = _decode_entries(entries)
+    if flat is None:
+        raise _first_bad_entry(entries)
+    return flat.view(np.complex128).reshape(n, n)
+
+
+def _is_number_type(t: type) -> bool:
+    return issubclass(t, (int, float)) and not issubclass(t, bool)
+
+
+def _decode_entries(entries: list) -> np.ndarray | None:
+    """The entries as one flat float64 array of [re, im] values, or None
+    when any entry is malformed, not finite or out of float range."""
+    if not all(issubclass(t, (list, tuple)) for t in set(map(type, entries))):
+        return None
+    if set(map(len, entries)) != {2}:
+        return None
+    scalar_types = set(map(type, itertools.chain.from_iterable(entries)))
+    if not all(map(_is_number_type, scalar_types)):
+        return None
+    try:
+        flat = np.fromiter(
+            itertools.chain.from_iterable(entries),
+            dtype=np.float64,
+            count=2 * len(entries),
+        )
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return flat if np.isfinite(flat).all() else None
+
+
+def _first_bad_entry(entries: list) -> ValueError:
+    """The error naming the first entry that :func:`_decode_entries` refuses."""
     for k, pair in enumerate(entries):
         if (
             not isinstance(pair, (list, tuple))
             or len(pair) != 2
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
+            or not all(_is_number_type(type(x)) for x in pair)
         ):
-            raise ValueError(f"entry {k} is not a [re, im] pair of numbers")
-        re, im = float(pair[0]), float(pair[1])
-        if not (np.isfinite(re) and np.isfinite(im)):
-            raise ValueError(f"entry {k} is not finite")
-        out[k] = complex(re, im)
-    return out.reshape(n, n)
+            return ValueError(f"entry {k} is not a [re, im] pair of numbers")
+        try:
+            finite = math.isfinite(pair[0]) and math.isfinite(pair[1])
+        except OverflowError:
+            finite = False
+        if not finite:
+            return ValueError(f"entry {k} is not finite")
+    return ValueError("matrix JSON entries could not be decoded")
 
 
 def save_matrix(path, m) -> None:
@@ -165,6 +206,11 @@ def save_matrix(path, m) -> None:
 
 
 def load_matrix(path) -> np.ndarray:
+    """Read a matrix file in the wire format.
+
+    Raises OSError when the file cannot be read, and ValueError when it
+    is not valid JSON or not a valid matrix (see :func:`matrix_from_json`).
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)

@@ -112,6 +112,16 @@ def test_bounds_corrupt_input(tmp_path, capsys):
     assert "cannot load" in err
 
 
+def test_bounds_integer_beyond_float_range_is_input_error(tmp_path, capsys):
+    a_path, e_path = tmp_path / "A.json", tmp_path / "E.json"
+    a_path.write_text('{"n": 1, "entries": [[1' + "0" * 400 + ', 0]]}')
+    save_matrix(e_path, np.zeros((1, 1)))
+    code, _, err = run(["bounds", "--a", str(a_path), "--e", str(e_path)], capsys)
+    assert code == 2
+    assert "error: cannot load matrices" in err
+    assert "entry 0 is not finite" in err
+
+
 def test_bounds_missing_file(tmp_path, capsys):
     e_path = tmp_path / "E.json"
     save_matrix(e_path, np.zeros((2, 2)))

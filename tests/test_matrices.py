@@ -136,6 +136,87 @@ def test_matrix_from_json_validation():
         matrix_from_json({"n": 1, "entries": [[math.inf, 0]]})
 
 
+def _entries_16x16(rng):
+    m = random_complex(rng, (16, 16))
+    return [[float(z.real), float(z.imag)] for z in m.ravel()]
+
+
+def test_matrix_from_json_decodes_bit_identically(rng):
+    m = random_complex(rng, (64, 64))
+    entries = json.loads(json.dumps([[float(z.real), float(z.imag)] for z in m.ravel()]))
+    entries[3] = [7, -2]  # integer entries convert like float(x)
+    entries[5] = [2**60 + 1, 0]
+    entries[9] = [-0.0, 5e-324]
+    reference = np.array(
+        [complex(float(re), float(im)) for re, im in entries], dtype=np.complex128
+    ).reshape(64, 64)
+    decoded = matrix_from_json({"n": 64, "entries": entries})
+    assert decoded.dtype == np.complex128 and decoded.shape == (64, 64)
+    assert np.array_equal(decoded.view(np.float64), reference.view(np.float64))
+
+
+def test_matrix_from_json_accepts_tuples_numpy_floats_and_ints():
+    obj = {"n": 2, "entries": [(1, 2.5), [np.float64(-3.0), 4], (5.5, np.float64(6)), [7, 8]]}
+    assert np.array_equal(
+        matrix_from_json(obj), np.array([[1 + 2.5j, -3 + 4j], [5.5 + 6j, 7 + 8j]])
+    )
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [[True, 0], ["1.0", 0], [None, 0], [np.int64(1), 0], [1, 2, 3], {"re": 1}],
+    ids=["bool", "string", "null", "int64", "triple", "object"],
+)
+def test_matrix_from_json_names_malformed_entry(rng, bad):
+    entries = _entries_16x16(rng)
+    entries[37] = bad
+    with pytest.raises(ValueError, match=r"^entry 37 is not a \[re, im\] pair of numbers$"):
+        matrix_from_json({"n": 16, "entries": entries})
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [[math.nan, 0], [0, math.inf], [-math.inf, 1], [10**400, 0], [0, -(10**400)]],
+    ids=["nan", "inf", "-inf", "huge-int", "-huge-int"],
+)
+def test_matrix_from_json_names_non_finite_entry(rng, bad):
+    entries = _entries_16x16(rng)
+    entries[37] = bad
+    with pytest.raises(ValueError, match=r"^entry 37 is not finite$"):
+        matrix_from_json({"n": 16, "entries": entries})
+
+
+def test_matrix_from_json_names_first_bad_entry_in_order(rng):
+    entries = _entries_16x16(rng)
+    entries[5] = [math.nan, 0]
+    entries[37] = [True, 0]
+    with pytest.raises(ValueError, match=r"^entry 5 is not finite$"):
+        matrix_from_json({"n": 16, "entries": entries})
+    entries[5], entries[37] = entries[37], entries[5]
+    with pytest.raises(ValueError, match=r"^entry 5 is not a \[re, im\] pair"):
+        matrix_from_json({"n": 16, "entries": entries})
+
+
+def test_load_matrix_rejects_integer_beyond_float_range(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text('{"n": 1, "entries": [[1' + "0" * 400 + ', 0]]}')
+    with pytest.raises(ValueError, match="entry 0 is not finite"):
+        load_matrix(path)
+
+
+def test_matrix_to_json_text_matches_per_entry_encoding(rng):
+    m = random_complex(rng, (4, 4))
+    m[0, 0] = complex(-0.0, 0.0)
+    m[0, 1] = complex(5e-324, -0.0)
+    m[1, 2] = complex(1e308, -1e308)
+    m[2, 3] = complex(3.0, -7.0)
+    m[3, 3] = 0
+    for a in (m, m.T, [[1, 2j], [3, 4]]):  # C- and Fortran-ordered, and a list
+        am = as_matrix(a)
+        old = {"n": am.shape[0], "entries": [[float(z.real), float(z.imag)] for z in am.ravel()]}
+        assert json.dumps(matrix_to_json(a)) == json.dumps(old)
+
+
 def test_save_and_load_matrix(tmp_path, rng):
     m = random_complex(rng, (4, 4))
     path = tmp_path / "m.json"
