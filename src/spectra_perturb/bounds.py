@@ -24,11 +24,9 @@ from .decomp import (
     BlockStructure,
     SchurForm,
     detect_block_structure,
-    eigenvalues,
     numerical_rank,
     reorder_schur,
     schur_decompose,
-    spectral_norm,
     validate_schur_form,
 )
 from .matching import optimal_match
@@ -186,11 +184,15 @@ def rotated_perturbation_residual(case: PerturbationCase) -> float:
 
 class _Stats:
     """Every per-case quantity the catalog and the campaign checks use,
-    computed once from the trusted case arrays.  ``rank`` (the numerical
-    rank of A + E) is computed only when the Hermitian entries run."""
+    computed once from the trusted case arrays.  ``lam_a`` is the
+    spectrum of A from one eigensolve (``eigvalsh`` for a Hermitian A,
+    ``eigvals`` otherwise); since A is normal, its spectral norm is
+    max |lam_a|.  ``rank`` (the numerical rank of A + E) is computed
+    only when the Hermitian entries run."""
 
     __slots__ = (
         "n",
+        "lam_a",
         "e_norm",
         "e2",
         "a_norm",
@@ -214,7 +216,12 @@ class _Stats:
         tilde_norm = float(np.linalg.norm(case.a_tilde, "fro"))
         excess = float(np.linalg.norm(np.triu(case.schur_tilde.t, 1), "fro"))
         rotated = rotated_perturbation(case)
+        if case.a_is_hermitian:
+            lam_a = np.linalg.eigvalsh(case.a)
+        else:
+            lam_a = np.linalg.eigvals(case.a)
         self.n = n
+        self.lam_a = lam_a
         self.e_norm = e_norm
         self.e2 = e_norm**2
         self.a_norm = a_norm
@@ -224,7 +231,7 @@ class _Stats:
         self.delta_a = _delta(case.a, a_norm)
         self.w = w_lower(rotated, tol=W_PRODUCT_RTOL * float(np.linalg.norm(rotated, "fro")))
         self.s = case.block.s
-        self.mix = min(a_norm, math.sqrt(max(n - 1, 0)) * spectral_norm(case.a))
+        self.mix = min(a_norm, math.sqrt(max(n - 1, 0)) * float(np.abs(lam_a).max()))
         self.defect = _commutator_defect(case.a_tilde)
         self.tilde_is_normal = _is_normal(self.defect, tilde_norm)
         self.rank = numerical_rank(case.a_tilde) if hermitian else 0
@@ -572,7 +579,7 @@ def evaluate_all(
         include_hermitian = case.a_is_hermitian
     hermitian = bool(include_hermitian) and case.a_is_hermitian
     st = _Stats(case, hermitian)
-    match = optimal_match(eigenvalues(case.a), case.schur_tilde.eigenvalues)
+    match = optimal_match(st.lam_a, case.schur_tilde.eigenvalues)
     tol = tol_factor * (1.0 + st.a_norm + st.e_norm)
     values: list[BoundValue] = []
     violations: list[str] = []

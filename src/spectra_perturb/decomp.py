@@ -5,9 +5,11 @@ involves the strictly upper triangular excess of a matrix: eigenvalue
 extraction, departure from normality, block-structure detection, and the
 deterministic descending-modulus reordering used by the bound catalog.
 
-The decomposition itself is delegated to LAPACK's implicit-shift QR
-(``scipy.linalg.schur``); the reordering is done here with adjacent
-unitary 2x2 swaps so the result is deterministic across platforms.
+Both steps are LAPACK: the decomposition is the implicit-shift QR of
+``scipy.linalg.schur``, and the reordering moves each eigenvalue to its
+place with ``ztrexc``.  The target order is computed here from diag(t),
+and ``ztrexc`` permutes the diagonal entries exactly, so the ordered
+diagonal holds the very values of the input diagonal.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import ztrexc
 
 from .matrices import as_matrix, frobenius_norm
 
@@ -112,45 +115,29 @@ def _order_key(lam: complex) -> tuple[float, float, float]:
     return (-abs(lam), -lam.real, -lam.imag)
 
 
-def _swap_adjacent(t: np.ndarray, q: np.ndarray, k: int) -> None:
-    """Exchange the diagonal entries t[k,k] and t[k+1,k+1] by a unitary
-    similarity acting on rows/columns k, k+1 only."""
-    a = t[k, k]
-    c = t[k + 1, k + 1]
-    b = t[k, k + 1]
-    # first column of g spans the eigenvector of [[a,b],[0,c]] for c
-    x = np.array([b, c - a], dtype=np.complex128)
-    r = np.linalg.norm(x)
-    if r == 0.0:  # a == c exactly: nothing to exchange
-        return
-    g = np.array(
-        [[x[0] / r, -np.conj(x[1]) / r], [x[1] / r, np.conj(x[0]) / r]],
-        dtype=np.complex128,
-    )
-    t[k : k + 2, k:] = g.conj().T @ t[k : k + 2, k:]
-    t[: k + 2, k : k + 2] = t[: k + 2, k : k + 2] @ g
-    t[k + 1, k] = 0.0
-    q[:, k : k + 2] = q[:, k : k + 2] @ g
-
-
 def reorder_schur(form: SchurForm) -> SchurForm:
     """Reorder a Schur form so diag(t) is sorted by descending modulus.
 
     Ties are broken by descending real part, then descending imaginary
-    part, which makes the result deterministic.  The reordering is a
-    bubble sort of adjacent unitary swaps, so q t q* is preserved to
-    working accuracy.
+    part, and equal eigenvalues keep their relative order, which makes
+    the result deterministic.  Each eigenvalue is moved to its place by
+    one LAPACK ``ztrexc`` call (a chain of adjacent unitary swaps, Bai &
+    Demmel 1993), so q t q* is preserved to working accuracy and the
+    diagonal of the result is an exact permutation of diag(t).  The
+    input form is not modified.
     """
-    t = form.t.copy()
-    q = form.q.copy()
-    n = t.shape[0]
-    swapped = True
-    while swapped:
-        swapped = False
-        for k in range(n - 1):
-            if _order_key(t[k + 1, k + 1]) < _order_key(t[k, k]):
-                _swap_adjacent(t, q, k)
-                swapped = True
+    t = np.array(form.t, dtype=np.complex128, order="F")
+    q = np.array(form.q, dtype=np.complex128, order="F")
+    diag = np.diag(t).tolist()
+    target = sorted(range(len(diag)), key=lambda k: _order_key(diag[k]))
+    # current[p] is the original index of the eigenvalue now at position p;
+    # positions before i are final, the rest keep their relative order
+    current = list(range(len(diag)))
+    for i, k in enumerate(target):
+        j = current.index(k, i)
+        if j != i:
+            t, q, _ = ztrexc(t, q, j + 1, i + 1, overwrite_a=1, overwrite_q=1)
+            current.insert(i, current.pop(j))
     return SchurForm(q=q, t=t, eigenvalues=np.diag(t).copy())
 
 

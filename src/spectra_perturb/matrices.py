@@ -209,11 +209,14 @@ def load_matrix(path) -> np.ndarray:
     """Read a matrix file in the wire format.
 
     Raises OSError when the file cannot be read, and ValueError when it
-    is not valid JSON or not a valid matrix (see :func:`matrix_from_json`).
+    is not valid JSON or not a valid matrix (see :func:`matrix_from_json`);
+    every ValueError message starts with the path.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON ({exc})") from exc
-    return matrix_from_json(obj)
+        return matrix_from_json(obj)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

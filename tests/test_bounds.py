@@ -14,6 +14,7 @@ from spectra_perturb import (
     SchurForm,
     catalog_entries,
     delta,
+    eigenvalues,
     evaluate_all,
     family_of,
     fixture,
@@ -21,6 +22,7 @@ from spectra_perturb import (
     frobenius_norm,
     henrici_delta_upper,
     make_case,
+    optimal_match,
     random_case,
     rotated_perturbation,
     rotated_perturbation_residual,
@@ -397,3 +399,44 @@ def test_inconsistent_radicand_raises():
         _safe_sqrt(-1.0, 1.0, "test")
     # within round-off slack the radicand clamps to zero instead
     assert _safe_sqrt(-1e-12, 1.0, "test") == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the spectrum of A
+
+
+def test_hermitian_base_d2_comes_from_eigvalsh(rng):
+    for n in (2, 5, 12):
+        a = haar_rotated_diagonal(rng, n, real_spectrum=True)
+        a = (a + a.conj().T) / 2  # Hermitian to the last bit
+        case = make_case(a, random_complex(rng, (n, n)))
+        assert case.a_is_hermitian
+        report = evaluate_all(case)
+        expected = optimal_match(np.linalg.eigvalsh(a), case.schur_tilde.eigenvalues)
+        assert report.d2 == expected.d2
+
+
+def test_normal_base_mix_uses_the_spectral_norm(rng):
+    for n in (2, 6, 11):
+        a = haar_rotated_diagonal(rng, n)
+        case = make_case(a, random_complex(rng, (n, n)))
+        assert not case.a_is_hermitian
+        st = evaluate_all(case)._stats
+        expected = min(frobenius_norm(a), math.sqrt(n - 1) * np.linalg.norm(a, 2))
+        assert abs(st.mix - expected) <= 1e-12 * expected
+
+
+def test_base_hermitian_only_at_tolerance(rng):
+    # H + 1e-12 K with K skew-Hermitian: Hermitian at tolerance, not bitwise
+    n = 8
+    h = haar_rotated_diagonal(rng, n, real_spectrum=True)
+    h = (h + h.conj().T) / 2
+    k = random_complex(rng, (n, n))
+    a = h + 1e-12 * (k - k.conj().T)
+    assert not np.array_equal(a, a.conj().T)
+    case = make_case(a, random_complex(rng, (n, n)))
+    assert case.a_is_hermitian
+    report = evaluate_all(case)
+    reference = optimal_match(eigenvalues(a), case.schur_tilde.eigenvalues).d2
+    assert abs(report.d2 - reference) <= 1e-9 * (1.0 + frobenius_norm(a))
+    assert report.violations == ()

@@ -1,3 +1,5 @@
+import pytest
+
 from spectra_perturb import CampaignConfig, run_campaign
 
 
@@ -8,3 +10,32 @@ def test_jobs_give_identical_summaries():
     serial = run_campaign(CampaignConfig(**config, jobs=1))
     parallel = run_campaign(CampaignConfig(**config, jobs=2))
     assert parallel.as_dict() == serial.as_dict()
+
+
+# Integer outcomes of 220-trial campaigns at seed 42, recorded before the
+# reorder moved to LAPACK ztrexc and A's spectrum to one eigensolve.  They
+# must survive last-bit changes in the pipeline; max_slack is not pinned.
+GOLDEN_COUNTS = {
+    "normal": (
+        {"eq_3_3c": 79, "eq_3_4b": 19, "eq_3_11b": 113, "eq_3_11c": 9},
+        {"eq_3_5a<eq_1_4": 220, "eq_3_11a<eq_1_5": 220, "eq_3_5f<eq_1_7": 220},
+    ),
+    "hermitian": (
+        {"eq_3_4b": 18, "eq_3_11c": 2, "eq_4_6b": 4, "eq_4_6c": 167, "eq_4_6e": 29},
+        {"eq_3_5a<eq_1_4": 220, "eq_3_11a<eq_1_5": 220, "eq_3_5f<eq_1_7": 220},
+    ),
+    "normal-blocked": (
+        {"eq_1_5": 54, "eq_3_3d": 166},
+        {"eq_3_5a<eq_1_4": 220, "eq_3_11a<eq_1_5": 166, "eq_3_5f<eq_1_7": 166},
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_COUNTS))
+def test_campaign_counts_match_golden_values(kind):
+    wins, ordering = GOLDEN_COUNTS[kind]
+    summary = run_campaign(CampaignConfig(trials=220, kind=kind, seed=42))
+    assert {bid: c for bid, c in summary.wins.items() if c} == wins
+    assert summary.ordering == {"nonzero_trace_trials": 220, **ordering}
+    assert summary.violation_count == 0
+    assert summary.check_failure_count == 0

@@ -122,6 +122,32 @@ def test_bounds_integer_beyond_float_range_is_input_error(tmp_path, capsys):
     assert "entry 0 is not finite" in err
 
 
+def test_bounds_load_error_names_the_bad_file(tmp_path, capsys):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    save_matrix(good, np.eye(2))
+    bad.write_text('{"n": 2, "entries": [[1, 0], [0, 0], [NaN, 0], [1, 0]]}')
+    for argv, named, other in (
+        (["--a", str(bad), "--e", str(good)], bad, good),
+        (["--a", str(good), "--e", str(bad)], bad, good),
+    ):
+        code, _, err = run(["bounds", *argv], capsys)
+        assert code == 2
+        assert f"error: cannot load matrices: {named}: entry 2 is not finite" in err
+        assert str(other) not in err
+
+
+def test_bounds_oversized_integer_literal_names_its_file(tmp_path, capsys):
+    # beyond Python's default int-string limit (4,300 digits), json.load
+    # itself raises ValueError
+    a_path, e_path = tmp_path / "A.json", tmp_path / "E.json"
+    a_path.write_text('{"n": 1, "entries": [[1' + "0" * 5000 + ', 0]]}')
+    save_matrix(e_path, np.zeros((1, 1)))
+    code, _, err = run(["bounds", "--a", str(a_path), "--e", str(e_path)], capsys)
+    assert code == 2
+    assert f"error: cannot load matrices: {a_path}: " in err
+    assert "Traceback" not in err
+
+
 def test_bounds_missing_file(tmp_path, capsys):
     e_path = tmp_path / "E.json"
     save_matrix(e_path, np.zeros((2, 2)))

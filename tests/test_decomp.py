@@ -188,3 +188,65 @@ def test_decomposition_quality_batch():
         form = schur_decompose(m)
         tol = 1e-10 * n * max(1.0, frobenius_norm(m))
         assert all(res <= tol for res in schur_residuals(m, form))
+
+
+def _is_sorted_by_order_key(values):
+    keys = [_order_key(complex(z)) for z in values]
+    return all(k0 <= k1 for k0, k1 in zip(keys, keys[1:]))
+
+
+def test_reorder_permutes_the_diagonal_exactly(rng):
+    for n in (2, 7, 33):
+        form = schur_decompose(random_complex(rng, (n, n)))
+        ordered = reorder_schur(form)
+        before = np.array(sorted(np.diag(form.t).tolist(), key=_order_key))
+        after = np.array(sorted(np.diag(ordered.t).tolist(), key=_order_key))
+        # bitwise: the reorder moves diagonal entries, it never recomputes them
+        assert np.array_equal(before.view(np.int64), after.view(np.int64))
+        assert _is_sorted_by_order_key(np.diag(ordered.t))
+        assert np.array_equal(ordered.eigenvalues, np.diag(ordered.t))
+        assert np.all(np.tril(ordered.t, -1) == 0)
+
+
+def test_reorder_keeps_a_valid_schur_form_at_larger_n(rng):
+    for n in (64, 200):
+        m = random_complex(rng, (n, n))
+        ordered = reorder_schur(schur_decompose(m))
+        validate_schur_form(ordered, m)
+        assert _is_sorted_by_order_key(ordered.eigenvalues)
+
+
+def test_reorder_keeps_repeated_and_defective_eigenvalues_exact(rng):
+    # a defective block [[1, 1], [0, 1]] and a repeated 2 inside a larger
+    # triangular t; the larger eigenvalues must pass through them
+    diag = [1.0, 1.0, 2.0, 0.5j, 2.0, 3.0]
+    t = np.triu(random_complex(rng, (6, 6)), 1)
+    t[np.diag_indices(6)] = diag
+    t[0, 1] = 1.0
+    m = t.copy()
+    ordered = reorder_schur(SchurForm(q=np.eye(6, dtype=complex), t=t, eigenvalues=np.diag(t)))
+    assert np.diag(ordered.t).tolist() == [3.0, 2.0, 2.0, 1.0, 1.0, 0.5j]
+    validate_schur_form(ordered, m)
+
+
+def test_reorder_leaves_its_input_untouched(rng):
+    form = schur_decompose(random_complex(rng, (9, 9)))
+    q0, t0, lam0 = form.q.copy(), form.t.copy(), form.eigenvalues.copy()
+    reorder_schur(form)
+    assert np.array_equal(form.q, q0)
+    assert np.array_equal(form.t, t0)
+    assert np.array_equal(form.eigenvalues, lam0)
+
+
+def test_reorder_accepts_c_ordered_and_read_only_input(rng):
+    m = random_complex(rng, (8, 8))
+    form = schur_decompose(m)
+    q = np.ascontiguousarray(form.q)
+    t = np.ascontiguousarray(form.t)
+    expected = reorder_schur(SchurForm(q=q, t=t, eigenvalues=np.diag(t).copy()))
+    q.flags.writeable = False
+    t.flags.writeable = False
+    ordered = reorder_schur(SchurForm(q=q, t=t, eigenvalues=np.diag(t).copy()))
+    assert np.array_equal(ordered.t, expected.t)
+    assert np.array_equal(ordered.q, expected.q)
+    validate_schur_form(ordered, m)
