@@ -5,8 +5,15 @@ perturbation ``e``, and an ordered Schur form of ``a + e``.  The catalog
 evaluates every known Frobenius bound on the optimal-matching distance
 between the two spectra, plus upper/lower estimates of the triangular
 excess ||strict_upper(T)||_F that several of those bounds consume.
-:func:`make_case` checks its inputs once; :func:`evaluate_all` then
-trusts the case arrays and computes each per-case quantity once.
+
+The pipeline has one core, which works on stacks of cases of one size
+(``_Cases``, arrays (k, n, n)): :func:`_make_cases` checks the inputs
+once and builds the ordered Schur forms, and :func:`_evaluate` computes
+each per-case quantity once and every catalog formula as one array
+expression over the stack.  Only the Schur decomposition, its reorder
+and the assignment for ``d2`` run matrix by matrix.  Campaigns feed the
+core whole stacks; :func:`make_case` and :func:`evaluate_all` are
+stacks of one, and give the same bits case by case.
 
 Catalog entries carry stable string ids (``eq_1_4`` ... ``thm_4_3_b``)
 used by the command-line tools and by campaign CSV columns.  The ids are
@@ -23,21 +30,23 @@ import numpy as np
 from .decomp import (
     BlockStructure,
     SchurForm,
-    detect_block_structure,
-    numerical_rank,
-    reorder_schur,
-    schur_decompose,
-    validate_schur_form,
+    _block_boundaries,
+    _block_structure,
+    _check_schur_forms,
+    _fortran_stack,
+    _ranks,
+    _reorder,
+    _schur_factors,
 )
 from .matching import optimal_match
 from .matrices import (
-    _commutator_defect,
+    _commutator_defects,
+    _fro_norms,
+    _is_hermitian,
     _is_normal,
     as_matrix,
-    is_hermitian,
-    is_normal,
 )
-from .quantities import _delta, w_lower
+from .quantities import _band_widths, _deltas, _square, _trace_moduli
 
 __all__ = [
     "NumericalConsistencyError",
@@ -83,18 +92,40 @@ FAMILY_DELTA_ESTIMATE = "delta_estimate"
 class NumericalConsistencyError(ArithmeticError):
     """A radicand that is nonnegative in exact arithmetic came out
     negative beyond round-off slack, so the case data is inconsistent
-    (e.g. a Schur form that does not belong to ``a + e``)."""
+    (e.g. a Schur form that does not belong to ``a + e``).  ``entry`` is
+    the index of the offending case in its stack (0 for one case)."""
+
+    def __init__(self, message: str, entry: int = 0):
+        super().__init__(message)
+        self.entry = entry
 
 
-def _safe_sqrt(radicand: float, scale: float, context: str) -> float:
-    if radicand < 0.0:
-        if radicand < -RADICAND_TOL * scale:
+def _safe_sqrt(radicand, scale, context: str, on=True):
+    """Elementwise square root of radicands that are nonnegative in
+    exact arithmetic.  A negative radicand within ``RADICAND_TOL * scale``
+    is round-off and clamps to zero; one beyond it raises, naming its
+    entry, unless ``on`` is false there (an entry whose value is not
+    reported)."""
+    radicand = np.asarray(radicand, dtype=np.float64)
+    negative = radicand < 0.0
+    if negative.any():
+        slack = np.broadcast_to(RADICAND_TOL * scale, radicand.shape)
+        bad = np.flatnonzero(negative & (radicand < -slack) & on)
+        if bad.size:
+            i = int(bad[0])
+            where = f" (entry {i})" if radicand.ndim else ""
             raise NumericalConsistencyError(
-                f"{context}: radicand {radicand:.3e} is negative beyond "
-                f"round-off slack {RADICAND_TOL * scale:.3e}"
+                f"{context}{where}: radicand {radicand.flat[i]:.3e} is negative "
+                f"beyond round-off slack {slack.flat[i]:.3e}",
+                entry=i,
             )
-        radicand = 0.0
-    return math.sqrt(radicand)
+        radicand = np.where(negative, 0.0, radicand)
+    return np.sqrt(radicand)
+
+
+def _check_tol_factor(tol_factor) -> None:
+    if not (math.isfinite(tol_factor) and tol_factor > 0.0):
+        raise ValueError(f"tol_factor must be finite and positive, got {tol_factor!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +154,56 @@ class PerturbationCase:
         return self.a.shape[0]
 
 
+@dataclass(eq=False)
+class _Cases:
+    """k cases of one size as stacks: the arrays of k
+    :class:`PerturbationCase` objects with one axis in front.  ``q`` and
+    ``t`` are the ordered Schur factors of ``a_tilde`` (each matrix
+    Fortran ordered), ``boundaries`` (k, n - 1) flags the ends of the
+    eigenvalue blocks of ``t``."""
+
+    a: np.ndarray
+    e: np.ndarray
+    a_tilde: np.ndarray
+    q: np.ndarray
+    t: np.ndarray
+    eigenvalues: np.ndarray
+    boundaries: np.ndarray
+    hermitian: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.a.shape[-1]
+
+    def case(self, i: int) -> PerturbationCase:
+        return PerturbationCase(
+            a=self.a[i],
+            e=self.e[i],
+            a_tilde=self.a_tilde[i],
+            schur_tilde=SchurForm(q=self.q[i], t=self.t[i], eigenvalues=self.eigenvalues[i]),
+            block=_block_structure(self.boundaries[i]),
+            a_is_normal=True,
+            a_is_hermitian=bool(self.hermitian[i]),
+        )
+
+    @classmethod
+    def of(cls, case: PerturbationCase) -> "_Cases":
+        """The stack of one case (views of its arrays)."""
+        boundaries = np.zeros((1, case.n - 1), dtype=bool)
+        boundaries[0, np.cumsum(case.block.sizes)[:-1] - 1] = True
+        form = case.schur_tilde
+        return cls(
+            a=case.a[None],
+            e=case.e[None],
+            a_tilde=case.a_tilde[None],
+            q=form.q[None],
+            t=form.t[None],
+            eigenvalues=form.eigenvalues[None],
+            boundaries=boundaries,
+            hermitian=np.array([case.a_is_hermitian]),
+        )
+
+
 def make_case(a, e, *, schur: SchurForm | None = None) -> PerturbationCase:
     """Assemble a :class:`PerturbationCase` from a matrix pair.
 
@@ -134,41 +215,58 @@ def make_case(a, e, *, schur: SchurForm | None = None) -> PerturbationCase:
     order.  Otherwise a fresh decomposition is computed.  Eigenvalue
     blocks are detected on the ordered triangular factor.
     """
-    a = np.array(as_matrix(a, "a"), dtype=np.complex128, copy=True)
-    e = np.array(as_matrix(e, "e"), dtype=np.complex128, copy=True)
+    a = np.array(as_matrix(a, "a"), order="C")
+    e = np.array(as_matrix(e, "e"), order="C")
     if a.shape != e.shape:
         raise ValueError(f"shape mismatch: a is {a.shape}, e is {e.shape}")
-    hermitian = is_hermitian(a)
+    if schur is None:
+        return _make_cases(a[None], e[None]).case(0)
+    q, t = np.asarray(schur.q)[None], np.asarray(schur.t)[None]
+    return _make_cases(a[None], e[None], q, t).case(0)
+
+
+def _make_cases(a, e, q=None, t=None) -> _Cases:
+    """:func:`make_case` for stacks (k, n, n) of C-ordered matrix pairs,
+    with an optional stack of Schur forms (q, t) of ``a + e``."""
+    for name, m in (("a", a), ("e", e)):
+        if not np.isfinite(m).all():
+            raise ValueError(f"{name} contains non-finite entries")
+    hermitian = _is_hermitian(a)
     # Hermitian implies normal: a Hermitian A passes even where the
     # commutator test's tighter tolerance would reject it.
-    if not (hermitian or is_normal(a)):
+    other = a[~hermitian]
+    if len(other) and not _is_normal(_commutator_defects(other), _fro_norms(other)).all():
         raise ValueError("matrix A is not normal at tolerance; the catalog does not apply")
     a_tilde = a + e
-    if schur is None:
-        form = schur_decompose(a_tilde)
+    if not np.isfinite(a_tilde).all():
+        raise ValueError("a + e contains non-finite entries")
+    if q is None:
+        q, t = _schur_factors(a_tilde)
     else:
-        form = SchurForm(
-            q=np.array(schur.q, dtype=np.complex128, copy=True),
-            t=np.array(schur.t, dtype=np.complex128, copy=True),
-            eigenvalues=np.diag(schur.t).astype(np.complex128),
-        )
-        validate_schur_form(form, a_tilde)
-    form = reorder_schur(form)
-    return PerturbationCase(
+        if q.shape != a.shape or t.shape != a.shape:
+            raise ValueError("factor shapes do not match the source matrix")
+        q, t = _fortran_stack(q), _fortran_stack(t)
+        _check_schur_forms(q, t, np.diagonal(t, axis1=1, axis2=2), a_tilde)
+    _reorder(q, t)
+    return _Cases(
         a=a,
         e=e,
         a_tilde=a_tilde,
-        schur_tilde=form,
-        block=detect_block_structure(form.t),
-        a_is_normal=True,
-        a_is_hermitian=hermitian,
+        q=q,
+        t=t,
+        eigenvalues=np.diagonal(t, axis1=1, axis2=2).copy(),
+        boundaries=_block_boundaries(t),
+        hermitian=hermitian,
     )
+
+
+def _rotated(q: np.ndarray, e: np.ndarray) -> np.ndarray:
+    return q.conj().transpose(0, 2, 1) @ e @ q
 
 
 def rotated_perturbation(case: PerturbationCase) -> np.ndarray:
     """The perturbation expressed in the Schur basis of A + E."""
-    q = case.schur_tilde.q
-    return q.conj().T @ case.e @ q
+    return _rotated(case.schur_tilde.q[None], case.e[None])[0]
 
 
 def rotated_perturbation_residual(case: PerturbationCase) -> float:
@@ -184,17 +282,21 @@ def rotated_perturbation_residual(case: PerturbationCase) -> float:
 
 class _Stats:
     """Every per-case quantity the catalog and the campaign checks use,
-    computed once from the trusted case arrays.  ``lam_a`` is the
-    spectrum of A from one eigensolve (``eigvalsh`` for a Hermitian A,
-    ``eigvals`` otherwise); since A is normal, its spectral norm is
-    max |lam_a|.  ``rank`` (the numerical rank of A + E) is computed
-    only when the Hermitian entries run."""
+    one array entry per case of a stack, computed once from the trusted
+    case arrays.  ``lam_a`` is the spectrum of A from one eigensolve
+    (``eigvalsh`` for a Hermitian A, ``eigvals`` otherwise); since A is
+    normal, its spectral norm is max |lam_a|.  ``rank`` (the numerical
+    rank of A + E) is computed only for the cases whose Hermitian
+    entries run (``hermitian``), and is 0 elsewhere."""
 
     __slots__ = (
+        "cases",
         "n",
+        "hermitian",
         "lam_a",
         "e_norm",
         "e2",
+        "e_trace",
         "a_norm",
         "tilde_norm",
         "excess",
@@ -209,37 +311,44 @@ class _Stats:
         "scale",
     )
 
-    def __init__(self, case: PerturbationCase, hermitian: bool):
-        n = case.n
-        e_norm = float(np.linalg.norm(case.e, "fro"))
-        a_norm = float(np.linalg.norm(case.a, "fro"))
-        tilde_norm = float(np.linalg.norm(case.a_tilde, "fro"))
-        excess = float(np.linalg.norm(np.triu(case.schur_tilde.t, 1), "fro"))
-        rotated = rotated_perturbation(case)
-        if case.a_is_hermitian:
-            lam_a = np.linalg.eigvalsh(case.a)
-        else:
-            lam_a = np.linalg.eigvals(case.a)
+    def __init__(self, cases: _Cases, hermitian: np.ndarray):
+        n = cases.n
+        e_norm = _fro_norms(cases.e)
+        a_norm = _fro_norms(cases.a)
+        tilde_norm = _fro_norms(cases.a_tilde)
+        excess = _fro_norms(np.triu(cases.t, 1))
+        rotated = _rotated(cases.q, cases.e)
+        lam_a = np.empty(cases.eigenvalues.shape, dtype=np.complex128)
+        radius = np.empty(len(lam_a))
+        for rows, eigensolve in (
+            (cases.hermitian, np.linalg.eigvalsh),
+            (~cases.hermitian, np.linalg.eigvals),
+        ):
+            if rows.any():
+                lam = eigensolve(cases.a[rows])
+                lam_a[rows] = lam
+                radius[rows] = np.abs(lam).max(axis=1)
+        self.cases = cases
         self.n = n
+        self.hermitian = hermitian
         self.lam_a = lam_a
         self.e_norm = e_norm
-        self.e2 = e_norm**2
+        self.e2 = _square(e_norm)
+        self.e_trace = _trace_moduli(cases.e)
         self.a_norm = a_norm
         self.tilde_norm = tilde_norm
         self.excess = excess
-        self.delta_e = _delta(case.e, e_norm)
-        self.delta_a = _delta(case.a, a_norm)
-        self.w = w_lower(rotated, tol=W_PRODUCT_RTOL * float(np.linalg.norm(rotated, "fro")))
-        self.s = case.block.s
-        self.mix = min(a_norm, math.sqrt(max(n - 1, 0)) * float(np.abs(lam_a).max()))
-        self.defect = _commutator_defect(case.a_tilde)
+        self.delta_e = _deltas(e_norm, self.e_trace, n)
+        self.delta_a = _deltas(a_norm, _trace_moduli(cases.a), n)
+        self.w = _band_widths(rotated, W_PRODUCT_RTOL * _fro_norms(rotated), lower=True)
+        self.s = 1 + np.count_nonzero(cases.boundaries, axis=1)
+        self.mix = np.minimum(a_norm, math.sqrt(max(n - 1, 0)) * radius)
+        self.defect = _commutator_defects(cases.a_tilde)
         self.tilde_is_normal = _is_normal(self.defect, tilde_norm)
-        self.rank = numerical_rank(case.a_tilde) if hermitian else 0
-        self.scale = 1.0 + self.e2 + excess**2
-
-
-def _rt(st: _Stats, extra: float, context: str) -> float:
-    return _safe_sqrt(st.e2 + extra, st.scale, context)
+        self.rank = np.zeros(len(lam_a), dtype=int)
+        if hermitian.any():
+            self.rank[hermitian] = _ranks(cases.a_tilde[hermitian])
+        self.scale = 1.0 + self.e2 + _square(excess)
 
 
 # ---------------------------------------------------------------------------
@@ -256,177 +365,101 @@ class _Entry:
     depends_on_schur_choice: bool
 
 
-def _always(case: PerturbationCase, st: _Stats) -> bool:
-    return True
+# Applicability predicates and value functions work on a whole stack:
+# a predicate returns one flag per case, a value
+# function ``(st, on, context)`` one value per case, where ``on`` flags
+# the cases whose value is reported and ``context`` is the entry id.
 
 
-def _tilde_normal(case: PerturbationCase, st: _Stats) -> bool:
+def _always(st: _Stats):
+    return np.ones(st.e_norm.shape, dtype=bool)
+
+
+def _tilde_normal(st: _Stats):
     return st.tilde_is_normal
 
 
-def _tilde_nonzero(case: PerturbationCase, st: _Stats) -> bool:
+def _tilde_nonzero(st: _Stats):
     return st.tilde_norm > 0.0
 
 
-def _v_hw(case, st):
-    return st.e_norm
+def _plain(fn):
+    return lambda st, on, context: fn(st)
 
 
-def _v_1_4(case, st):
-    return math.sqrt(st.n) * st.e_norm
-
-
-def _v_1_5(case, st):
-    return math.sqrt(st.n - st.s + 1) * st.e_norm
-
-
-def _v_1_6(case, st):
-    return SQRT2 * st.e_norm
-
-
-def _v_1_7(case, st):
-    return _rt(st, 2.0 * st.mix * st.excess - st.excess**2, "eq_1_7")
-
-
-def _v_1_8(case, st):
-    return _rt(st, SQRT2 * st.e_norm * st.excess, "eq_1_8")
-
-
-def _v_1_9(case, st):
-    return _rt(st, 2.0 * st.e_norm * st.excess - st.excess**2, "eq_1_9")
-
-
-def _v_3_3a(case, st):
-    return _rt(st, st.w * st.delta_e**2, "eq_3_3a")
-
-
-def _v_3_3b(case, st):
-    return _rt(st, math.sqrt(1.0 + st.w) * st.delta_e * st.excess, "eq_3_3b")
-
-
-def _v_3_3c(case, st):
-    return _rt(st, 2.0 * st.delta_e * st.excess + st.excess**2, "eq_3_3c")
-
-
-def _v_3_3d(case, st):
-    return _rt(st, 2.0 * math.sqrt(st.w) * st.delta_e * st.excess - st.excess**2, "eq_3_3d")
-
-
-def _v_3_4a(case, st):
-    return _rt(st, st.w / (1.0 + st.w) * st.delta_a**2, "eq_3_4a")
-
-
-def _v_3_4b(case, st):
-    ratio = st.w / (1.0 + st.w)
-    return _rt(st, 2.0 * math.sqrt(ratio) * st.delta_a * st.excess - st.excess**2, "eq_3_4b")
-
-
-def _v_3_5a(case, st):
-    return _rt(st, (st.n - 1) * st.delta_e**2, "eq_3_5a")
-
-
-def _v_3_5b(case, st):
-    return _rt(st, math.sqrt(st.n) * st.delta_e * st.excess, "eq_3_5b")
-
-
-def _v_3_5c(case, st):
-    return _rt(st, 2.0 * st.delta_e * st.excess + st.excess**2, "eq_3_5c")
-
-
-def _v_3_5d(case, st):
-    return _rt(st, 2.0 * math.sqrt(st.n - 1) * st.delta_e * st.excess - st.excess**2, "eq_3_5d")
-
-
-def _v_3_5e(case, st):
-    return _rt(st, (st.n - 1) / st.n * st.delta_a**2, "eq_3_5e")
-
-
-def _v_3_5f(case, st):
-    return _rt(st, 2.0 * math.sqrt((st.n - 1) / st.n) * st.delta_a * st.excess - st.excess**2, "eq_3_5f")
-
-
-def _v_3_11a(case, st):
-    return _rt(st, (st.n - st.s) * st.delta_e**2, "eq_3_11a")
-
-
-def _v_3_11b(case, st):
-    return _rt(st, math.sqrt(st.n - st.s + 1) * st.delta_e * st.excess, "eq_3_11b")
-
-
-def _v_3_11c(case, st):
-    return _rt(st, 2.0 * math.sqrt(st.n - st.s) * st.delta_e * st.excess - st.excess**2, "eq_3_11c")
-
-
-def _v_4_6a(case, st):
-    return _rt(st, st.delta_e**2, "eq_4_6a")
-
-
-def _v_4_6b(case, st):
-    return _rt(st, SQRT2 * st.delta_e * st.excess, "eq_4_6b")
-
-
-def _v_4_6c(case, st):
-    return _rt(st, 2.0 * st.delta_e * st.excess - st.excess**2, "eq_4_6c")
-
-
-def _v_4_6d(case, st):
-    return _rt(st, 0.5 * st.delta_a**2, "eq_4_6d")
-
-
-def _v_4_6e(case, st):
-    return _rt(st, SQRT2 * st.delta_a * st.excess - st.excess**2, "eq_4_6e")
-
-
-def _v_henrici(case, st):
-    return _henrici(st.n, st.defect)
-
-
-def _v_sun(case, st):
-    return _sun(st.tilde_norm, st.defect)
-
-
-def _v_4_3a(case, st):
-    return _skew_delta_bound(case.a_tilde, st.rank)
-
-
-def _v_4_3b(case, st):
-    return _skew_delta_bound(case.e, st.rank)
+def _root(extra):
+    """The value sqrt(||E||_F^2 + extra(st)); a radicand negative beyond
+    round-off is an error only where the entry applies."""
+    return lambda st, on, context: _safe_sqrt(st.e2 + extra(st), st.scale, context, on)
 
 
 # (entry, applicability predicate, value function); catalog order is the
-# report order and the campaign CSV column order.
+# report order and the campaign CSV column order.  Each formula keeps the
+# operation order of its scalar form, so values are bitwise those of one
+# case at a time.
 _CATALOG: tuple[tuple[_Entry, object, object], ...] = (
-    (_Entry("hoffman_wielandt", FAMILY_BASELINE, False, False), _tilde_normal, _v_hw),
-    (_Entry("eq_1_4", FAMILY_BASELINE, False, False), _always, _v_1_4),
-    (_Entry("eq_1_5", FAMILY_BASELINE, False, False), _always, _v_1_5),
-    (_Entry("eq_1_6", FAMILY_BASELINE, True, False), _always, _v_1_6),
-    (_Entry("eq_1_7", FAMILY_BASELINE, False, False), _always, _v_1_7),
-    (_Entry("eq_1_8", FAMILY_BASELINE, True, False), _always, _v_1_8),
-    (_Entry("eq_1_9", FAMILY_BASELINE, True, False), _always, _v_1_9),
-    (_Entry("eq_3_3a", FAMILY_BANDWIDTH, False, True), _always, _v_3_3a),
-    (_Entry("eq_3_3b", FAMILY_BANDWIDTH, False, True), _always, _v_3_3b),
-    (_Entry("eq_3_3c", FAMILY_BANDWIDTH, False, True), _always, _v_3_3c),
-    (_Entry("eq_3_3d", FAMILY_BANDWIDTH, False, True), _always, _v_3_3d),
-    (_Entry("eq_3_4a", FAMILY_BANDWIDTH_BASE, False, True), _always, _v_3_4a),
-    (_Entry("eq_3_4b", FAMILY_BANDWIDTH_BASE, False, True), _always, _v_3_4b),
-    (_Entry("eq_3_5a", FAMILY_WORST_CASE, False, False), _always, _v_3_5a),
-    (_Entry("eq_3_5b", FAMILY_WORST_CASE, False, False), _always, _v_3_5b),
-    (_Entry("eq_3_5c", FAMILY_WORST_CASE, False, False), _always, _v_3_5c),
-    (_Entry("eq_3_5d", FAMILY_WORST_CASE, False, False), _always, _v_3_5d),
-    (_Entry("eq_3_5e", FAMILY_WORST_CASE, False, False), _always, _v_3_5e),
-    (_Entry("eq_3_5f", FAMILY_WORST_CASE, False, False), _always, _v_3_5f),
-    (_Entry("eq_3_11a", FAMILY_BLOCK, False, False), _always, _v_3_11a),
-    (_Entry("eq_3_11b", FAMILY_BLOCK, False, False), _always, _v_3_11b),
-    (_Entry("eq_3_11c", FAMILY_BLOCK, False, False), _always, _v_3_11c),
-    (_Entry("eq_4_6a", FAMILY_HERMITIAN, True, False), _always, _v_4_6a),
-    (_Entry("eq_4_6b", FAMILY_HERMITIAN, True, False), _always, _v_4_6b),
-    (_Entry("eq_4_6c", FAMILY_HERMITIAN, True, False), _always, _v_4_6c),
-    (_Entry("eq_4_6d", FAMILY_HERMITIAN, True, False), _always, _v_4_6d),
-    (_Entry("eq_4_6e", FAMILY_HERMITIAN, True, False), _always, _v_4_6e),
-    (_Entry("henrici_3_6", FAMILY_DELTA_ESTIMATE, False, False), _always, _v_henrici),
-    (_Entry("sun_3_7", FAMILY_DELTA_ESTIMATE, False, False), _always, _v_sun),
-    (_Entry("thm_4_3_a", FAMILY_DELTA_ESTIMATE, True, False), _tilde_nonzero, _v_4_3a),
-    (_Entry("thm_4_3_b", FAMILY_DELTA_ESTIMATE, True, False), _tilde_nonzero, _v_4_3b),
+    (_Entry("hoffman_wielandt", FAMILY_BASELINE, False, False), _tilde_normal,
+     _plain(lambda st: st.e_norm)),
+    (_Entry("eq_1_4", FAMILY_BASELINE, False, False), _always,
+     _plain(lambda st: math.sqrt(st.n) * st.e_norm)),
+    (_Entry("eq_1_5", FAMILY_BASELINE, False, False), _always,
+     _plain(lambda st: np.sqrt(st.n - st.s + 1) * st.e_norm)),
+    (_Entry("eq_1_6", FAMILY_BASELINE, True, False), _always,
+     _plain(lambda st: SQRT2 * st.e_norm)),
+    (_Entry("eq_1_7", FAMILY_BASELINE, False, False), _always,
+     _root(lambda st: 2.0 * st.mix * st.excess - _square(st.excess))),
+    (_Entry("eq_1_8", FAMILY_BASELINE, True, False), _always,
+     _root(lambda st: SQRT2 * st.e_norm * st.excess)),
+    (_Entry("eq_1_9", FAMILY_BASELINE, True, False), _always,
+     _root(lambda st: 2.0 * st.e_norm * st.excess - _square(st.excess))),
+    (_Entry("eq_3_3a", FAMILY_BANDWIDTH, False, True), _always,
+     _root(lambda st: st.w * _square(st.delta_e))),
+    (_Entry("eq_3_3b", FAMILY_BANDWIDTH, False, True), _always,
+     _root(lambda st: np.sqrt(1.0 + st.w) * st.delta_e * st.excess)),
+    (_Entry("eq_3_3c", FAMILY_BANDWIDTH, False, True), _always,
+     _root(lambda st: 2.0 * st.delta_e * st.excess + _square(st.excess))),
+    (_Entry("eq_3_3d", FAMILY_BANDWIDTH, False, True), _always,
+     _root(lambda st: 2.0 * np.sqrt(st.w) * st.delta_e * st.excess - _square(st.excess))),
+    (_Entry("eq_3_4a", FAMILY_BANDWIDTH_BASE, False, True), _always,
+     _root(lambda st: st.w / (1.0 + st.w) * _square(st.delta_a))),
+    (_Entry("eq_3_4b", FAMILY_BANDWIDTH_BASE, False, True), _always,
+     _root(lambda st: 2.0 * np.sqrt(st.w / (1.0 + st.w)) * st.delta_a * st.excess - _square(st.excess))),
+    (_Entry("eq_3_5a", FAMILY_WORST_CASE, False, False), _always,
+     _root(lambda st: (st.n - 1) * _square(st.delta_e))),
+    (_Entry("eq_3_5b", FAMILY_WORST_CASE, False, False), _always,
+     _root(lambda st: math.sqrt(st.n) * st.delta_e * st.excess)),
+    (_Entry("eq_3_5c", FAMILY_WORST_CASE, False, False), _always,
+     _root(lambda st: 2.0 * st.delta_e * st.excess + _square(st.excess))),
+    (_Entry("eq_3_5d", FAMILY_WORST_CASE, False, False), _always,
+     _root(lambda st: 2.0 * math.sqrt(st.n - 1) * st.delta_e * st.excess - _square(st.excess))),
+    (_Entry("eq_3_5e", FAMILY_WORST_CASE, False, False), _always,
+     _root(lambda st: (st.n - 1) / st.n * _square(st.delta_a))),
+    (_Entry("eq_3_5f", FAMILY_WORST_CASE, False, False), _always,
+     _root(lambda st: 2.0 * math.sqrt((st.n - 1) / st.n) * st.delta_a * st.excess - _square(st.excess))),
+    (_Entry("eq_3_11a", FAMILY_BLOCK, False, False), _always,
+     _root(lambda st: (st.n - st.s) * _square(st.delta_e))),
+    (_Entry("eq_3_11b", FAMILY_BLOCK, False, False), _always,
+     _root(lambda st: np.sqrt(st.n - st.s + 1) * st.delta_e * st.excess)),
+    (_Entry("eq_3_11c", FAMILY_BLOCK, False, False), _always,
+     _root(lambda st: 2.0 * np.sqrt(st.n - st.s) * st.delta_e * st.excess - _square(st.excess))),
+    (_Entry("eq_4_6a", FAMILY_HERMITIAN, True, False), _always,
+     _root(lambda st: _square(st.delta_e))),
+    (_Entry("eq_4_6b", FAMILY_HERMITIAN, True, False), _always,
+     _root(lambda st: SQRT2 * st.delta_e * st.excess)),
+    (_Entry("eq_4_6c", FAMILY_HERMITIAN, True, False), _always,
+     _root(lambda st: 2.0 * st.delta_e * st.excess - _square(st.excess))),
+    (_Entry("eq_4_6d", FAMILY_HERMITIAN, True, False), _always,
+     _root(lambda st: 0.5 * _square(st.delta_a))),
+    (_Entry("eq_4_6e", FAMILY_HERMITIAN, True, False), _always,
+     _root(lambda st: SQRT2 * st.delta_a * st.excess - _square(st.excess))),
+    (_Entry("henrici_3_6", FAMILY_DELTA_ESTIMATE, False, False), _always,
+     _plain(lambda st: _henrici(st.n, st.defect))),
+    (_Entry("sun_3_7", FAMILY_DELTA_ESTIMATE, False, False), _always,
+     _plain(lambda st: _sun(st.tilde_norm, st.defect))),
+    (_Entry("thm_4_3_a", FAMILY_DELTA_ESTIMATE, True, False), _tilde_nonzero,
+     lambda st, on, context: _skew_delta_bounds(st.cases.a_tilde, st.rank, on)),
+    (_Entry("thm_4_3_b", FAMILY_DELTA_ESTIMATE, True, False), _tilde_nonzero,
+     lambda st, on, context: _skew_delta_bounds(st.cases.e, st.rank, on)),
 )
 
 CATALOG_IDS: tuple[str, ...] = tuple(entry.id for entry, _, _ in _CATALOG)
@@ -444,6 +477,7 @@ SCHUR_DEPENDENT_IDS: tuple[str, ...] = tuple(
 )
 
 _BY_ID = {entry.id: (entry, pred, value) for entry, pred, value in _CATALOG}
+_IS_D2_BOUND = np.array([entry.family != FAMILY_DELTA_ESTIMATE for entry, _, _ in _CATALOG])
 
 
 def catalog_entries() -> tuple[dict, ...]:
@@ -473,36 +507,36 @@ def family_of(bound_id: str) -> str:
 def henrici_delta_upper(m) -> float:
     """((n^3 - n) / 12)^(1/4) * sqrt(||M M* - M* M||_F): an upper bound
     on the triangular excess of any Schur form of M."""
-    m = as_matrix(m)
-    return _henrici(m.shape[0], _commutator_defect(m))
+    m = as_matrix(m)[None]
+    return float(_henrici(m.shape[-1], _commutator_defects(m))[0])
 
 
 def sun_delta_lower(m) -> float:
     """sqrt(||M||_F^2 - sqrt(||M||_F^4 - ||M M* - M* M||_F^2 / 2)): a
     lower bound on the triangular excess of any Schur form of M."""
-    m = as_matrix(m)
-    return _sun(float(np.linalg.norm(m, "fro")), _commutator_defect(m))
+    m = as_matrix(m)[None]
+    return float(_sun(_fro_norms(m), _commutator_defects(m))[0])
 
 
-def _henrici(n: int, defect: float) -> float:
-    return ((n**3 - n) / 12.0) ** 0.25 * math.sqrt(defect)
+def _henrici(n: int, defect: np.ndarray) -> np.ndarray:
+    return ((n**3 - n) / 12.0) ** 0.25 * np.sqrt(defect)
 
 
-def _sun(nrm: float, defect: float) -> float:
-    nrm2 = nrm**2
-    inner = nrm2**2 - 0.5 * defect**2
-    scale = 1.0 + nrm2**2
+def _sun(nrm: np.ndarray, defect: np.ndarray) -> np.ndarray:
+    nrm2 = _square(nrm)
+    inner = _square(nrm2) - 0.5 * _square(defect)
+    scale = 1.0 + _square(nrm2)
     inner = _safe_sqrt(inner, scale, "sun_3_7 inner radicand")
     return _safe_sqrt(nrm2 - inner, 1.0 + nrm2, "sun_3_7")
 
 
-def _skew_delta_bound(m: np.ndarray, r: int) -> float:
-    """(1/sqrt(2)) * sqrt(||K||_F^2 - |tr K|^2 / r) for K = M - M* and
-    r >= 1 the numerical rank of A + E."""
-    skew = m - m.conj().T
-    nrm2 = float(np.linalg.norm(skew, "fro")) ** 2
-    radicand = nrm2 - abs(complex(np.trace(skew))) ** 2 / r
-    return _safe_sqrt(radicand, 1.0 + nrm2, "thm_4_3") / SQRT2
+def _skew_delta_bounds(m: np.ndarray, r: np.ndarray, on: np.ndarray) -> np.ndarray:
+    """(1/sqrt(2)) * sqrt(||K||_F^2 - |tr K|^2 / r) for K = M - M* of each
+    matrix of a stack, r >= 1 the numerical rank of A + E where ``on``."""
+    skew = m - m.conj().transpose(0, 2, 1)
+    nrm2 = _square(_fro_norms(skew))
+    radicand = nrm2 - _square(_trace_moduli(skew)) / np.maximum(r, 1)
+    return _safe_sqrt(radicand, 1.0 + nrm2, "thm_4_3", on) / SQRT2
 
 
 # ---------------------------------------------------------------------------
@@ -533,8 +567,8 @@ class BoundReport:
     d_inf: float
     bounds: tuple[BoundValue, ...]
     violations: tuple[str, ...]
-    # the per-case quantities behind the values, reused by the campaign
-    # checks; not part of the wire format
+    # the per-case quantities behind the values (a stack of one case);
+    # not part of the wire format
     _stats: _Stats | None = field(default=None, repr=False, compare=False)
 
     def value_of(self, bound_id: str) -> float | None:
@@ -562,6 +596,43 @@ class BoundReport:
         }
 
 
+@dataclass(frozen=True)
+class _Evaluation:
+    """The catalog on a stack of cases: ``values`` (k, entries) holds NaN
+    where ``applicable`` is false; ``violated`` flags the applicable
+    distance bounds below d2 by more than the slack."""
+
+    values: np.ndarray
+    applicable: np.ndarray
+    violated: np.ndarray
+    d2: np.ndarray
+    d_inf: np.ndarray
+    stats: _Stats
+
+
+def _evaluate(cases: _Cases, hermitian: np.ndarray, tol_factor: float) -> _Evaluation:
+    """Evaluate the full catalog on a stack of cases; ``hermitian`` flags
+    the cases whose Hermitian-only entries run."""
+    st = _Stats(cases, hermitian)
+    k = len(st.e_norm)
+    d2, d_inf = np.empty(k), np.empty(k)
+    for i in range(k):
+        match = optimal_match(st.lam_a[i], cases.eigenvalues[i])
+        d2[i], d_inf[i] = match.d2, match.d_inf
+    values = np.full((k, len(_CATALOG)), np.nan)
+    applicable = np.zeros((k, len(_CATALOG)), dtype=bool)
+    for col, (entry, pred, value_fn) in enumerate(_CATALOG):
+        on = pred(st)
+        if entry.requires_hermitian:
+            on = on & hermitian
+        if on.any():
+            values[:, col] = np.where(on, value_fn(st, on, entry.id), np.nan)
+            applicable[:, col] = on
+    tol = tol_factor * (1.0 + st.a_norm + st.e_norm)
+    violated = applicable & _IS_D2_BOUND & (values < (d2 - tol)[:, None])
+    return _Evaluation(values, applicable, violated, d2, d_inf, st)
+
+
 def evaluate_all(
     case: PerturbationCase,
     include_hermitian: bool | None = None,
@@ -573,41 +644,31 @@ def evaluate_all(
     the default None enables them exactly when the case's base matrix is
     Hermitian.  Hermitian-only entries are never evaluated on a
     non-Hermitian base even when forced on: they are reported as not
-    applicable, since their hypotheses fail.
+    applicable, since their hypotheses fail.  ``tol_factor`` must be
+    finite and positive, else ValueError.
     """
+    _check_tol_factor(tol_factor)
     if include_hermitian is None:
         include_hermitian = case.a_is_hermitian
-    hermitian = bool(include_hermitian) and case.a_is_hermitian
-    st = _Stats(case, hermitian)
-    match = optimal_match(st.lam_a, case.schur_tilde.eigenvalues)
-    tol = tol_factor * (1.0 + st.a_norm + st.e_norm)
-    values: list[BoundValue] = []
-    violations: list[str] = []
-    for entry, pred, value_fn in _CATALOG:
-        applicable = bool(pred(case, st))
-        if entry.requires_hermitian:
-            applicable = applicable and hermitian
-        value = float(value_fn(case, st)) if applicable else None
-        values.append(
-            BoundValue(
-                id=entry.id,
-                family=entry.family,
-                value=value,
-                applicable=applicable,
-                requires_hermitian=entry.requires_hermitian,
-                depends_on_schur_choice=entry.depends_on_schur_choice,
-            )
+    cases = _Cases.of(case)
+    ev = _evaluate(cases, cases.hermitian & bool(include_hermitian), tol_factor)
+    bounds = tuple(
+        BoundValue(
+            id=entry.id,
+            family=entry.family,
+            value=value if applicable else None,
+            applicable=applicable,
+            requires_hermitian=entry.requires_hermitian,
+            depends_on_schur_choice=entry.depends_on_schur_choice,
         )
-        if (
-            applicable
-            and entry.family != FAMILY_DELTA_ESTIMATE
-            and value < match.d2 - tol
-        ):
-            violations.append(entry.id)
+        for (entry, _, _), value, applicable in zip(
+            _CATALOG, ev.values[0].tolist(), ev.applicable[0].tolist()
+        )
+    )
     return BoundReport(
-        d2=match.d2,
-        d_inf=match.d_inf,
-        bounds=tuple(values),
-        violations=tuple(violations),
-        _stats=st,
+        d2=float(ev.d2[0]),
+        d_inf=float(ev.d_inf[0]),
+        bounds=bounds,
+        violations=tuple(CATALOG_IDS[j] for j in np.flatnonzero(ev.violated[0])),
+        _stats=ev.stats,
     )

@@ -7,6 +7,13 @@ baseline bounds, and the excess-estimate sandwich.  Hermitian campaigns
 add the comparisons specific to Hermitian base matrices.  Results are
 aggregated into a :class:`CampaignSummary`; per-trial rows can be dumped
 as CSV with one fixed column per catalog id.
+
+Trials run in chunks: the trials of one matrix size, a bounded number
+of them, are drawn, evaluated and checked as stacked arrays (see
+:mod:`spectra_perturb.bounds`).  A trial's record does not
+depend on the chunk it ran in, so :func:`run_trial` (a chunk of one)
+reproduces any record of a campaign, and summaries are byte-identical
+for any ``jobs``.
 """
 
 from __future__ import annotations
@@ -22,15 +29,11 @@ from .bounds import (
     CATALOG_IDS,
     D2_BOUND_IDS,
     VIOLATION_TOL_FACTOR,
-    evaluate_all,
+    NumericalConsistencyError,
+    _check_tol_factor,
+    _evaluate,
 )
-from .ensembles import (
-    KINDS,
-    TRACE_MODES,
-    EnsembleSpec,
-    derive_trial_seed,
-    random_case,
-)
+from .ensembles import KINDS, TRACE_MODES, _draw_cases, derive_trial_seed
 
 __all__ = [
     "ORDERING_PAIRS",
@@ -53,6 +56,17 @@ ORDERING_PAIRS = (
 )
 
 _SAMPLE_CAP = 20
+
+# Most trials, and most matrix entries per stacked array, evaluated as
+# one chunk: a campaign's array memory is bounded whatever its trial
+# count, and at large n a chunk shrinks to a single trial.
+_CHUNK_CAP = 128
+_CHUNK_ENTRIES = 1 << 16
+
+_COLUMN = {bid: col for col, bid in enumerate(CATALOG_IDS)}
+# the distance bounds in alphabetical order of id, for the winner's ties
+_WINNER_IDS = tuple(sorted(D2_BOUND_IDS))
+_WINNER_COLUMNS = [_COLUMN[bid] for bid in _WINNER_IDS]
 
 
 @dataclass(frozen=True)
@@ -79,8 +93,7 @@ class CampaignConfig:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.trace_mode not in TRACE_MODES:
             raise ValueError(f"trace_mode must be one of {TRACE_MODES}")
-        if not (self.tol_factor > 0.0):
-            raise ValueError("tol_factor must be positive")
+        _check_tol_factor(self.tol_factor)
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
 
@@ -109,99 +122,146 @@ class TrialRecord:
     strict_orderings: dict
 
 
-def _check_orderings(values: dict, failures: list, strict: dict) -> None:
+def _failures_where(failures: list, flags: np.ndarray, message) -> None:
+    """Append ``message(i)`` to the failure list of every trial i of a
+    chunk whose flag is set, so each trial keeps the order of checks."""
+    for i in np.flatnonzero(flags):
+        failures[i].append(message(i))
+
+
+def _run_chunk(config: CampaignConfig, indices: range) -> list[TrialRecord]:
+    """Execute trials of one size as one stack and run every per-trial
+    check on the whole chunk."""
+    n = config.trial_size(indices[0])
+    seeds = [derive_trial_seed(config.seed, i) for i in indices]
+    cases = _draw_cases(config.kind, n, seeds, config.perturbation_scale, config.trace_mode)
+    try:
+        ev = _evaluate(cases, cases.hermitian, config.tol_factor)
+    except NumericalConsistencyError as exc:
+        raise NumericalConsistencyError(f"trial {indices[exc.entry]}: {exc}") from exc
+    st = ev.stats
+    values = ev.values
+    # Python floats, so that messages and records hold plain numbers
+    pick = {bid: values[:, col].tolist() for col, bid in enumerate(CATALOG_IDS)}
+    d2, d_inf = ev.d2.tolist(), ev.d_inf.tolist()
+    e_norm, excess = st.e_norm.tolist(), st.excess.tolist()
+    failures: list[list[str]] = [[] for _ in indices]
+    strict: list[dict[str, bool]] = [{} for _ in indices]
+
+    _failures_where(
+        failures,
+        ev.d_inf > ev.d2 + 1e-12 * (1.0 + ev.d2),
+        lambda i: f"metric: d_inf={d_inf[i]!r} exceeds d2={d2[i]!r}",
+    )
     for sharp_id, base_id in ORDERING_PAIRS:
-        sharp, base = values[sharp_id], values[base_id]
-        if sharp is None or base is None:
-            continue
-        tol = 1e-12 * max(1.0, abs(base))
-        if sharp > base + tol:
-            failures.append(
-                f"ordering: {sharp_id}={sharp!r} exceeds {base_id}={base!r}"
+        sharp, base = values[:, _COLUMN[sharp_id]], values[:, _COLUMN[base_id]]
+        present = ev.applicable[:, _COLUMN[sharp_id]] & ev.applicable[:, _COLUMN[base_id]]
+        tol = 1e-12 * np.maximum(1.0, np.abs(base))
+        _failures_where(
+            failures,
+            present & (sharp > base + tol),
+            lambda i: f"ordering: {sharp_id}={pick[sharp_id][i]!r} exceeds {base_id}={pick[base_id][i]!r}",
+        )
+        for i, was_strict in zip(np.flatnonzero(present), (sharp < base - tol)[present].tolist()):
+            strict[i][f"{sharp_id}<{base_id}"] = was_strict
+
+    lower, upper = pick["sun_3_7"], pick["henrici_3_6"]
+    slack = 1e-9 * np.maximum(1.0, st.tilde_norm)
+    _failures_where(
+        failures,
+        values[:, _COLUMN["sun_3_7"]] > st.excess + slack,
+        lambda i: f"sandwich: lower estimate {lower[i]!r} exceeds excess {excess[i]!r}",
+    )
+    _failures_where(
+        failures,
+        values[:, _COLUMN["henrici_3_6"]] < st.excess - slack,
+        lambda i: f"sandwich: upper estimate {upper[i]!r} is below excess {excess[i]!r}",
+    )
+    if cases.hermitian.any():
+        _check_hermitian(ev, cases.hermitian, pick, failures)
+
+    # the winner is min((value, id)) over applicable distance bounds:
+    # the smallest value, ties to the alphabetically first id
+    ranked = np.where(ev.applicable[:, _WINNER_COLUMNS], values[:, _WINNER_COLUMNS], np.inf)
+    best = np.argmin(ranked, axis=1)
+    has_winner = np.isfinite(ranked[np.arange(len(best)), best])
+    winners = [_WINNER_IDS[j] if ok else "" for j, ok in zip(best.tolist(), has_winner.tolist())]
+
+    trace_nonzero = (st.e_trace > 1e-12 * np.maximum(1.0, st.e_norm)).tolist()
+    rows = values.astype(object)
+    rows[~ev.applicable] = None
+    violations = [()] * len(indices)
+    for i in np.flatnonzero(ev.violated.any(axis=1)):
+        violations[i] = tuple(CATALOG_IDS[j] for j in np.flatnonzero(ev.violated[i]))
+    records = []
+    for i, trial in enumerate(indices):
+        records.append(
+            TrialRecord(
+                trial=trial,
+                n=n,
+                kind=config.kind,
+                d2=d2[i],
+                d_inf=d_inf[i],
+                e_norm=e_norm[i],
+                excess=excess[i],
+                values=dict(zip(CATALOG_IDS, rows[i].tolist())),
+                violation_ids=violations[i],
+                check_failures=tuple(failures[i]),
+                winner=winners[i],
+                trace_nonzero=trace_nonzero[i],
+                strict_orderings=strict[i],
             )
-        strict[f"{sharp_id}<{base_id}"] = bool(sharp < base - tol)
+        )
+    return records
 
 
-def _check_sandwich(tilde_norm: float, values: dict, excess: float, failures: list) -> None:
-    lower, upper = values["sun_3_7"], values["henrici_3_6"]
-    slack = 1e-9 * max(1.0, tilde_norm)
-    if lower > excess + slack:
-        failures.append(f"sandwich: lower estimate {lower!r} exceeds excess {excess!r}")
-    if upper < excess - slack:
-        failures.append(f"sandwich: upper estimate {upper!r} is below excess {excess!r}")
-
-
-def _check_hermitian(values: dict, e_norm: float, excess: float, failures: list) -> None:
+def _check_hermitian(ev, hermitian: np.ndarray, pick: dict, failures: list) -> None:
+    """The comparisons specific to a Hermitian base, on the trials of a
+    chunk whose A is Hermitian."""
+    st = ev.stats
     # tolerance matches the exact-arithmetic nature of these comparisons
-    tol = 1e-12 * max(1.0, e_norm, excess)
+    tol = 1e-12 * np.maximum(np.maximum(1.0, st.e_norm), st.excess)
+    excess = st.excess.tolist()
 
-    def at_most(small_id, large, label):
-        small = values[small_id]
-        if small is not None and large is not None and small > large + tol:
-            failures.append(f"hermitian: {small_id}={small!r} exceeds {label}={large!r}")
+    def entry(bid):
+        # (values, where checked, values as Python floats, label)
+        col = _COLUMN[bid]
+        return ev.values[:, col], hermitian & ev.applicable[:, col], pick[bid], bid
 
-    at_most("eq_4_6a", values["eq_1_6"], "eq_1_6")
-    at_most("eq_4_6b", values["eq_1_8"], "eq_1_8")
-    at_most("eq_4_6c", values["eq_1_9"], "eq_1_9")
-    at_most("eq_4_6c", values["eq_1_6"], "eq_1_6")
-    at_most("eq_4_6b", e_norm + excess, "triangle")
-    at_most("eq_4_6c", e_norm + excess, "triangle")
-    va, vb = values["thm_4_3_a"], values["thm_4_3_b"]
-    if va is not None and va < excess - tol:
-        failures.append(f"hermitian: thm_4_3_a={va!r} is below excess {excess!r}")
-    if vb is not None and vb < excess - tol:
-        failures.append(f"hermitian: thm_4_3_b={vb!r} is below excess {excess!r}")
-    if va is not None and vb is not None and abs(va - vb) > tol:
-        failures.append(f"hermitian: thm_4_3 variants differ: {va!r} vs {vb!r}")
+    def at_most(small, large):
+        (v, on, shown, label), (w, w_on, w_shown, w_label) = small, large
+        _failures_where(
+            failures,
+            on & w_on & (v > w + tol),
+            lambda i: f"hermitian: {label}={shown[i]!r} exceeds {w_label}={w_shown[i]!r}",
+        )
+
+    sum_bound = st.e_norm + st.excess
+    triangle = (sum_bound, hermitian, sum_bound.tolist(), "triangle")
+    at_most(entry("eq_4_6a"), entry("eq_1_6"))
+    at_most(entry("eq_4_6b"), entry("eq_1_8"))
+    at_most(entry("eq_4_6c"), entry("eq_1_9"))
+    at_most(entry("eq_4_6c"), entry("eq_1_6"))
+    at_most(entry("eq_4_6b"), triangle)
+    at_most(entry("eq_4_6c"), triangle)
+    skew = entry("thm_4_3_a"), entry("thm_4_3_b")
+    for v, on, shown, label in skew:
+        _failures_where(
+            failures,
+            on & (v < st.excess - tol),
+            lambda i: f"hermitian: {label}={shown[i]!r} is below excess {excess[i]!r}",
+        )
+    (va, a_on, a_shown, _), (vb, b_on, b_shown, _) = skew
+    _failures_where(
+        failures,
+        a_on & b_on & (np.abs(va - vb) > tol),
+        lambda i: f"hermitian: thm_4_3 variants differ: {a_shown[i]!r} vs {b_shown[i]!r}",
+    )
 
 
 def run_trial(config: CampaignConfig, index: int) -> TrialRecord:
     """Execute one seeded trial and run every per-trial check."""
-    n = config.trial_size(index)
-    spec = EnsembleSpec(
-        n=n,
-        kind=config.kind,
-        perturbation_scale=config.perturbation_scale,
-        trace_mode=config.trace_mode,
-        seed=derive_trial_seed(config.seed, index),
-    )
-    case = random_case(spec)
-    report = evaluate_all(case, tol_factor=config.tol_factor)
-    values = {bv.id: bv.value for bv in report.bounds}
-
-    st = report._stats
-    e_norm, excess = st.e_norm, st.excess
-    failures: list[str] = []
-    strict: dict[str, bool] = {}
-
-    if report.d_inf > report.d2 + 1e-12 * (1.0 + report.d2):
-        failures.append(f"metric: d_inf={report.d_inf!r} exceeds d2={report.d2!r}")
-    _check_orderings(values, failures, strict)
-    _check_sandwich(st.tilde_norm, values, excess, failures)
-    if case.a_is_hermitian:
-        _check_hermitian(values, e_norm, excess, failures)
-
-    applicable = [
-        (values[bid], bid) for bid in D2_BOUND_IDS if values[bid] is not None
-    ]
-    winner = min(applicable)[1] if applicable else ""
-
-    trace_nonzero = abs(complex(np.trace(case.e))) > 1e-12 * max(1.0, e_norm)
-    return TrialRecord(
-        trial=index,
-        n=n,
-        kind=config.kind,
-        d2=report.d2,
-        d_inf=report.d_inf,
-        e_norm=e_norm,
-        excess=excess,
-        values=values,
-        violation_ids=report.violations,
-        check_failures=tuple(failures),
-        winner=winner,
-        trace_nonzero=trace_nonzero,
-        strict_orderings=strict,
-    )
+    return _run_chunk(config, range(index, index + 1))[0]
 
 
 @dataclass(frozen=True)
@@ -306,9 +366,23 @@ def _summarize(config: CampaignConfig, records: Iterable[TrialRecord]) -> Campai
     )
 
 
-def _trial_worker(args) -> TrialRecord:
-    config, index = args
-    return run_trial(config, index)
+def _chunks(config: CampaignConfig) -> list[range]:
+    """The trial indices grouped by size (trial i has size n_min + i mod
+    the number of sizes) and cut into chunks of at most _CHUNK_CAP
+    trials and _CHUNK_ENTRIES entries per matrix stack."""
+    sizes = config.n_max - config.n_min + 1
+    chunks = []
+    for first in range(min(sizes, config.trials)):
+        n = config.trial_size(first)
+        cap = max(1, min(_CHUNK_CAP, _CHUNK_ENTRIES // (n * n)))
+        same_size = range(first, config.trials, sizes)
+        chunks.extend(same_size[k : k + cap] for k in range(0, len(same_size), cap))
+    return chunks
+
+
+def _chunk_worker(args) -> list[TrialRecord]:
+    config, indices = args
+    return _run_chunk(config, indices)
 
 
 def run_campaign(
@@ -316,24 +390,34 @@ def run_campaign(
 ) -> CampaignSummary | tuple[CampaignSummary, list[TrialRecord]]:
     """Run all trials (in processes when jobs > 1) and aggregate.
 
-    Per-trial seeds depend only on (seed, index), and aggregation walks
-    records in index order, so the summary is identical for any jobs
-    value.  ``collect_records=True`` also returns the per-trial rows,
-    e.g. for CSV dumps.
+    Trials of one size are evaluated together as stacked arrays, in
+    chunks of a fixed maximum size; with jobs > 1 the chunks are shared
+    among the worker processes.  Per-trial seeds depend only on (seed,
+    index), a trial's results do not depend on the chunk it ran in, and
+    aggregation walks records in index order, so the summary is
+    identical for any jobs value.  ``collect_records=True`` also returns
+    the per-trial rows in index order, e.g. for CSV dumps.
     """
-    indices = range(config.trials)
+    chunks = _chunks(config)
     if config.jobs == 1:
-        records = [run_trial(config, i) for i in indices]
+        results = map(_run_chunk, [config] * len(chunks), chunks)
+        records = _in_index_order(config.trials, results)
     else:
-        chunk = max(1, config.trials // (config.jobs * 4))
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            records = list(
-                pool.map(_trial_worker, ((config, i) for i in indices), chunksize=chunk)
-            )
+            results = pool.map(_chunk_worker, ((config, indices) for indices in chunks))
+            records = _in_index_order(config.trials, results)
     summary = _summarize(config, records)
     if collect_records:
         return summary, records
     return summary
+
+
+def _in_index_order(trials: int, results: Iterable[list[TrialRecord]]) -> list[TrialRecord]:
+    records: list = [None] * trials
+    for chunk in results:
+        for rec in chunk:
+            records[rec.trial] = rec
+    return records
 
 
 # ---------------------------------------------------------------------------

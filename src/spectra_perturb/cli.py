@@ -19,7 +19,7 @@ import os
 import sys
 import time
 
-from .bounds import VIOLATION_TOL_FACTOR, evaluate_all, make_case
+from .bounds import VIOLATION_TOL_FACTOR, _check_tol_factor, evaluate_all, make_case
 from .campaigns import CampaignConfig, run_campaign, write_trials_csv
 from .ensembles import FIXTURE_NAMES, fixture_expectations, fixture_matrices
 from .matrices import load_matrix, matrix_to_json, save_matrix
@@ -138,6 +138,8 @@ def _emit(text: str, out_path: str | None) -> None:
 def _cmd_bounds(args) -> int:
     if args.dump_schur and args.format == "csv":
         raise _InputError("--dump-schur requires --format json")
+    # evaluate_all checks it too, but only after the load and the Schur form
+    _check_tol_factor(args.tol)
     t0 = time.perf_counter()
     try:
         a = load_matrix(args.a)
@@ -247,7 +249,7 @@ def _add_campaign_flags(parser: argparse.ArgumentParser) -> None:
         "--tol",
         type=float,
         default=VIOLATION_TOL_FACTOR,
-        help="violation tolerance factor, scaled by 1 + ||A||_F + ||E||_F (default 1e-8)",
+        help="violation tolerance factor, finite and positive, scaled by 1 + ||A||_F + ||E||_F (default 1e-8)",
     )
     parser.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
 
@@ -278,7 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--tol",
         type=float,
         default=VIOLATION_TOL_FACTOR,
-        help="violation tolerance factor (default 1e-8)",
+        help="violation tolerance factor, finite and positive (default 1e-8)",
     )
     p_bounds.set_defaults(func=_cmd_bounds)
 

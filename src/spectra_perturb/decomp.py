@@ -17,10 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import ztrexc
+from scipy.linalg.lapack import zgees, ztrexc
 
-from .matrices import as_matrix, frobenius_norm
+from .matrices import _fro_norms, as_matrix
 
 __all__ = [
     "SchurForm",
@@ -77,16 +76,44 @@ def schur_decompose(m) -> SchurForm:
     than returning a truncated factorization.  An already upper
     triangular input is returned as-is with q = I.
     """
-    m = as_matrix(m)
-    n = m.shape[0]
-    if np.all(np.tril(m, -1) == 0):
-        t = m.astype(np.complex128, copy=True)
-        q = np.eye(n, dtype=np.complex128)
-    else:
-        t, q = scipy.linalg.schur(m, output="complex")
-        t = np.triu(np.asarray(t, dtype=np.complex128))
-        q = np.asarray(q, dtype=np.complex128)
-    return SchurForm(q=q, t=t, eigenvalues=np.diag(t).copy())
+    q, t = _schur_factors(as_matrix(m)[None])
+    return SchurForm(q=q[0], t=t[0], eigenvalues=np.diagonal(t[0]).copy())
+
+
+def _fortran_stack(m: np.ndarray) -> np.ndarray:
+    """A copy of a stack (k, n, n) whose matrices are each Fortran
+    ordered, so LAPACK works on them in place."""
+    out = np.empty_like(m, dtype=np.complex128, order="C").transpose(0, 2, 1)
+    out[...] = m
+    return out
+
+
+def _no_sort(x):
+    return None
+
+
+def _schur_factors(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Schur factors (q, t) of each matrix of a stack, from one LAPACK
+    ``zgees`` call per matrix (with the workspace ``scipy.linalg.schur``
+    asks for, so the bits are the same); a matrix that is already upper
+    triangular is its own t, with q = I.  Both stacks are Fortran
+    ordered per matrix."""
+    n = m.shape[-1]
+    t = _fortran_stack(m)
+    q = _fortran_stack(np.broadcast_to(np.eye(n), m.shape))
+    triangular = ~np.tril(m, -1).any(axis=(1, 2))
+    lwork = None
+    for i in np.flatnonzero(~triangular):
+        if lwork is None:
+            lwork = int(zgees(_no_sort, t[i], lwork=-1)[-2][0].real)
+        ti, _, _, vs, _, info = zgees(_no_sort, t[i], lwork=lwork, overwrite_a=1)
+        if info > 0:
+            raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
+        t[i] = ti
+        q[i] = vs
+    rows, cols = np.tril_indices(n, -1)
+    t[:, rows, cols] = 0.0
+    return q, t
 
 
 def validate_schur_form(form: SchurForm, source) -> None:
@@ -95,18 +122,25 @@ def validate_schur_form(form: SchurForm, source) -> None:
     Raises ValueError naming the first violated invariant.
     """
     source = as_matrix(source, "source matrix")
-    q, t = form.q, form.t
-    n = t.shape[0]
-    if q.shape != source.shape or t.shape != source.shape:
+    if form.q.shape != source.shape or form.t.shape != source.shape:
         raise ValueError("factor shapes do not match the source matrix")
-    budget = TAU_SCHUR * n * max(1.0, frobenius_norm(source))
-    if np.linalg.norm(q.conj().T @ q - np.eye(n), "fro") > TAU_SCHUR * n:
+    _check_schur_forms(form.q[None], form.t[None], form.eigenvalues[None], source[None])
+
+
+def _check_schur_forms(q, t, eigenvalues, source) -> None:
+    """Check the invariants of a stack of Schur forms against a stack of
+    source matrices; ValueError names the first invariant some matrix
+    violates."""
+    n = t.shape[-1]
+    budget = TAU_SCHUR * n * np.maximum(1.0, _fro_norms(source))
+    qh = q.conj().transpose(0, 2, 1)
+    if (_fro_norms(qh @ q - np.eye(n)) > TAU_SCHUR * n).any():
         raise ValueError("q is not unitary within tolerance")
-    if np.linalg.norm(np.tril(t, -1), "fro") > TAU_SCHUR * max(1.0, frobenius_norm(t)):
+    if (_fro_norms(np.tril(t, -1)) > TAU_SCHUR * np.maximum(1.0, _fro_norms(t))).any():
         raise ValueError("t is not upper triangular within tolerance")
-    if np.linalg.norm(q @ t @ q.conj().T - source, "fro") > budget:
+    if (_fro_norms(q @ t @ qh - source) > budget).any():
         raise ValueError("q t q* does not reconstruct the source matrix")
-    if not np.array_equal(form.eigenvalues, np.diag(t)):
+    if not np.array_equal(eigenvalues, np.diagonal(t, axis1=1, axis2=2)):
         raise ValueError("stored eigenvalues do not equal diag(t)")
 
 
@@ -126,19 +160,27 @@ def reorder_schur(form: SchurForm) -> SchurForm:
     diagonal of the result is an exact permutation of diag(t).  The
     input form is not modified.
     """
-    t = np.array(form.t, dtype=np.complex128, order="F")
-    q = np.array(form.q, dtype=np.complex128, order="F")
-    diag = np.diag(t).tolist()
-    target = sorted(range(len(diag)), key=lambda k: _order_key(diag[k]))
-    # current[p] is the original index of the eigenvalue now at position p;
-    # positions before i are final, the rest keep their relative order
-    current = list(range(len(diag)))
-    for i, k in enumerate(target):
-        j = current.index(k, i)
-        if j != i:
-            t, q, _ = ztrexc(t, q, j + 1, i + 1, overwrite_a=1, overwrite_q=1)
-            current.insert(i, current.pop(j))
-    return SchurForm(q=q, t=t, eigenvalues=np.diag(t).copy())
+    q = _fortran_stack(form.q[None])
+    t = _fortran_stack(form.t[None])
+    _reorder(q, t)
+    return SchurForm(q=q[0], t=t[0], eigenvalues=np.diagonal(t[0]).copy())
+
+
+def _reorder(q: np.ndarray, t: np.ndarray) -> None:
+    """:func:`reorder_schur` in place on each form of a stack whose
+    matrices are Fortran ordered."""
+    n = t.shape[-1]
+    for qi, ti in zip(q, t):
+        diag = ti.diagonal().tolist()
+        target = sorted(range(n), key=lambda k: _order_key(diag[k]))
+        # current[p] is the original index of the eigenvalue now at position p;
+        # positions before i are final, the rest keep their relative order
+        current = list(range(n))
+        for i, k in enumerate(target):
+            j = current.index(k, i)
+            if j != i:
+                ztrexc(ti, qi, j + 1, i + 1, overwrite_a=1, overwrite_q=1)
+                current.insert(i, current.pop(j))
 
 
 def eigenvalues(m) -> np.ndarray:
@@ -159,12 +201,14 @@ def numerical_rank(m) -> int:
     Uses a true SVD: singular values computed through M* M lose half the
     working precision, which misclassifies exact zeros at this threshold.
     """
-    m = as_matrix(m)
-    rtol = 64 * m.shape[0] * float(np.finfo(np.float64).eps)
+    return int(_ranks(as_matrix(m)[None])[0])
+
+
+def _ranks(m: np.ndarray) -> np.ndarray:
+    """:func:`numerical_rank` of each matrix of a stack."""
+    rtol = 64 * m.shape[-1] * float(np.finfo(np.float64).eps)
     sigma = np.linalg.svd(m, compute_uv=False)
-    if sigma[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(sigma > rtol * sigma[0]))
+    return np.count_nonzero(sigma > rtol * sigma[:, :1], axis=1)
 
 
 def departure_from_normality(m) -> float:
@@ -191,21 +235,25 @@ def detect_block_structure(t, tol: float = 1e-12) -> BlockStructure:
     a dense strictly-upper t yields one.
     """
     t = as_matrix(t, "triangular factor")
-    n = t.shape[0]
-    nrm = float(np.linalg.norm(t, "fro"))
-    if np.linalg.norm(np.tril(t, -1), "fro") > tol * max(1.0, nrm):
+    return _block_structure(_block_boundaries(t[None], tol)[0])
+
+
+def _block_boundaries(t: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """Boundary flags (k, n - 1) of each triangular factor of a stack:
+    entry [i, b] is true when a block of t[i] ends at index b."""
+    nrm = _fro_norms(t)
+    if (_fro_norms(np.tril(t, -1)) > tol * np.maximum(1.0, nrm)).any():
         raise ValueError("t is not upper triangular")
-    if n == 1:
-        return BlockStructure(sizes=(1,))
-    thr = tol * nrm
+    # above[i, r, c] = max over j > c of |t[i, r, j]|, and its running
+    # max over the rows r <= c is the largest entry right of and above
+    # the boundary after c
     a = np.abs(t)
-    # suffix[i, c] = max over j >= c of |t[i, j]|
-    suffix = np.maximum.accumulate(a[:, ::-1], axis=1)[:, ::-1]
-    boundaries = [k for k in range(n - 1) if suffix[: k + 1, k + 1].max() <= thr]
-    sizes = []
-    prev = 0
-    for k in boundaries:
-        sizes.append(k + 1 - prev)
-        prev = k + 1
-    sizes.append(n - prev)
-    return BlockStructure(sizes=tuple(sizes))
+    above = np.maximum.accumulate(a[:, :, :0:-1], axis=2)[:, :, ::-1]
+    corner = np.maximum.accumulate(above[:, :-1, :], axis=1)
+    return np.diagonal(corner, axis1=1, axis2=2) <= tol * nrm[:, None]
+
+
+def _block_structure(boundaries: np.ndarray) -> BlockStructure:
+    ends = np.flatnonzero(boundaries) + 1
+    edges = np.concatenate(([0], ends, [boundaries.size + 1]))
+    return BlockStructure(sizes=tuple(np.diff(edges).tolist()))

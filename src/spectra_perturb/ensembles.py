@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import PerturbationCase, make_case
-from .decomp import SchurForm, _order_key
-from .matrices import frobenius_norm
+from .bounds import PerturbationCase, _Cases, _make_cases, make_case
+from .decomp import _order_key
+from .matrices import _fro_norms
 
 __all__ = [
     "KINDS",
@@ -70,6 +70,31 @@ def _generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+class _Stream:
+    """One Philox generator, re-keyed for each draw of a batch.  Setting
+    the state (key ``(seed mod 2^64, 0)``, counter 0, empty buffer) gives
+    the draws of a fresh ``Philox(key=...)`` at a quarter of the cost,
+    since the constructor first seeds itself from OS entropy."""
+
+    def __init__(self):
+        self.bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+        self.generator = np.random.Generator(self.bitgen)
+
+    def reset(self, seed: int) -> np.random.Generator:
+        self.bitgen.state = {
+            "bit_generator": "Philox",
+            "state": {
+                "counter": np.zeros(4, dtype=np.uint64),
+                "key": np.array([seed & _MASK64, 0], dtype=np.uint64),
+            },
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return self.generator
+
+
 def derive_trial_seed(seed: int, trial_index: int) -> int:
     """Seed for one campaign trial: seed XOR trial_index (mod 2^64)."""
     if trial_index < 0:
@@ -81,12 +106,30 @@ def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def _haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    z = _complex_gaussian(rng, (n, n))
+def _haar_unitaries(z: np.ndarray) -> np.ndarray:
+    """Haar unitaries from a stack of complex Gaussian matrices: the QR
+    factor q with the phases of diag(r) divided out."""
     q, r = np.linalg.qr(z)
-    d = np.diag(r).copy()
+    d = np.diagonal(r, axis1=1, axis2=2).copy()
     d[d == 0] = 1.0  # zero pivots have probability zero; keep the phase defined
-    return q * (d / np.abs(d))
+    return q * (d / np.abs(d))[:, None, :]
+
+
+def _normal_matrices(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """U diag(lambda) U* for stacks of unitaries and spectra."""
+    return (u * lam[:, None, :]) @ u.conj().transpose(0, 2, 1)
+
+
+def _perturbations(e: np.ndarray, scale: float, trace_mode: str) -> np.ndarray:
+    """A stack of Gaussian draws projected (trace_mode zero) and scaled
+    to Frobenius norm ``scale``; modifies ``e``."""
+    n = e.shape[-1]
+    if trace_mode == "zero":
+        e -= (np.trace(e, axis1=1, axis2=2) / n)[:, None, None] * np.eye(n)
+    nrm = _fro_norms(e)
+    if not nrm.all():
+        raise ArithmeticError("degenerate zero draw")
+    return e * (scale / nrm)[:, None, None]
 
 
 def random_unitary(n: int, seed) -> np.ndarray:
@@ -95,13 +138,13 @@ def random_unitary(n: int, seed) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = seed if isinstance(seed, np.random.Generator) else _generator(int(seed))
-    return _haar_unitary(n, rng)
+    return _haar_unitaries(_complex_gaussian(rng, (1, n, n)))[0]
 
 
 def _normal_from(rng: np.random.Generator, n: int, real_spectrum: bool) -> np.ndarray:
-    u = _haar_unitary(n, rng)
-    lam = rng.standard_normal(n) if real_spectrum else _complex_gaussian(rng, n)
-    return (u * lam) @ u.conj().T
+    u = _haar_unitaries(_complex_gaussian(rng, (1, n, n)))
+    lam = rng.standard_normal((1, n)) if real_spectrum else _complex_gaussian(rng, (1, n))
+    return _normal_matrices(u, lam)[0]
 
 
 def random_normal_matrix(spec: EnsembleSpec) -> np.ndarray:
@@ -117,61 +160,79 @@ def random_hermitian_matrix(spec: EnsembleSpec) -> np.ndarray:
     return (m + m.conj().T) / 2.0
 
 
-def _perturbation_from(
-    rng: np.random.Generator, n: int, scale: float, trace_mode: str
-) -> np.ndarray:
-    e = _complex_gaussian(rng, (n, n))
-    if trace_mode == "zero":
-        e -= (np.trace(e) / n) * np.eye(n)
-    nrm = frobenius_norm(e)
-    if nrm == 0.0:
-        raise ArithmeticError("degenerate zero draw")
-    return e * (scale / nrm)
-
-
 def random_perturbation(spec: EnsembleSpec) -> np.ndarray:
     """Dense i.i.d. complex Gaussian matrix rescaled to Frobenius norm
     ``perturbation_scale``; trace_mode zero first projects out the trace
     (subtract (tr/n) I) so that delta(E) = ||E||_F exactly."""
-    rng = _generator(spec.seed)
-    return _perturbation_from(rng, spec.n, spec.perturbation_scale, spec.trace_mode)
+    e = _complex_gaussian(_generator(spec.seed), (1, spec.n, spec.n))
+    return _perturbations(e, spec.perturbation_scale, spec.trace_mode)[0]
 
 
-def _blocked_case(spec: EnsembleSpec, rng: np.random.Generator) -> PerturbationCase:
+def _draw_cases(kind: str, n: int, seeds, scale: float, trace_mode: str) -> _Cases:
+    """The cases of :func:`random_case` for one size and many seeds, as
+    one stack: the draws run seed by seed, everything after them once
+    for the whole stack."""
+    if kind == "normal-blocked":
+        return _blocked_cases(n, seeds, scale, trace_mode)
+    m = n * n
+    real = kind == "hermitian"
+    # one stream per seed: the real and imaginary parts of the Haar
+    # draw, the spectrum, then those of the perturbation
+    draws = np.empty((len(seeds), 4 * m + (n if real else 2 * n)))
+    stream = _Stream()
+    for row, seed in zip(draws, seeds):
+        stream.reset(seed).standard_normal(out=row)
+    z = draws[:, :m] + 1j * draws[:, m : 2 * m]
+    rest = draws[:, 2 * m :]
+    if real:
+        lam, rest = rest[:, :n], rest[:, n:]
+    else:
+        lam, rest = rest[:, :n] + 1j * rest[:, n : 2 * n], rest[:, 2 * n :]
+    a = _normal_matrices(_haar_unitaries(z.reshape(-1, n, n)), lam)
+    if real:
+        a = (a + a.conj().transpose(0, 2, 1)) / 2.0
+    e = (rest[:, :m] + 1j * rest[:, m:]).reshape(-1, n, n)
+    return _make_cases(a, _perturbations(e, scale, trace_mode))
+
+
+def _blocked_cases(n: int, seeds, scale: float, trace_mode: str) -> _Cases:
     # Build A + E = U T U* with T genuinely block upper triangular, then
     # recover A as U diag(mu) U* so that E = U (T - diag(mu)) U* has
     # Frobenius norm exactly perturbation_scale.
-    n = spec.n
-    u = _haar_unitary(n, rng)
-    lam = np.array(sorted(_complex_gaussian(rng, n), key=_order_key))
-    s = int(rng.integers(2, n + 1))
-    cuts = np.sort(rng.choice(np.arange(1, n), size=s - 1, replace=False))
-    edges = np.concatenate(([0], cuts, [n]))
-    # strictly upper positions inside blocks
-    positions = [
-        (i, j)
-        for k in range(s)
-        for i in range(edges[k], edges[k + 1])
-        for j in range(i + 1, edges[k + 1])
-    ]
-    nu = _complex_gaussian(rng, n)
-    noise = _complex_gaussian(rng, len(positions)) if positions else np.zeros(0, complex)
-    if spec.trace_mode == "zero":
-        nu -= nu.mean()
-    total = math.sqrt(float(np.sum(np.abs(nu) ** 2) + np.sum(np.abs(noise) ** 2)))
-    if total == 0.0:
-        raise ArithmeticError("degenerate zero draw")
-    factor = spec.perturbation_scale / total
-    nu *= factor
-    noise *= factor
-    t = np.diag(lam)
-    for (i, j), z in zip(positions, noise):
-        t[i, j] = z
-    mu = lam - nu
-    a = (u * mu) @ u.conj().T
-    a_tilde = u @ t @ u.conj().T
-    form = SchurForm(q=u, t=t, eigenvalues=lam.copy())
-    return make_case(a, a_tilde - a, schur=form)
+    m = n * n
+    z = np.empty((len(seeds), 2 * m))
+    t = np.zeros((len(seeds), n, n), dtype=np.complex128)
+    mu = np.empty((len(seeds), n), dtype=np.complex128)
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    stream = _Stream()
+    for i, seed in enumerate(seeds):
+        rng = stream.reset(seed)
+        rng.standard_normal(out=z[i])
+        lam = np.array(sorted(_complex_gaussian(rng, n), key=_order_key))
+        s = int(rng.integers(2, n + 1))
+        cuts = np.sort(rng.choice(np.arange(1, n), size=s - 1, replace=False))
+        # strictly upper positions inside blocks, in row-major order
+        block_of = np.zeros(n, dtype=int)
+        block_of[cuts] = 1
+        block_of = np.cumsum(block_of)
+        inside = upper & (block_of[:, None] == block_of[None, :])
+        nu = _complex_gaussian(rng, n)
+        noise = _complex_gaussian(rng, int(inside.sum()))
+        if trace_mode == "zero":
+            nu -= nu.mean()
+        total = math.sqrt(float(np.sum(np.abs(nu) ** 2) + np.sum(np.abs(noise) ** 2)))
+        if total == 0.0:
+            raise ArithmeticError("degenerate zero draw")
+        factor = scale / total
+        nu *= factor
+        noise *= factor
+        np.fill_diagonal(t[i], lam)
+        t[i][inside] = noise
+        mu[i] = lam - nu
+    u = _haar_unitaries((z[:, :m] + 1j * z[:, m:]).reshape(-1, n, n))
+    a = _normal_matrices(u, mu)
+    a_tilde = u @ t @ u.conj().transpose(0, 2, 1)
+    return _make_cases(a, a_tilde - a, u, t)
 
 
 def random_case(spec: EnsembleSpec) -> PerturbationCase:
@@ -179,16 +240,8 @@ def random_case(spec: EnsembleSpec) -> PerturbationCase:
     perturbation, assembled into a ready-to-evaluate case.  The base and
     the perturbation are drawn from a single stream, so the pair is a
     pure function of the spec."""
-    rng = _generator(spec.seed)
-    if spec.kind == "normal-blocked":
-        return _blocked_case(spec, rng)
-    if spec.kind == "hermitian":
-        a = _normal_from(rng, spec.n, real_spectrum=True)
-        a = (a + a.conj().T) / 2.0
-    else:
-        a = _normal_from(rng, spec.n, real_spectrum=False)
-    e = _perturbation_from(rng, spec.n, spec.perturbation_scale, spec.trace_mode)
-    return make_case(a, e)
+    cases = _draw_cases(spec.kind, spec.n, [spec.seed], spec.perturbation_scale, spec.trace_mode)
+    return cases.case(0)
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ def _cost_matrix(spec_a, spec_b) -> np.ndarray:
 def _match_from_permutation(cost: np.ndarray, perm: np.ndarray) -> SpectrumMatch:
     terms = cost[np.arange(cost.shape[0]), perm]
     return SpectrumMatch(
-        permutation=tuple(int(j) for j in perm),
+        permutation=tuple(perm.tolist()),
         d2=math.sqrt(float(terms.sum())),
         d_inf=math.sqrt(float(terms.max())),
     )

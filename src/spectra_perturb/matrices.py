@@ -47,7 +47,7 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
     if a.shape[0] == 0:
         raise ValueError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a
 
@@ -57,7 +57,7 @@ def as_spectrum(v, name: str = "spectrum") -> np.ndarray:
     a = np.asarray(v, dtype=np.complex128).ravel()
     if a.size == 0:
         raise ValueError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a
 
@@ -88,31 +88,50 @@ def strict_upper(m) -> np.ndarray:
 
 def commutator_defect(m) -> float:
     """Frobenius norm of M M* - M* M; zero exactly when M is normal."""
-    return _commutator_defect(as_matrix(m))
+    return float(_commutator_defects(as_matrix(m)[None])[0])
 
 
-def _commutator_defect(m: np.ndarray) -> float:
-    h = m.conj().T
-    return float(np.linalg.norm(m @ h - h @ m, "fro"))
+# -- stacks -------------------------------------------------------------
+#
+# The case pipeline works on stacks (k, n, n) of trusted matrices of one
+# size.  These helpers give, matrix by matrix, the very bits of the
+# single-matrix computations above.
+
+def _fro_norms(m: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack, bit for bit
+    ``np.linalg.norm(m[i], "fro")`` of a C-ordered matrix: the same two
+    BLAS dot products (real and imaginary parts) in row-major order."""
+    flat = m.reshape(m.shape[0], 1, -1)
+    re, im = flat.real, flat.imag
+    squares = re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)
+    return np.sqrt(squares[:, 0, 0])
 
 
-def _is_normal(defect: float, nrm: float) -> bool:
+def _commutator_defects(m: np.ndarray) -> np.ndarray:
+    h = m.conj().transpose(0, 2, 1)
+    return _fro_norms(m @ h - h @ m)
+
+
+def _is_normal(defect, nrm):
     # The commutator defect scales quadratically with M, hence the
     # squared norm in the threshold.
-    return defect <= STRUCTURE_TOL * max(1.0, nrm * nrm)
+    return defect <= STRUCTURE_TOL * np.maximum(1.0, nrm * nrm)
+
+
+def _is_hermitian(m: np.ndarray) -> np.ndarray:
+    defect = _fro_norms(m - m.conj().transpose(0, 2, 1))
+    return defect <= STRUCTURE_TOL * np.maximum(1.0, _fro_norms(m))
 
 
 def is_normal(m) -> bool:
     """Whether M M* = M* M within ``STRUCTURE_TOL * max(1, ||M||_F^2)``."""
-    m = as_matrix(m)
-    return _is_normal(_commutator_defect(m), float(np.linalg.norm(m, "fro")))
+    m = as_matrix(m)[None]
+    return bool(_is_normal(_commutator_defects(m), _fro_norms(m))[0])
 
 
 def is_hermitian(m) -> bool:
     """Whether M = M* within ``STRUCTURE_TOL * max(1, ||M||_F)``."""
-    m = as_matrix(m)
-    defect = float(np.linalg.norm(m - m.conj().T, "fro"))
-    return defect <= STRUCTURE_TOL * max(1.0, float(np.linalg.norm(m, "fro")))
+    return bool(_is_hermitian(as_matrix(m)[None])[0])
 
 
 # -- JSON wire format ---------------------------------------------------

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .matrices import as_matrix, as_spectrum
+from .matrices import _fro_norms, as_matrix, as_spectrum
 
 __all__ = [
     "delta",
@@ -32,23 +32,43 @@ def delta(m) -> float:
     is clamped at zero: for near-scalar matrices round-off can push
     |tr|^2/n marginally above the squared norm.
     """
-    m = as_matrix(m)
-    return _delta(m, float(np.linalg.norm(m, "fro")))
+    m = as_matrix(m)[None]
+    return float(_deltas(_fro_norms(m), _trace_moduli(m), m.shape[-1])[0])
 
 
-def _delta(m: np.ndarray, nrm: float) -> float:
-    """``delta`` of a trusted array whose Frobenius norm ``nrm`` is known."""
-    t = complex(np.trace(m))
-    return math.sqrt(max(0.0, nrm**2 - abs(t) ** 2 / m.shape[0]))
+def _square(x):
+    """x**2 elementwise with the bits of Python's float ``x**2`` (libm
+    pow), which is not always the correctly rounded x*x."""
+    return np.float_power(x, 2.0)
 
 
-def _band_width(m: np.ndarray, tol: float, lower: bool) -> int:
-    n = m.shape[0]
-    for d in range(n - 1, 0, -1):
-        band = np.diag(m, -d if lower else d)
-        if np.any(np.abs(band) > tol):
-            return d
-    return 0
+def _trace_moduli(m: np.ndarray) -> np.ndarray:
+    """|tr(M)| of each matrix of a stack, with the bits of Python's
+    ``abs(complex(np.trace(M)))`` (numpy's complex abs differs)."""
+    tr = np.trace(m, axis1=1, axis2=2)
+    return np.hypot(tr.real, tr.imag)
+
+
+def _deltas(nrm: np.ndarray, trace_moduli: np.ndarray, n: int) -> np.ndarray:
+    """``delta`` of each matrix of a stack of size n, from its Frobenius
+    norm and the modulus of its trace."""
+    return np.sqrt(np.maximum(0.0, _square(nrm) - _square(trace_moduli) / n))
+
+
+def _band_widths(m: np.ndarray, tol: np.ndarray, lower: bool) -> np.ndarray:
+    """Band width of each matrix of a stack (see :func:`w_lower`), with
+    one threshold per matrix.  Diagonals are scanned from the outermost
+    inwards and the scan stops once every matrix has its width."""
+    width = np.zeros(m.shape[0], dtype=int)
+    open_ = np.ones(m.shape[0], dtype=bool)
+    for d in range(m.shape[-1] - 1, 0, -1):
+        band = np.diagonal(m, -d if lower else d, axis1=1, axis2=2)
+        found = open_ & (np.abs(band) > tol[:, None]).any(axis=1)
+        width[found] = d
+        open_ &= ~found
+        if not open_.any():
+            break
+    return width
 
 
 def w_lower(m, tol: float = 0.0) -> int:
@@ -59,12 +79,12 @@ def w_lower(m, tol: float = 0.0) -> int:
     matrices; pass roughly 1e-13 * ||M||_F for floating-point products
     such as rotated perturbations, where exact zeros do not survive.
     """
-    return _band_width(as_matrix(m), tol, lower=True)
+    return int(_band_widths(as_matrix(m)[None], np.array([tol]), lower=True)[0])
 
 
 def w_upper(m, tol: float = 0.0) -> int:
     """Largest j - i with M[i, j] nonzero above the diagonal, else 0."""
-    return _band_width(as_matrix(m), tol, lower=False)
+    return int(_band_widths(as_matrix(m)[None], np.array([tol]), lower=False)[0])
 
 
 def phi1(m) -> float:

@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+
+from spectra_perturb import bounds as bounds_module
 
 from spectra_perturb import (
     CATALOG_IDS,
@@ -230,13 +233,27 @@ def test_report_value_lookup():
         report.value_of("eq_9_9")
 
 
-def test_forced_violation_flags_every_distance_bound():
+def test_forced_violation_flags_every_distance_bound(monkeypatch):
+    # a d2 far above every bound, as an inconsistent oracle would report
+    original = bounds_module.optimal_match
+
+    def inflated(*args):
+        match = original(*args)
+        return dataclasses.replace(match, d2=100.0 * match.d2)
+
+    monkeypatch.setattr(bounds_module, "optimal_match", inflated)
     case = fixture("intro_2x2")
-    report = evaluate_all(case, tol_factor=-1.0)
+    report = evaluate_all(case)
     applicable = {bv.id for bv in report.bounds if bv.applicable}
     flagged = set(report.violations)
     assert flagged == applicable - set(DELTA_ESTIMATE_IDS)
     assert "henrici_3_6" not in flagged
+
+
+@pytest.mark.parametrize("tol_factor", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_tolerance_factor_must_be_finite_and_positive(tol_factor):
+    with pytest.raises(ValueError, match="finite and positive"):
+        evaluate_all(fixture("intro_2x2"), tol_factor=tol_factor)
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +416,21 @@ def test_inconsistent_radicand_raises():
         _safe_sqrt(-1.0, 1.0, "test")
     # within round-off slack the radicand clamps to zero instead
     assert _safe_sqrt(-1e-12, 1.0, "test") == 0.0
+    # one radicand per case of a stack: a single bad entry raises and is named
+    radicands = np.array([4.0, -1e-12, 9.0, -1.0])
+    with pytest.raises(NumericalConsistencyError, match=r"test \(entry 3\)") as info:
+        _safe_sqrt(radicands, np.ones(4), "test")
+    assert info.value.entry == 3
+    # an entry whose value is not reported is not checked; the others
+    # clamp within the slack
+    on = np.array([True, True, True, False])
+    roots = _safe_sqrt(radicands, np.ones(4), "test", on)
+    assert roots[:3].tolist() == [2.0, 0.0, 3.0]
+    assert roots[3] == 0.0
+    # the slack scales per entry
+    assert _safe_sqrt(np.array([-1e-8, -1e-8]), np.array([1e2, 1e2]), "test").tolist() == [0.0, 0.0]
+    with pytest.raises(NumericalConsistencyError, match="entry 1"):
+        _safe_sqrt(np.array([-1e-8, -1e-8]), np.array([1e2, 1.0]), "test")
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,62 @@
+import dataclasses
+
 import pytest
 
-from spectra_perturb import CampaignConfig, run_campaign
+from spectra_perturb import KINDS, TRACE_MODES, CampaignConfig, run_campaign, run_trial
+from spectra_perturb import campaigns
 
 
-def test_jobs_give_identical_summaries():
+@pytest.mark.parametrize("kind", KINDS)
+def test_jobs_give_identical_summaries(kind):
     # per-trial seeds depend only on (seed, index), so worker processes
     # must reproduce the single-process summary byte for byte
-    config = dict(trials=66, n_min=2, n_max=12, kind="hermitian", seed=42)
+    config = dict(trials=66, n_min=2, n_max=12, kind=kind, seed=42)
     serial = run_campaign(CampaignConfig(**config, jobs=1))
     parallel = run_campaign(CampaignConfig(**config, jobs=2))
     assert parallel.as_dict() == serial.as_dict()
+
+
+def _fields(record) -> dict:
+    # floats by repr, so that equal-comparing values such as 0.0 and
+    # -0.0 still count as different
+    return {
+        name: repr(value) if isinstance(value, float) else value
+        for name, value in dataclasses.asdict(record).items()
+    } | {"values": {bid: repr(v) for bid, v in record.values.items()}}
+
+
+@pytest.mark.parametrize("trace_mode", TRACE_MODES)
+@pytest.mark.parametrize("kind", KINDS)
+def test_records_do_not_depend_on_batching(kind, trace_mode):
+    # three sizes with one more trial each than a chunk holds, so every
+    # size is cut into a full chunk and a short one; each record must
+    # equal the trial run on its own
+    sizes = 3
+    config = CampaignConfig(
+        trials=sizes * (campaigns._CHUNK_CAP + 1),
+        n_min=2,
+        n_max=1 + sizes,
+        kind=kind,
+        trace_mode=trace_mode,
+        seed=7,
+    )
+    cap = campaigns._CHUNK_CAP
+    assert sorted(map(len, campaigns._chunks(config))) == [1] * sizes + [cap] * sizes
+    _, records = run_campaign(config, collect_records=True)
+    assert [rec.trial for rec in records] == list(range(config.trials))
+    for i, rec in enumerate(records):
+        assert _fields(rec) == _fields(run_trial(config, i))
+
+
+def test_chunks_cover_every_trial_once_and_shrink_at_large_n():
+    config = CampaignConfig(trials=1000, n_min=2, n_max=12)
+    chunks = campaigns._chunks(config)
+    assert sorted(i for chunk in chunks for i in chunk) == list(range(1000))
+    assert all(len({config.trial_size(i) for i in chunk}) == 1 for chunk in chunks)
+    # a stack of 256 x 256 matrices would hold more entries than a chunk
+    # allows, so each such trial is a chunk of its own
+    large = campaigns._chunks(CampaignConfig(trials=3, n_min=256, n_max=256))
+    assert list(map(list, large)) == [[0], [1], [2]]
 
 
 # Integer outcomes of 220-trial campaigns at seed 42, recorded before the

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 
@@ -6,7 +7,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from spectra_perturb import matrix_from_json, save_matrix
+from spectra_perturb import bounds, matrix_from_json, save_matrix
 from spectra_perturb.campaigns import csv_header
 from spectra_perturb.cli import REPORT_SCHEMA, SEED_ENV_VAR, main
 
@@ -186,13 +187,45 @@ def test_bounds_hermitian_flag_requires_hermitian_base(tmp_path, capsys):
     assert "Hermitian" in err
 
 
-def test_bounds_negative_tolerance_forces_violations(intro_paths, capsys):
+def test_bounds_reports_violations_with_exit_one(intro_paths, capsys, monkeypatch):
+    # a d2 far above every bound, as an inconsistent oracle would report
+    original = bounds.optimal_match
+
+    def inflated(*args):
+        match = original(*args)
+        return dataclasses.replace(match, d2=10.0 * match.d2)
+
+    monkeypatch.setattr(bounds, "optimal_match", inflated)
     a, e = intro_paths
-    code, out, _ = run(["bounds", "--a", a, "--e", e, "--tol", "-10.0"], capsys)
+    code, out, _ = run(["bounds", "--a", a, "--e", e], capsys)
     assert code == 1
     report = json.loads(out)
     assert len(report["violations"]) > 0
     assert "henrici_3_6" not in report["violations"]
+
+
+BAD_TOLERANCES = ["nan", "inf", "0", "-1"]
+
+
+@pytest.mark.parametrize("tol", BAD_TOLERANCES)
+def test_bounds_rejects_invalid_tolerance(intro_paths, capsys, tmp_path, tol):
+    a, e = intro_paths
+    code, out, err = run(["bounds", "--a", a, "--e", e, "--tol", tol], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "finite and positive" in err
+    # refused before any matrix is loaded
+    missing = str(tmp_path / "missing.json")
+    code, _, err = run(["bounds", "--a", missing, "--e", missing, "--tol", tol], capsys)
+    assert code == 2 and "finite and positive" in err
+
+
+@pytest.mark.parametrize("tol", BAD_TOLERANCES)
+def test_verify_rejects_invalid_tolerance(capsys, tol):
+    code, out, err = run(["verify", "--trials", "2", "--tol", tol], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "finite and positive" in err
 
 
 def test_verify_smoke(capsys):

@@ -25,6 +25,8 @@ from spectra_perturb import (
     validate_schur_form,
 )
 
+from conftest import haar_rotated_diagonal, random_complex, rng_for
+
 
 def test_spec_validation():
     with pytest.raises(ValueError):
@@ -48,6 +50,24 @@ def test_draws_are_bit_reproducible():
     c1, c2 = random_case(spec), random_case(spec)
     assert np.array_equal(c1.a, c2.a) and np.array_equal(c1.e, c2.e)
     assert np.array_equal(c1.schur_tilde.t, c2.schur_tilde.t)
+
+
+@pytest.mark.parametrize("kind", ["normal", "hermitian"])
+def test_random_case_matches_an_independent_draw(kind):
+    # the library re-keys one Philox generator per batch; the draws must
+    # be those of a fresh generator, consumed in the documented order:
+    # the Haar-rotated base first, then the perturbation
+    for n, seed in ((2, 0), (7, 123456789), (12, (1 << 64) - 1)):
+        spec = EnsembleSpec(n=n, kind=kind, perturbation_scale=0.5, seed=seed)
+        case = random_case(spec)
+        rng = rng_for(seed)
+        a = haar_rotated_diagonal(rng, n, real_spectrum=(kind == "hermitian"))
+        if kind == "hermitian":
+            a = (a + a.conj().T) / 2.0
+        e = random_complex(rng, (n, n))
+        e = e * (0.5 / np.linalg.norm(e, "fro"))
+        assert np.array_equal(case.a, a)
+        assert np.array_equal(case.e, e)
 
 
 def test_different_seeds_differ():
