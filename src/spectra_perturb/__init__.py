@@ -8,178 +8,25 @@ by fixtures and seeded randomized campaigns that every bound dominates
 the true distance.
 """
 
-from .matrices import (
-    STRUCTURE_TOL,
-    as_matrix,
-    as_spectrum,
-    commutator_defect,
-    conjugate_transpose,
-    diagonal_part,
-    frobenius_norm,
-    is_hermitian,
-    is_normal,
-    load_matrix,
-    matrix_from_json,
-    matrix_to_json,
-    save_matrix,
-    strict_lower,
-    strict_upper,
-)
-from .decomp import (
-    BlockStructure,
-    SchurForm,
-    departure_from_normality,
-    detect_block_structure,
-    eigenvalues,
-    numerical_rank,
-    reorder_schur,
-    schur_decompose,
-    spectral_norm,
-    validate_schur_form,
-)
-from .matching import (
-    BRUTE_FORCE_LIMIT,
-    SpectrumMatch,
-    brute_force_match,
-    optimal_match,
-)
-from .quantities import (
-    delta,
-    delta_spectral_form,
-    phi1,
-    phi2,
-    phi3,
-    w_lower,
-    w_upper,
-)
-from .bounds import (
-    CATALOG_IDS,
-    D2_BOUND_IDS,
-    DELTA_ESTIMATE_IDS,
-    HERMITIAN_ONLY_IDS,
-    SCHUR_DEPENDENT_IDS,
-    BoundReport,
-    BoundValue,
-    NumericalConsistencyError,
-    PerturbationCase,
-    catalog_entries,
-    evaluate_all,
-    family_of,
-    henrici_delta_upper,
-    make_case,
-    rotated_perturbation,
-    rotated_perturbation_residual,
-    sun_delta_lower,
-)
-from .ensembles import (
-    FIXTURE_NAMES,
-    KINDS,
-    PHI_EXAMPLE_UNITARY,
-    TRACE_MODES,
-    EnsembleSpec,
-    derive_trial_seed,
-    fixture,
-    fixture_expectations,
-    fixture_matrices,
-    random_case,
-    random_hermitian_matrix,
-    random_normal_matrix,
-    random_perturbation,
-    random_unitary,
-)
-from .campaigns import (
-    ORDERING_PAIRS,
-    CampaignConfig,
-    CampaignSummary,
-    TrialRecord,
-    run_campaign,
-    run_trial,
-    write_trials_csv,
-)
+# The public names are those of the library modules' ``__all__`` lists.
+from . import bounds, campaigns, decomp, ensembles, matching, matrices, quantities
+from .bounds import *  # noqa: F403
+from .campaigns import *  # noqa: F403
+from .decomp import *  # noqa: F403
+from .ensembles import *  # noqa: F403
+from .matching import *  # noqa: F403
+from .matrices import *  # noqa: F403
+from .quantities import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # matrices
-    "STRUCTURE_TOL",
-    "as_matrix",
-    "as_spectrum",
-    "commutator_defect",
-    "conjugate_transpose",
-    "diagonal_part",
-    "frobenius_norm",
-    "is_hermitian",
-    "is_normal",
-    "load_matrix",
-    "matrix_from_json",
-    "matrix_to_json",
-    "save_matrix",
-    "strict_lower",
-    "strict_upper",
-    # decomp
-    "BlockStructure",
-    "SchurForm",
-    "departure_from_normality",
-    "detect_block_structure",
-    "eigenvalues",
-    "numerical_rank",
-    "reorder_schur",
-    "schur_decompose",
-    "spectral_norm",
-    "validate_schur_form",
-    # matching
-    "BRUTE_FORCE_LIMIT",
-    "SpectrumMatch",
-    "brute_force_match",
-    "optimal_match",
-    # quantities
-    "delta",
-    "delta_spectral_form",
-    "phi1",
-    "phi2",
-    "phi3",
-    "w_lower",
-    "w_upper",
-    # bounds
-    "CATALOG_IDS",
-    "D2_BOUND_IDS",
-    "DELTA_ESTIMATE_IDS",
-    "HERMITIAN_ONLY_IDS",
-    "SCHUR_DEPENDENT_IDS",
-    "BoundReport",
-    "BoundValue",
-    "NumericalConsistencyError",
-    "PerturbationCase",
-    "catalog_entries",
-    "evaluate_all",
-    "family_of",
-    "henrici_delta_upper",
-    "make_case",
-    "rotated_perturbation",
-    "rotated_perturbation_residual",
-    "sun_delta_lower",
-    # ensembles
-    "FIXTURE_NAMES",
-    "KINDS",
-    "PHI_EXAMPLE_UNITARY",
-    "TRACE_MODES",
-    "EnsembleSpec",
-    "derive_trial_seed",
-    "fixture",
-    "fixture_expectations",
-    "fixture_matrices",
-    "random_case",
-    "random_hermitian_matrix",
-    "random_normal_matrix",
-    "random_perturbation",
-    "random_unitary",
-    # campaigns
-    "ORDERING_PAIRS",
-    "CampaignConfig",
-    "CampaignSummary",
-    "TrialRecord",
-    "run_campaign",
-    "run_trial",
-    "write_trials_csv",
+    *matrices.__all__,
+    *decomp.__all__,
+    *matching.__all__,
+    *quantities.__all__,
+    *bounds.__all__,
+    *ensembles.__all__,
+    *campaigns.__all__,
 ]

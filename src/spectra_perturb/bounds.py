@@ -23,7 +23,7 @@ wire-format identifiers; treat them as opaque.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -210,10 +210,12 @@ def make_case(a, e, *, schur: SchurForm | None = None) -> PerturbationCase:
     This is the single input check of the case pipeline: ``a`` and ``e``
     must be finite square matrices of one shape, and ``a`` must be normal
     at :data:`~spectra_perturb.matrices.STRUCTURE_TOL`, else ValueError.
-    When ``schur`` is given it must be a valid Schur form of ``a + e``;
-    it is validated and then reordered into the canonical eigenvalue
-    order.  Otherwise a fresh decomposition is computed.  Eigenvalue
-    blocks are detected on the ordered triangular factor.
+    When ``schur`` is given, its q and t must be a Schur form of ``a + e``
+    within :data:`~spectra_perturb.decomp.TAU_SCHUR`, else ValueError; a
+    strictly lower part of t within that tolerance is set to zero, and
+    the form is reordered into the canonical eigenvalue order (its
+    ``eigenvalues`` are not read).  Otherwise a fresh decomposition is
+    computed.  Eigenvalue blocks are detected on the ordered factor.
     """
     a = np.array(as_matrix(a, "a"), order="C")
     e = np.array(as_matrix(e, "e"), order="C")
@@ -246,7 +248,10 @@ def _make_cases(a, e, q=None, t=None) -> _Cases:
         if q.shape != a.shape or t.shape != a.shape:
             raise ValueError("factor shapes do not match the source matrix")
         q, t = _fortran_stack(q), _fortran_stack(t)
-        _check_schur_forms(q, t, np.diagonal(t, axis1=1, axis2=2), a_tilde)
+        _check_schur_forms(q, t, a_tilde)
+        # drop a strictly lower part within tolerance, as _schur_factors does
+        rows, cols = np.tril_indices(t.shape[-1], -1)
+        t[:, rows, cols] = 0.0
     _reorder(q, t)
     return _Cases(
         a=a,
@@ -567,9 +572,6 @@ class BoundReport:
     d_inf: float
     bounds: tuple[BoundValue, ...]
     violations: tuple[str, ...]
-    # the per-case quantities behind the values (a stack of one case);
-    # not part of the wire format
-    _stats: _Stats | None = field(default=None, repr=False, compare=False)
 
     def value_of(self, bound_id: str) -> float | None:
         for bv in self.bounds:
@@ -670,5 +672,4 @@ def evaluate_all(
         d_inf=float(ev.d_inf[0]),
         bounds=bounds,
         violations=tuple(CATALOG_IDS[j] for j in np.flatnonzero(ev.violated[0])),
-        _stats=ev.stats,
     )

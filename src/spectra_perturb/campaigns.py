@@ -19,6 +19,7 @@ for any ``jobs``.
 from __future__ import annotations
 
 import csv
+import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable
@@ -33,7 +34,7 @@ from .bounds import (
     _check_tol_factor,
     _evaluate,
 )
-from .ensembles import KINDS, TRACE_MODES, _draw_cases, derive_trial_seed
+from .ensembles import KINDS, TRACE_MODES, _check_perturbation_scale, _draw_cases, derive_trial_seed
 
 __all__ = [
     "ORDERING_PAIRS",
@@ -43,7 +44,6 @@ __all__ = [
     "run_trial",
     "run_campaign",
     "csv_header",
-    "csv_row",
     "write_trials_csv",
 ]
 
@@ -93,6 +93,7 @@ class CampaignConfig:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.trace_mode not in TRACE_MODES:
             raise ValueError(f"trace_mode must be one of {TRACE_MODES}")
+        _check_perturbation_scale(self.perturbation_scale)
         _check_tol_factor(self.tol_factor)
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
@@ -380,11 +381,6 @@ def _chunks(config: CampaignConfig) -> list[range]:
     return chunks
 
 
-def _chunk_worker(args) -> list[TrialRecord]:
-    config, indices = args
-    return _run_chunk(config, indices)
-
-
 def run_campaign(
     config: CampaignConfig, collect_records: bool = False
 ) -> CampaignSummary | tuple[CampaignSummary, list[TrialRecord]]:
@@ -400,11 +396,11 @@ def run_campaign(
     """
     chunks = _chunks(config)
     if config.jobs == 1:
-        results = map(_run_chunk, [config] * len(chunks), chunks)
+        results = map(_run_chunk, itertools.repeat(config), chunks)
         records = _in_index_order(config.trials, results)
     else:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            results = pool.map(_chunk_worker, ((config, indices) for indices in chunks))
+            results = pool.map(_run_chunk, itertools.repeat(config), chunks)
             records = _in_index_order(config.trials, results)
     summary = _summarize(config, records)
     if collect_records:
@@ -428,18 +424,14 @@ def csv_header() -> list[str]:
     return ["trial", "n", "kind", "d2", *CATALOG_IDS, "violation"]
 
 
-def csv_row(rec: TrialRecord) -> list:
-    row: list = [rec.trial, rec.n, rec.kind, repr(rec.d2)]
-    for bid in CATALOG_IDS:
-        v = rec.values[bid]
-        row.append("" if v is None else repr(v))
-    row.append(1 if rec.violation_ids else 0)
-    return row
-
-
 def write_trials_csv(path, records: Iterable[TrialRecord]) -> None:
+    """One row per trial: trial, n, kind, d2, each catalog value (empty
+    where not applicable) and a 0/1 violation flag."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(csv_header())
         for rec in records:
-            writer.writerow(csv_row(rec))
+            values = (rec.values[bid] for bid in CATALOG_IDS)
+            cells = ("" if v is None else repr(v) for v in values)
+            flag = 1 if rec.violation_ids else 0
+            writer.writerow([rec.trial, rec.n, rec.kind, repr(rec.d2), *cells, flag])

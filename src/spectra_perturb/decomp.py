@@ -2,8 +2,9 @@
 
 The triangularization M = Q T Q* is the engine behind every quantity that
 involves the strictly upper triangular excess of a matrix: eigenvalue
-extraction, departure from normality, block-structure detection, and the
-deterministic descending-modulus reordering used by the bound catalog.
+extraction, departure from normality, the eigenvalue blocks of the
+triangular factor, and the deterministic descending-modulus reordering
+used by the bound catalog.
 
 Both steps are LAPACK: the decomposition is the implicit-shift QR of
 ``scipy.linalg.schur``, and the reordering moves each eigenvalue to its
@@ -26,13 +27,9 @@ __all__ = [
     "BlockStructure",
     "TAU_SCHUR",
     "schur_decompose",
-    "validate_schur_form",
     "reorder_schur",
     "eigenvalues",
-    "spectral_norm",
-    "numerical_rank",
     "departure_from_normality",
-    "detect_block_structure",
 ]
 
 #: Residual budget for Schur-form invariants (reconstruction, unitarity,
@@ -45,7 +42,8 @@ class SchurForm:
     """Unitary factor q, upper triangular factor t, and diag(t).
 
     Satisfies q t q* = M for the source matrix M, with q unitary and t
-    upper triangular (strictly lower entries exactly zero).
+    upper triangular (strictly lower entries exactly zero).  A form
+    passed to ``make_case`` is read for q and t only.
     """
 
     q: np.ndarray
@@ -116,18 +114,7 @@ def _schur_factors(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q, t
 
 
-def validate_schur_form(form: SchurForm, source) -> None:
-    """Check the SchurForm invariants against its source matrix.
-
-    Raises ValueError naming the first violated invariant.
-    """
-    source = as_matrix(source, "source matrix")
-    if form.q.shape != source.shape or form.t.shape != source.shape:
-        raise ValueError("factor shapes do not match the source matrix")
-    _check_schur_forms(form.q[None], form.t[None], form.eigenvalues[None], source[None])
-
-
-def _check_schur_forms(q, t, eigenvalues, source) -> None:
+def _check_schur_forms(q, t, source) -> None:
     """Check the invariants of a stack of Schur forms against a stack of
     source matrices; ValueError names the first invariant some matrix
     violates."""
@@ -140,8 +127,6 @@ def _check_schur_forms(q, t, eigenvalues, source) -> None:
         raise ValueError("t is not upper triangular within tolerance")
     if (_fro_norms(q @ t @ qh - source) > budget).any():
         raise ValueError("q t q* does not reconstruct the source matrix")
-    if not np.array_equal(eigenvalues, np.diagonal(t, axis1=1, axis2=2)):
-        raise ValueError("stored eigenvalues do not equal diag(t)")
 
 
 def _order_key(lam: complex) -> tuple[float, float, float]:
@@ -188,24 +173,13 @@ def eigenvalues(m) -> np.ndarray:
     return schur_decompose(m).eigenvalues
 
 
-def spectral_norm(m) -> float:
-    """Largest singular value, via the largest eigenvalue of M* M."""
-    m = as_matrix(m)
-    ev = np.linalg.eigvalsh(m.conj().T @ m)
-    return float(np.sqrt(max(0.0, float(ev[-1]))))
-
-
-def numerical_rank(m) -> int:
-    """Number of singular values above ``64 n eps * sigma_max``.
+def _ranks(m: np.ndarray) -> np.ndarray:
+    """Numerical rank of each matrix of a stack: the number of singular
+    values above ``64 n eps * sigma_max``.
 
     Uses a true SVD: singular values computed through M* M lose half the
     working precision, which misclassifies exact zeros at this threshold.
     """
-    return int(_ranks(as_matrix(m)[None])[0])
-
-
-def _ranks(m: np.ndarray) -> np.ndarray:
-    """:func:`numerical_rank` of each matrix of a stack."""
     rtol = 64 * m.shape[-1] * float(np.finfo(np.float64).eps)
     sigma = np.linalg.svd(m, compute_uv=False)
     return np.count_nonzero(sigma > rtol * sigma[:, :1], axis=1)
@@ -226,31 +200,19 @@ def departure_from_normality(m) -> float:
     return float(np.sqrt(max(0.0, excess)))
 
 
-def detect_block_structure(t, tol: float = 1e-12) -> BlockStructure:
-    """Detect the block upper triangular zero pattern of t.
-
-    A boundary after index k exists when every entry t[i, j] with
-    i <= k < j has modulus at most ``tol * ||t||_F``.  The block count is
-    one plus the number of boundaries; a diagonal t yields n blocks and
-    a dense strictly-upper t yields one.
-    """
-    t = as_matrix(t, "triangular factor")
-    return _block_structure(_block_boundaries(t[None], tol)[0])
-
-
-def _block_boundaries(t: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Boundary flags (k, n - 1) of each triangular factor of a stack:
-    entry [i, b] is true when a block of t[i] ends at index b."""
-    nrm = _fro_norms(t)
-    if (_fro_norms(np.tril(t, -1)) > tol * np.maximum(1.0, nrm)).any():
-        raise ValueError("t is not upper triangular")
+def _block_boundaries(t: np.ndarray) -> np.ndarray:
+    """Boundary flags (k, n - 1) of each upper triangular factor of a
+    stack: entry [i, b] is true when a block of t[i] ends at index b,
+    that is when every entry t[i, r, c] with r <= b < c has modulus at
+    most ``1e-12 * ||t[i]||_F``.  A diagonal t has n blocks, a dense
+    strictly upper t one."""
     # above[i, r, c] = max over j > c of |t[i, r, j]|, and its running
     # max over the rows r <= c is the largest entry right of and above
     # the boundary after c
     a = np.abs(t)
     above = np.maximum.accumulate(a[:, :, :0:-1], axis=2)[:, :, ::-1]
     corner = np.maximum.accumulate(above[:, :-1, :], axis=1)
-    return np.diagonal(corner, axis1=1, axis2=2) <= tol * nrm[:, None]
+    return np.diagonal(corner, axis1=1, axis2=2) <= 1e-12 * _fro_norms(t)[:, None]
 
 
 def _block_structure(boundaries: np.ndarray) -> BlockStructure:

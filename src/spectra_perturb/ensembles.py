@@ -1,9 +1,10 @@
-"""Seeded random matrix generators and exact worked-example fixtures.
+"""Seeded random cases and exact worked-example fixtures.
 
-All randomness comes from the Philox 4x64 counter-based generator with
-key ``(seed mod 2^64, 0)``, so matrices are bit-reproducible across runs
-and machines for a given seed.  Campaign trials derive per-trial seeds
-as ``seed XOR trial_index`` and therefore need no shared state.
+:func:`random_case` draws the base matrix and the perturbation of a case
+from one Philox 4x64 counter-based stream with key ``(seed mod 2^64, 0)``,
+so cases are bit-reproducible across runs and machines for a given seed.
+Campaign trials derive per-trial seeds as ``seed XOR trial_index`` and
+therefore need no shared state.
 """
 
 from __future__ import annotations
@@ -22,10 +23,6 @@ __all__ = [
     "TRACE_MODES",
     "EnsembleSpec",
     "derive_trial_seed",
-    "random_unitary",
-    "random_normal_matrix",
-    "random_hermitian_matrix",
-    "random_perturbation",
     "random_case",
     "FIXTURE_NAMES",
     "PHI_EXAMPLE_UNITARY",
@@ -38,6 +35,11 @@ KINDS = ("normal", "hermitian", "normal-blocked")
 TRACE_MODES = ("zero", "generic")
 
 _MASK64 = (1 << 64) - 1
+
+
+def _check_perturbation_scale(scale) -> None:
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise ValueError(f"perturbation_scale must be finite and positive, got {scale!r}")
 
 
 @dataclass(frozen=True)
@@ -57,17 +59,11 @@ class EnsembleSpec:
             raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if not (self.perturbation_scale > 0.0):
-            raise ValueError("perturbation_scale must be positive")
+        _check_perturbation_scale(self.perturbation_scale)
         if self.trace_mode not in TRACE_MODES:
             raise ValueError(f"trace_mode must be one of {TRACE_MODES}, got {self.trace_mode!r}")
         if not isinstance(self.seed, int):
             raise ValueError("seed must be an integer")
-
-
-def _generator(seed: int) -> np.random.Generator:
-    key = np.array([seed & _MASK64, 0], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
 
 
 class _Stream:
@@ -130,42 +126,6 @@ def _perturbations(e: np.ndarray, scale: float, trace_mode: str) -> np.ndarray:
     if not nrm.all():
         raise ArithmeticError("degenerate zero draw")
     return e * (scale / nrm)[:, None, None]
-
-
-def random_unitary(n: int, seed) -> np.ndarray:
-    """Haar-distributed n x n unitary.  ``seed`` is an integer or an
-    existing numpy Generator (consumed in place)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = seed if isinstance(seed, np.random.Generator) else _generator(int(seed))
-    return _haar_unitaries(_complex_gaussian(rng, (1, n, n)))[0]
-
-
-def _normal_from(rng: np.random.Generator, n: int, real_spectrum: bool) -> np.ndarray:
-    u = _haar_unitaries(_complex_gaussian(rng, (1, n, n)))
-    lam = rng.standard_normal((1, n)) if real_spectrum else _complex_gaussian(rng, (1, n))
-    return _normal_matrices(u, lam)[0]
-
-
-def random_normal_matrix(spec: EnsembleSpec) -> np.ndarray:
-    """U diag(lambda) U* with Haar U; lambda complex Gaussian for the
-    normal kind, real Gaussian for the hermitian kind."""
-    return _normal_from(_generator(spec.seed), spec.n, real_spectrum=(spec.kind == "hermitian"))
-
-
-def random_hermitian_matrix(spec: EnsembleSpec) -> np.ndarray:
-    """Exactly Hermitian draw: a real-spectrum normal draw followed by
-    symmetrization, which removes the last bits of round-off skew."""
-    m = _normal_from(_generator(spec.seed), spec.n, real_spectrum=True)
-    return (m + m.conj().T) / 2.0
-
-
-def random_perturbation(spec: EnsembleSpec) -> np.ndarray:
-    """Dense i.i.d. complex Gaussian matrix rescaled to Frobenius norm
-    ``perturbation_scale``; trace_mode zero first projects out the trace
-    (subtract (tr/n) I) so that delta(E) = ||E||_F exactly."""
-    e = _complex_gaussian(_generator(spec.seed), (1, spec.n, spec.n))
-    return _perturbations(e, spec.perturbation_scale, spec.trace_mode)[0]
 
 
 def _draw_cases(kind: str, n: int, seeds, scale: float, trace_mode: str) -> _Cases:

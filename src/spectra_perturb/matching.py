@@ -17,7 +17,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .matrices import as_spectrum
 
-__all__ = ["SpectrumMatch", "optimal_match", "brute_force_match"]
+__all__ = ["BRUTE_FORCE_LIMIT", "SpectrumMatch", "optimal_match", "brute_force_match"]
 
 #: brute_force_match refuses more than this many eigenvalues (8! = 40320).
 BRUTE_FORCE_LIMIT = 8

@@ -16,14 +16,12 @@ import math
 import numpy as np
 
 __all__ = [
+    "STRUCTURE_TOL",
     "as_matrix",
     "as_spectrum",
-    "conjugate_transpose",
     "frobenius_norm",
-    "diagonal_part",
     "strict_lower",
     "strict_upper",
-    "commutator_defect",
     "is_normal",
     "is_hermitian",
     "matrix_to_json",
@@ -62,18 +60,8 @@ def as_spectrum(v, name: str = "spectrum") -> np.ndarray:
     return a
 
 
-def conjugate_transpose(m) -> np.ndarray:
-    return as_matrix(m).conj().T
-
-
 def frobenius_norm(m) -> float:
     return float(np.linalg.norm(as_matrix(m), "fro"))
-
-
-def diagonal_part(m) -> np.ndarray:
-    """The diagonal matrix holding diag(M), off-diagonal entries zero."""
-    m = as_matrix(m)
-    return np.diag(np.diag(m))
 
 
 def strict_lower(m) -> np.ndarray:
@@ -84,11 +72,6 @@ def strict_lower(m) -> np.ndarray:
 def strict_upper(m) -> np.ndarray:
     """Strictly upper triangular part of M (diagonal zeroed)."""
     return np.triu(as_matrix(m), 1)
-
-
-def commutator_defect(m) -> float:
-    """Frobenius norm of M M* - M* M; zero exactly when M is normal."""
-    return float(_commutator_defects(as_matrix(m)[None])[0])
 
 
 # -- stacks -------------------------------------------------------------
@@ -108,6 +91,7 @@ def _fro_norms(m: np.ndarray) -> np.ndarray:
 
 
 def _commutator_defects(m: np.ndarray) -> np.ndarray:
+    """||M M* - M* M||_F of each matrix M of a stack."""
     h = m.conj().transpose(0, 2, 1)
     return _fro_norms(m @ h - h @ m)
 

@@ -48,6 +48,16 @@ def haar_rotated_diagonal(rng: np.random.Generator, n: int, real_spectrum: bool 
     return (q * lam) @ q.conj().T
 
 
+def schur_residuals(m, form):
+    """Unitarity, triangularity and reconstruction residuals of a Schur
+    form of m, as Frobenius norms."""
+    n = m.shape[0]
+    unitarity = np.linalg.norm(form.q.conj().T @ form.q - np.eye(n))
+    triangularity = np.linalg.norm(np.tril(form.t, -1))
+    reconstruction = np.linalg.norm(form.q @ form.t @ form.q.conj().T - m)
+    return unitarity, triangularity, reconstruction
+
+
 @pytest.fixture
 def rng():
     return rng_for(20260816)

@@ -29,6 +29,7 @@ from spectra_perturb import (
     random_case,
     rotated_perturbation,
     rotated_perturbation_residual,
+    schur_decompose,
     sun_delta_lower,
     w_lower,
 )
@@ -54,25 +55,55 @@ def test_make_case_flags():
         make_case([[0.0, 1.0], [0.0, 0.0]], np.zeros((2, 2)))
 
 
-def test_make_case_rejects_wrong_schur():
+def test_make_case_rejects_wrong_schur(rng):
     a = np.diag([1.0, 2.0])
     e = np.zeros((2, 2))
     bogus = SchurForm(q=np.eye(2, dtype=complex), t=np.diag([5.0, 6.0]).astype(complex),
                       eigenvalues=np.array([5.0, 6.0], dtype=complex))
     with pytest.raises(ValueError):
         make_case(a, e, schur=bogus)
+    # a genuine Schur form, but of another matrix
+    a = haar_rotated_diagonal(rng, 4)
+    other = schur_decompose(random_complex(rng, (4, 4)))
+    with pytest.raises(ValueError, match="reconstruct"):
+        make_case(a, random_complex(rng, (4, 4)), schur=other)
+
+
+def _nearly_triangular_pair(lower: float):
+    """(a, e, form): t = diag(4, 3, 2, 1) plus a unit strictly upper part
+    and ``lower * ||t||_F`` at t[3, 0], q = I, a = diag(t), a + e = t."""
+    t = np.diag([4.0, 3.0, 2.0, 1.0]).astype(complex) + np.triu(np.ones((4, 4)), 1)
+    t[3, 0] = lower * np.linalg.norm(t)
+    a = np.diag(np.diag(t))
+    return a, t - a, SchurForm(q=np.eye(4, dtype=complex), t=t, eigenvalues=np.diag(t).copy())
+
+
+def test_make_case_accepts_a_strictly_lower_part_within_tolerance():
+    # under TAU_SCHUR the form passes the check; its strictly lower part
+    # is then dropped, so the stored factor is exactly triangular
+    a, e, form = _nearly_triangular_pair(1e-11)
+    case = make_case(a, e, schur=form)
+    assert np.all(np.tril(case.schur_tilde.t, -1) == 0)
+    assert case.block.sizes == (4,)
+    assert np.array_equal(case.schur_tilde.eigenvalues, [4.0, 3.0, 2.0, 1.0])
+    assert evaluate_all(case).violations == ()
+    a, e, form = _nearly_triangular_pair(1e-9)
+    with pytest.raises(ValueError, match="not upper triangular"):
+        make_case(a, e, schur=form)
 
 
 def test_make_case_reorders_supplied_schur():
-    # supplied form has ascending moduli; the case must come out ordered
+    # supplied form has ascending moduli; the case must come out ordered,
+    # its eigenvalues taken from t (the supplied ones are not read)
     a = np.diag([1.0, 3.0])
     e = np.zeros((2, 2))
     form = SchurForm(q=np.eye(2, dtype=complex), t=np.diag([1.0, 3.0]).astype(complex),
-                     eigenvalues=np.array([1.0, 3.0], dtype=complex))
+                     eigenvalues=np.array([7.0, 8.0], dtype=complex))
     case = make_case(a, e, schur=form)
     lam = case.schur_tilde.eigenvalues
     assert abs(lam[0]) >= abs(lam[1])
     assert abs(lam[0] - 3.0) < 1e-14
+    assert np.array_equal(lam, np.diag(case.schur_tilde.t))
 
 
 def test_case_dimension_property():
@@ -453,7 +484,9 @@ def test_normal_base_mix_uses_the_spectral_norm(rng):
         a = haar_rotated_diagonal(rng, n)
         case = make_case(a, random_complex(rng, (n, n)))
         assert not case.a_is_hermitian
-        st = evaluate_all(case)._stats
+        cases = bounds_module._Cases.of(case)
+        tol_factor = bounds_module.VIOLATION_TOL_FACTOR
+        st = bounds_module._evaluate(cases, cases.hermitian, tol_factor).stats
         expected = min(frobenius_norm(a), math.sqrt(n - 1) * np.linalg.norm(a, 2))
         assert abs(st.mix - expected) <= 1e-12 * expected
 

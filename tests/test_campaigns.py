@@ -2,7 +2,14 @@ import dataclasses
 
 import pytest
 
-from spectra_perturb import KINDS, TRACE_MODES, CampaignConfig, run_campaign, run_trial
+from spectra_perturb import (
+    KINDS,
+    TRACE_MODES,
+    CampaignConfig,
+    EnsembleSpec,
+    run_campaign,
+    run_trial,
+)
 from spectra_perturb import campaigns
 
 
@@ -14,6 +21,15 @@ def test_jobs_give_identical_summaries(kind):
     serial = run_campaign(CampaignConfig(**config, jobs=1))
     parallel = run_campaign(CampaignConfig(**config, jobs=2))
     assert parallel.as_dict() == serial.as_dict()
+
+
+@pytest.mark.parametrize("scale", [-1.0, 0.0, float("nan"), float("inf")])
+def test_perturbation_scale_must_be_finite_and_positive(scale):
+    # a campaign accepts exactly the scales random_case can reproduce
+    with pytest.raises(ValueError, match="perturbation_scale must be finite and positive"):
+        CampaignConfig(trials=1, n_min=3, n_max=3, perturbation_scale=scale)
+    with pytest.raises(ValueError, match="perturbation_scale must be finite and positive"):
+        EnsembleSpec(n=3, perturbation_scale=scale)
 
 
 def _fields(record) -> dict:

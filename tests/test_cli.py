@@ -7,8 +7,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from spectra_perturb import bounds, matrix_from_json, save_matrix
-from spectra_perturb.campaigns import csv_header
+from spectra_perturb import CATALOG_IDS, bounds, matrix_from_json, save_matrix
 from spectra_perturb.cli import REPORT_SCHEMA, SEED_ENV_VAR, main
 
 
@@ -273,9 +272,7 @@ def test_tightness_csv_and_histogram(tmp_path, capsys):
     )
     assert code == 0
     rows = list(csv.reader(out_path.read_text().strip().splitlines()))
-    assert rows[0] == csv_header()
-    assert rows[0][:4] == ["trial", "n", "kind", "d2"]
-    assert rows[0][-1] == "violation"
+    assert rows[0] == ["trial", "n", "kind", "d2", *CATALOG_IDS, "violation"]
     assert len(rows) == 1 + 6
     sizes = [int(r[1]) for r in rows[1:]]
     assert sizes == [3, 4, 5, 3, 4, 5]  # round-robin over the size range

@@ -18,14 +18,9 @@ from spectra_perturb import (
     is_hermitian,
     is_normal,
     random_case,
-    random_hermitian_matrix,
-    random_normal_matrix,
-    random_perturbation,
-    random_unitary,
-    validate_schur_form,
 )
 
-from conftest import haar_rotated_diagonal, random_complex, rng_for
+from conftest import haar_rotated_diagonal, random_complex, rng_for, schur_residuals
 
 
 def test_spec_validation():
@@ -44,12 +39,11 @@ def test_spec_validation():
 
 
 def test_draws_are_bit_reproducible():
-    spec = EnsembleSpec(n=7, kind="normal", trace_mode="generic", seed=123456789)
-    assert np.array_equal(random_normal_matrix(spec), random_normal_matrix(spec))
-    assert np.array_equal(random_perturbation(spec), random_perturbation(spec))
-    c1, c2 = random_case(spec), random_case(spec)
-    assert np.array_equal(c1.a, c2.a) and np.array_equal(c1.e, c2.e)
-    assert np.array_equal(c1.schur_tilde.t, c2.schur_tilde.t)
+    for kind in KINDS:
+        spec = EnsembleSpec(n=7, kind=kind, trace_mode="generic", seed=123456789)
+        c1, c2 = random_case(spec), random_case(spec)
+        assert np.array_equal(c1.a, c2.a) and np.array_equal(c1.e, c2.e)
+        assert np.array_equal(c1.schur_tilde.t, c2.schur_tilde.t)
 
 
 @pytest.mark.parametrize("kind", ["normal", "hermitian"])
@@ -71,49 +65,35 @@ def test_random_case_matches_an_independent_draw(kind):
 
 
 def test_different_seeds_differ():
-    a = random_normal_matrix(EnsembleSpec(n=5, seed=1))
-    b = random_normal_matrix(EnsembleSpec(n=5, seed=2))
-    assert not np.allclose(a, b)
-
-
-def test_random_unitary_properties():
-    u = random_unitary(6, 42)
-    assert np.allclose(u.conj().T @ u, np.eye(6), atol=1e-12)
-    assert np.array_equal(u, random_unitary(6, 42))
-    one = random_unitary(1, 7)
-    assert one.shape == (1, 1)
-    assert abs(abs(one[0, 0]) - 1.0) < 1e-14
-    with pytest.raises(ValueError):
-        random_unitary(0, 3)
-
-
-def test_random_unitary_accepts_generator():
-    rng = np.random.Generator(np.random.Philox(key=np.array([9, 0], dtype=np.uint64)))
-    u1 = random_unitary(4, rng)
-    u2 = random_unitary(4, rng)  # stream advances
-    assert not np.allclose(u1, u2)
+    for kind in KINDS:
+        c1 = random_case(EnsembleSpec(n=5, kind=kind, seed=1))
+        c2 = random_case(EnsembleSpec(n=5, kind=kind, seed=2))
+        assert not np.allclose(c1.a, c2.a)
+        assert not np.allclose(c1.e, c2.e)
 
 
 def test_kind_structure():
     for seed in range(10):
-        m = random_normal_matrix(EnsembleSpec(n=6, kind="normal", seed=seed))
+        m = random_case(EnsembleSpec(n=6, kind="normal", seed=seed)).a
         assert is_normal(m)
-        h = random_hermitian_matrix(EnsembleSpec(n=6, kind="hermitian", seed=seed))
+        h = random_case(EnsembleSpec(n=6, kind="hermitian", seed=seed)).a
         assert np.array_equal(h, h.conj().T)  # exact by construction
         assert is_hermitian(h)
 
 
 def test_perturbation_norm_and_trace_modes():
-    for seed in range(100):
-        spec = EnsembleSpec(n=5, trace_mode="zero", perturbation_scale=0.75, seed=seed)
-        e = random_perturbation(spec)
-        assert abs(frobenius_norm(e) - 0.75) <= 1e-13
-        assert abs(np.trace(e)) <= 1e-12 * frobenius_norm(e)
-        # trace projected out means delta saturates the norm
-        assert abs(delta(e) - frobenius_norm(e)) <= 1e-12
-        g = random_perturbation(EnsembleSpec(n=5, trace_mode="generic", seed=seed))
-        assert abs(frobenius_norm(g) - 1.0) <= 1e-13
-        assert delta(g) < frobenius_norm(g)
+    for kind in KINDS:
+        for seed in range(100):
+            e = random_case(
+                EnsembleSpec(n=5, kind=kind, trace_mode="zero", perturbation_scale=0.75, seed=seed)
+            ).e
+            assert abs(frobenius_norm(e) - 0.75) <= 1e-13
+            assert abs(np.trace(e)) <= 1e-12 * frobenius_norm(e)
+            # trace projected out means delta saturates the norm
+            assert abs(delta(e) - frobenius_norm(e)) <= 1e-12
+            g = random_case(EnsembleSpec(n=5, kind=kind, trace_mode="generic", seed=seed)).e
+            assert abs(frobenius_norm(g) - 1.0) <= 1e-13
+            assert delta(g) < frobenius_norm(g)
 
 
 def test_case_kinds_everything_consistent():
@@ -132,7 +112,10 @@ def test_blocked_cases_have_structure():
         assert case.a_is_normal
         assert case.block.s >= 2
         assert abs(frobenius_norm(case.e) - 1.0) <= 1e-12
-        validate_schur_form(case.schur_tilde, case.a_tilde)
+        form = case.schur_tilde
+        tol = 1e-10 * case.n * max(1.0, frobenius_norm(case.a_tilde))
+        assert all(res <= tol for res in schur_residuals(case.a_tilde, form))
+        assert np.array_equal(form.eigenvalues, np.diag(form.t))
         # the constructed triangular factor really is block triangular:
         # the block count survives re-detection on the stored form
         sizes = case.block.sizes

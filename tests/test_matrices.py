@@ -7,9 +7,6 @@ import pytest
 from spectra_perturb import (
     as_matrix,
     as_spectrum,
-    commutator_defect,
-    conjugate_transpose,
-    diagonal_part,
     frobenius_norm,
     is_hermitian,
     is_normal,
@@ -20,6 +17,7 @@ from spectra_perturb import (
     strict_lower,
     strict_upper,
 )
+from spectra_perturb.matrices import _commutator_defects
 
 from conftest import haar_rotated_diagonal, random_complex
 from oracles import naive_frobenius
@@ -68,29 +66,21 @@ def test_frobenius_norm_known_value():
 
 def test_triangular_parts_partition(rng):
     m = random_complex(rng, (6, 6))
-    recombined = strict_lower(m) + diagonal_part(m) + strict_upper(m)
+    recombined = strict_lower(m) + np.diag(np.diag(m)) + strict_upper(m)
     assert np.array_equal(recombined, as_matrix(m))
     assert np.all(strict_lower(m)[np.triu_indices(6)] == 0)
     assert np.all(strict_upper(m)[np.tril_indices(6)] == 0)
 
 
-def test_conjugate_transpose():
-    m = as_matrix([[1j, 2], [3, 4j]])
-    mh = conjugate_transpose(m)
-    assert mh[0, 0] == -1j
-    assert mh[0, 1] == 3
-    assert mh[1, 0] == 2
-
-
 def test_commutator_defect_zero_for_normal(rng):
     a = haar_rotated_diagonal(rng, 5)
-    assert commutator_defect(a) <= 1e-12 * max(1.0, frobenius_norm(a) ** 2)
+    assert _commutator_defects(a[None])[0] <= 1e-12 * max(1.0, frobenius_norm(a) ** 2)
 
 
 def test_commutator_defect_positive_for_jordan_block():
-    m = [[0, 1], [0, 0]]
+    m = np.array([[[0, 1], [0, 0]]], dtype=complex)
     # [M, M*] = diag(1, -1)
-    assert abs(commutator_defect(m) - math.sqrt(2)) < 1e-15
+    assert abs(_commutator_defects(m)[0] - math.sqrt(2)) < 1e-15
 
 
 def test_is_normal_and_is_hermitian(rng):
