@@ -10,17 +10,20 @@ as CSV with one fixed column per catalog id.
 
 Trials run in chunks: the trials of one matrix size, a bounded number
 of them, are drawn, evaluated and checked as stacked arrays (see
-:mod:`spectra_perturb.bounds`).  A trial's record does not
-depend on the chunk it ran in, so :func:`run_trial` (a chunk of one)
-reproduces any record of a campaign, and summaries are byte-identical
-for any ``jobs``.
+:mod:`spectra_perturb.bounds`), and the summary is folded from each
+chunk's arrays; per-trial records are built only when asked for.  A
+trial's results do not depend on the chunk it ran in, so
+:func:`run_trial` (a chunk of one) reproduces any record of a campaign,
+and summaries are byte-identical for any ``jobs``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 from concurrent.futures import ProcessPoolExecutor
+import dataclasses
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -34,7 +37,14 @@ from .bounds import (
     _check_tol_factor,
     _evaluate,
 )
-from .ensembles import KINDS, TRACE_MODES, _check_perturbation_scale, _draw_cases, derive_trial_seed
+from .ensembles import (
+    KINDS,
+    TRACE_MODES,
+    _check_integer,
+    _check_perturbation_scale,
+    _draw_cases,
+    derive_trial_seed,
+)
 
 __all__ = [
     "ORDERING_PAIRS",
@@ -55,6 +65,17 @@ ORDERING_PAIRS = (
     ("eq_3_5f", "eq_1_7"),
 )
 
+# (smaller, larger): the comparisons of a Hermitian base; "triangle" is
+# ||E||_F + excess
+_HERMITIAN_AT_MOST = (
+    ("eq_4_6a", "eq_1_6"),
+    ("eq_4_6b", "eq_1_8"),
+    ("eq_4_6c", "eq_1_9"),
+    ("eq_4_6c", "eq_1_6"),
+    ("eq_4_6b", "triangle"),
+    ("eq_4_6c", "triangle"),
+)
+
 _SAMPLE_CAP = 20
 
 # Most trials, and most matrix entries per stacked array, evaluated as
@@ -64,9 +85,9 @@ _CHUNK_CAP = 128
 _CHUNK_ENTRIES = 1 << 16
 
 _COLUMN = {bid: col for col, bid in enumerate(CATALOG_IDS)}
+_D2_COLUMNS = [_COLUMN[bid] for bid in D2_BOUND_IDS]
 # the distance bounds in alphabetical order of id, for the winner's ties
-_WINNER_IDS = tuple(sorted(D2_BOUND_IDS))
-_WINNER_COLUMNS = [_COLUMN[bid] for bid in _WINNER_IDS]
+_WINNER_COLUMNS = np.array([_COLUMN[bid] for bid in sorted(D2_BOUND_IDS)])
 
 
 @dataclass(frozen=True)
@@ -85,18 +106,17 @@ class CampaignConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if not (2 <= self.n_min <= self.n_max):
-            raise ValueError("need 2 <= n_min <= n_max")
+        _check_integer("trials", self.trials, 1)
+        _check_integer("n_min", self.n_min, 2)
+        _check_integer("n_max", self.n_max, self.n_min)
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.trace_mode not in TRACE_MODES:
             raise ValueError(f"trace_mode must be one of {TRACE_MODES}")
+        _check_integer("seed", self.seed)
         _check_perturbation_scale(self.perturbation_scale)
         _check_tol_factor(self.tol_factor)
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
+        _check_integer("jobs", self.jobs, 1)
 
     def trial_size(self, index: int) -> int:
         return self.n_min + index % (self.n_max - self.n_min + 1)
@@ -104,9 +124,11 @@ class CampaignConfig:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """Everything retained from one trial: the catalog values, the ids
-    that violated domination, failed invariant checks (as messages), the
-    winning bound, and strictness data for the ordering statistics."""
+    """Everything kept of one trial, built only when asked for: the
+    catalog values (None where not applicable), the ids that violated
+    domination, failed invariant checks (as messages) and the winning
+    bound.  The summary reads the chunk arrays instead, so the former
+    ``strict_orderings`` and ``trace_nonzero`` fields are gone."""
 
     trial: int
     n: int
@@ -119,18 +141,33 @@ class TrialRecord:
     violation_ids: tuple
     check_failures: tuple
     winner: str
-    trace_nonzero: bool
-    strict_orderings: dict
 
 
-def _failures_where(failures: list, flags: np.ndarray, message) -> None:
-    """Append ``message(i)`` to the failure list of every trial i of a
-    chunk whose flag is set, so each trial keeps the order of checks."""
-    for i in np.flatnonzero(flags):
-        failures[i].append(message(i))
+@dataclass(frozen=True)
+class _Chunk:
+    """The per-trial rows of one chunk (row i is trial ``trials[i]``),
+    small enough to send back from a worker.  ``winner`` is a catalog
+    column (-1 where no distance bound applied), ``strict`` flags the
+    ordering pairs that held strictly, and ``failures`` lists
+    ``(row, message)`` in trial-then-check order."""
+
+    kind: str
+    n: int
+    trials: range
+    values: np.ndarray
+    applicable: np.ndarray
+    violated: np.ndarray
+    d2: np.ndarray
+    d_inf: np.ndarray
+    e_norm: np.ndarray
+    excess: np.ndarray
+    winner: np.ndarray
+    strict: np.ndarray
+    trace_nonzero: np.ndarray
+    failures: list
 
 
-def _run_chunk(config: CampaignConfig, indices: range) -> list[TrialRecord]:
+def _run_chunk(config: CampaignConfig, indices: range) -> _Chunk:
     """Execute trials of one size as one stack and run every per-trial
     check on the whole chunk."""
     n = config.trial_size(indices[0])
@@ -140,129 +177,109 @@ def _run_chunk(config: CampaignConfig, indices: range) -> list[TrialRecord]:
         ev = _evaluate(cases, cases.hermitian, config.tol_factor)
     except NumericalConsistencyError as exc:
         raise NumericalConsistencyError(f"trial {indices[exc.entry]}: {exc}") from exc
-    st = ev.stats
-    values = ev.values
-    # Python floats, so that messages and records hold plain numbers
-    pick = {bid: values[:, col].tolist() for col, bid in enumerate(CATALOG_IDS)}
-    d2, d_inf = ev.d2.tolist(), ev.d_inf.tolist()
-    e_norm, excess = st.e_norm.tolist(), st.excess.tolist()
-    failures: list[list[str]] = [[] for _ in indices]
-    strict: list[dict[str, bool]] = [{} for _ in indices]
+    st, values = ev.stats, ev.values
 
-    _failures_where(
-        failures,
-        ev.d_inf > ev.d2 + 1e-12 * (1.0 + ev.d2),
-        lambda i: f"metric: d_inf={d_inf[i]!r} exceeds d2={d2[i]!r}",
-    )
-    for sharp_id, base_id in ORDERING_PAIRS:
+    # (flags, message, operands) per check, in the order a trial reports
+    # them; the message shows each operand's value with %r
+    checks = [(ev.d_inf > ev.d2 + 1e-12 * (1.0 + ev.d2), "metric: d_inf=%r exceeds d2=%r", (ev.d_inf, ev.d2))]
+    strict = np.empty((len(indices), len(ORDERING_PAIRS)), dtype=bool)
+    for p, (sharp_id, base_id) in enumerate(ORDERING_PAIRS):
         sharp, base = values[:, _COLUMN[sharp_id]], values[:, _COLUMN[base_id]]
         present = ev.applicable[:, _COLUMN[sharp_id]] & ev.applicable[:, _COLUMN[base_id]]
         tol = 1e-12 * np.maximum(1.0, np.abs(base))
-        _failures_where(
-            failures,
-            present & (sharp > base + tol),
-            lambda i: f"ordering: {sharp_id}={pick[sharp_id][i]!r} exceeds {base_id}={pick[base_id][i]!r}",
-        )
-        for i, was_strict in zip(np.flatnonzero(present), (sharp < base - tol)[present].tolist()):
-            strict[i][f"{sharp_id}<{base_id}"] = was_strict
-
-    lower, upper = pick["sun_3_7"], pick["henrici_3_6"]
+        message = f"ordering: {sharp_id}=%r exceeds {base_id}=%r"
+        checks.append((present & (sharp > base + tol), message, (sharp, base)))
+        strict[:, p] = present & (sharp < base - tol)
+    lower, upper, excess = values[:, _COLUMN["sun_3_7"]], values[:, _COLUMN["henrici_3_6"]], st.excess
     slack = 1e-9 * np.maximum(1.0, st.tilde_norm)
-    _failures_where(
-        failures,
-        values[:, _COLUMN["sun_3_7"]] > st.excess + slack,
-        lambda i: f"sandwich: lower estimate {lower[i]!r} exceeds excess {excess[i]!r}",
-    )
-    _failures_where(
-        failures,
-        values[:, _COLUMN["henrici_3_6"]] < st.excess - slack,
-        lambda i: f"sandwich: upper estimate {upper[i]!r} is below excess {excess[i]!r}",
-    )
-    if cases.hermitian.any():
-        _check_hermitian(ev, cases.hermitian, pick, failures)
+    checks += [
+        (lower > excess + slack, "sandwich: lower estimate %r exceeds excess %r", (lower, excess)),
+        (upper < excess - slack, "sandwich: upper estimate %r is below excess %r", (upper, excess)),
+        *_hermitian_checks(ev, cases.hermitian),
+    ]
+    failures = []
+    for i, c in np.argwhere(np.stack([flags for flags, _, _ in checks], axis=1)).tolist():
+        _, message, operands = checks[c]
+        failures.append((i, message % tuple(float(x[i]) for x in operands)))
 
     # the winner is min((value, id)) over applicable distance bounds:
     # the smallest value, ties to the alphabetically first id
     ranked = np.where(ev.applicable[:, _WINNER_COLUMNS], values[:, _WINNER_COLUMNS], np.inf)
-    best = np.argmin(ranked, axis=1)
-    has_winner = np.isfinite(ranked[np.arange(len(best)), best])
-    winners = [_WINNER_IDS[j] if ok else "" for j, ok in zip(best.tolist(), has_winner.tolist())]
-
-    trace_nonzero = (st.e_trace > 1e-12 * np.maximum(1.0, st.e_norm)).tolist()
-    rows = values.astype(object)
-    rows[~ev.applicable] = None
-    violations = [()] * len(indices)
-    for i in np.flatnonzero(ev.violated.any(axis=1)):
-        violations[i] = tuple(CATALOG_IDS[j] for j in np.flatnonzero(ev.violated[i]))
-    records = []
-    for i, trial in enumerate(indices):
-        records.append(
-            TrialRecord(
-                trial=trial,
-                n=n,
-                kind=config.kind,
-                d2=d2[i],
-                d_inf=d_inf[i],
-                e_norm=e_norm[i],
-                excess=excess[i],
-                values=dict(zip(CATALOG_IDS, rows[i].tolist())),
-                violation_ids=violations[i],
-                check_failures=tuple(failures[i]),
-                winner=winners[i],
-                trace_nonzero=trace_nonzero[i],
-                strict_orderings=strict[i],
-            )
-        )
-    return records
-
-
-def _check_hermitian(ev, hermitian: np.ndarray, pick: dict, failures: list) -> None:
-    """The comparisons specific to a Hermitian base, on the trials of a
-    chunk whose A is Hermitian."""
-    st = ev.stats
-    # tolerance matches the exact-arithmetic nature of these comparisons
-    tol = 1e-12 * np.maximum(np.maximum(1.0, st.e_norm), st.excess)
-    excess = st.excess.tolist()
-
-    def entry(bid):
-        # (values, where checked, values as Python floats, label)
-        col = _COLUMN[bid]
-        return ev.values[:, col], hermitian & ev.applicable[:, col], pick[bid], bid
-
-    def at_most(small, large):
-        (v, on, shown, label), (w, w_on, w_shown, w_label) = small, large
-        _failures_where(
-            failures,
-            on & w_on & (v > w + tol),
-            lambda i: f"hermitian: {label}={shown[i]!r} exceeds {w_label}={w_shown[i]!r}",
-        )
-
-    sum_bound = st.e_norm + st.excess
-    triangle = (sum_bound, hermitian, sum_bound.tolist(), "triangle")
-    at_most(entry("eq_4_6a"), entry("eq_1_6"))
-    at_most(entry("eq_4_6b"), entry("eq_1_8"))
-    at_most(entry("eq_4_6c"), entry("eq_1_9"))
-    at_most(entry("eq_4_6c"), entry("eq_1_6"))
-    at_most(entry("eq_4_6b"), triangle)
-    at_most(entry("eq_4_6c"), triangle)
-    skew = entry("thm_4_3_a"), entry("thm_4_3_b")
-    for v, on, shown, label in skew:
-        _failures_where(
-            failures,
-            on & (v < st.excess - tol),
-            lambda i: f"hermitian: {label}={shown[i]!r} is below excess {excess[i]!r}",
-        )
-    (va, a_on, a_shown, _), (vb, b_on, b_shown, _) = skew
-    _failures_where(
-        failures,
-        a_on & b_on & (np.abs(va - vb) > tol),
-        lambda i: f"hermitian: thm_4_3 variants differ: {a_shown[i]!r} vs {b_shown[i]!r}",
+    winner = np.where(np.isfinite(ranked.min(axis=1)), _WINNER_COLUMNS[np.argmin(ranked, axis=1)], -1)
+    return _Chunk(
+        kind=config.kind,
+        n=n,
+        trials=indices,
+        values=values,
+        applicable=ev.applicable,
+        violated=ev.violated,
+        d2=ev.d2,
+        d_inf=ev.d_inf,
+        e_norm=st.e_norm,
+        excess=st.excess,
+        winner=winner,
+        strict=strict,
+        trace_nonzero=st.e_trace > 1e-12 * np.maximum(1.0, st.e_norm),
+        failures=failures,
     )
+
+
+def _hermitian_checks(ev, hermitian: np.ndarray) -> list:
+    """The comparisons specific to a Hermitian base, flagged only on the
+    trials of a chunk whose A is Hermitian."""
+    e_norm, excess = ev.stats.e_norm, ev.stats.excess
+    # tolerance matches the exact-arithmetic nature of these comparisons
+    tol = 1e-12 * np.maximum(np.maximum(1.0, e_norm), excess)
+
+    def entry(label):
+        # (values, where checked)
+        if label == "triangle":
+            return e_norm + excess, hermitian
+        col = _COLUMN[label]
+        return ev.values[:, col], hermitian & ev.applicable[:, col]
+
+    checks = []
+    for small, large in _HERMITIAN_AT_MOST:
+        (v, on), (w, w_on) = entry(small), entry(large)
+        checks.append((on & w_on & (v > w + tol), f"hermitian: {small}=%r exceeds {large}=%r", (v, w)))
+    (va, a_on), (vb, b_on) = skew = entry("thm_4_3_a"), entry("thm_4_3_b")
+    for label, (v, on) in zip(("thm_4_3_a", "thm_4_3_b"), skew):
+        checks.append((on & (v < excess - tol), f"hermitian: {label}=%r is below excess %r", (v, excess)))
+    differ = a_on & b_on & (np.abs(va - vb) > tol)
+    checks.append((differ, "hermitian: thm_4_3 variants differ: %r vs %r", (va, vb)))
+    return checks
+
+
+def _records(chunk: _Chunk) -> list[TrialRecord]:
+    """One record per trial of a chunk, in trial order."""
+    rows = chunk.values.astype(object)
+    rows[~chunk.applicable] = None
+    failures: list[list[str]] = [[] for _ in chunk.trials]
+    for i, message in chunk.failures:
+        failures[i].append(message)
+    columns = (chunk.d2, chunk.d_inf, chunk.e_norm, chunk.excess, chunk.winner, chunk.violated, rows)
+    d2, d_inf, e_norm, excess, winner, violated, rows = (a.tolist() for a in columns)
+    return [
+        TrialRecord(
+            trial=trial,
+            n=chunk.n,
+            kind=chunk.kind,
+            d2=d2[i],
+            d_inf=d_inf[i],
+            e_norm=e_norm[i],
+            excess=excess[i],
+            values=dict(zip(CATALOG_IDS, rows[i])),
+            violation_ids=tuple(itertools.compress(CATALOG_IDS, violated[i])),
+            check_failures=tuple(failures[i]),
+            winner=CATALOG_IDS[winner[i]] if winner[i] >= 0 else "",
+        )
+        for i, trial in enumerate(chunk.trials)
+    ]
 
 
 def run_trial(config: CampaignConfig, index: int) -> TrialRecord:
     """Execute one seeded trial and run every per-trial check."""
-    return _run_chunk(config, range(index, index + 1))[0]
+    return _records(_run_chunk(config, range(index, index + 1)))[0]
 
 
 @dataclass(frozen=True)
@@ -293,72 +310,60 @@ class CampaignSummary:
         return self.violation_count == 0 and self.check_failure_count == 0
 
     def as_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "n_min": self.n_min,
-            "n_max": self.n_max,
-            "kind": self.kind,
-            "trace_mode": self.trace_mode,
-            "seed": self.seed,
-            "wins": dict(self.wins),
-            "max_slack": dict(self.max_slack),
-            "violation_count": self.violation_count,
-            "violation_samples": list(self.violation_samples),
-            "check_failure_count": self.check_failure_count,
-            "check_failure_samples": list(self.check_failure_samples),
-            "ordering": dict(self.ordering),
-        }
+        """The fields as a fresh dict, the sample tuples as lists."""
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in dataclasses.asdict(self).items()}
 
 
-def _summarize(config: CampaignConfig, records: Iterable[TrialRecord]) -> CampaignSummary:
-    wins = {bid: 0 for bid in D2_BOUND_IDS}
-    max_slack: dict = {bid: None for bid in D2_BOUND_IDS}
-    violation_count = 0
+def _merge_samples(samples: list, chunk: _Chunk, rows: Iterable[tuple[int, dict]]) -> list:
+    """The first _SAMPLE_CAP samples by trial, of ``samples`` and of the
+    ``(row, sample)`` pairs of a chunk; the stable sort keeps the order
+    of a trial's own samples."""
+    new = [{"trial": chunk.trials[i], **sample} for i, sample in itertools.islice(rows, _SAMPLE_CAP)]
+    return sorted(samples + new, key=lambda s: s["trial"])[:_SAMPLE_CAP]
+
+
+def _fold(config: CampaignConfig, chunks: Iterable[_Chunk], records: list | None) -> CampaignSummary:
+    """Fold the chunks, in any order, into the campaign summary, and
+    append each chunk's records to ``records`` unless it is None."""
+    trials = 0
+    wins = np.zeros(len(CATALOG_IDS), dtype=np.int64)
+    max_slack = np.full(len(_D2_COLUMNS), -np.inf)
+    violation_count = failure_count = nonzero_trace = 0
     violation_samples: list = []
-    failure_count = 0
     failure_samples: list = []
-    strict_counts = {f"{a}<{b}": 0 for a, b in ORDERING_PAIRS}
-    nonzero_trace = 0
-    total = 0
+    strict = np.zeros(len(ORDERING_PAIRS), dtype=np.int64)
 
-    for rec in records:
-        total += 1
-        if rec.winner:
-            wins[rec.winner] += 1
-        for bid in D2_BOUND_IDS:
-            v = rec.values[bid]
-            if v is None:
-                continue
-            slack = v - rec.d2
-            if max_slack[bid] is None or slack > max_slack[bid]:
-                max_slack[bid] = slack
-        violation_count += len(rec.violation_ids)
-        for bid in rec.violation_ids:
-            if len(violation_samples) < _SAMPLE_CAP:
-                violation_samples.append({"trial": rec.trial, "id": bid, "d2": rec.d2})
-        failure_count += len(rec.check_failures)
-        for msg in rec.check_failures:
-            if len(failure_samples) < _SAMPLE_CAP:
-                failure_samples.append({"trial": rec.trial, "message": msg})
-        if rec.trace_nonzero:
-            nonzero_trace += 1
-            for key, was_strict in rec.strict_orderings.items():
-                if was_strict:
-                    strict_counts[key] += 1
+    for chunk in chunks:
+        trials += len(chunk.trials)
+        wins += np.bincount(chunk.winner[chunk.winner >= 0], minlength=len(CATALOG_IDS))
+        slack = chunk.values[:, _D2_COLUMNS] - chunk.d2[:, None]
+        slack = np.where(chunk.applicable[:, _D2_COLUMNS], slack, -np.inf)
+        max_slack = np.maximum(max_slack, slack.max(axis=0))
+        violated = np.argwhere(chunk.violated).tolist()
+        violation_count += len(violated)
+        violation_samples = _merge_samples(
+            violation_samples, chunk, ((i, {"id": CATALOG_IDS[j], "d2": float(chunk.d2[i])}) for i, j in violated)
+        )
+        failure_count += len(chunk.failures)
+        failure_samples = _merge_samples(failure_samples, chunk, ((i, {"message": m}) for i, m in chunk.failures))
+        nonzero_trace += int(chunk.trace_nonzero.sum())
+        strict += chunk.strict[chunk.trace_nonzero].sum(axis=0)
+        if records is not None:
+            records.extend(_records(chunk))
 
-    if sum(wins.values()) != total:
+    if wins.sum() != trials:
         raise AssertionError("tightness wins do not sum to the trial count")
     ordering = {"nonzero_trace_trials": nonzero_trace}
-    ordering.update(strict_counts)
+    ordering.update((f"{a}<{b}", int(count)) for (a, b), count in zip(ORDERING_PAIRS, strict))
     return CampaignSummary(
-        trials=total,
+        trials=trials,
         n_min=config.n_min,
         n_max=config.n_max,
         kind=config.kind,
         trace_mode=config.trace_mode,
         seed=config.seed,
-        wins=wins,
-        max_slack=max_slack,
+        wins={bid: int(wins[col]) for bid, col in zip(D2_BOUND_IDS, _D2_COLUMNS)},
+        max_slack={bid: None if s == -np.inf else float(s) for bid, s in zip(D2_BOUND_IDS, max_slack)},
         violation_count=violation_count,
         violation_samples=tuple(violation_samples),
         check_failure_count=failure_count,
@@ -387,33 +392,21 @@ def run_campaign(
     """Run all trials (in processes when jobs > 1) and aggregate.
 
     Trials of one size are evaluated together as stacked arrays, in
-    chunks of a fixed maximum size; with jobs > 1 the chunks are shared
-    among the worker processes.  Per-trial seeds depend only on (seed,
-    index), a trial's results do not depend on the chunk it ran in, and
-    aggregation walks records in index order, so the summary is
-    identical for any jobs value.  ``collect_records=True`` also returns
-    the per-trial rows in index order, e.g. for CSV dumps.
+    chunks of a fixed maximum size, shared among the worker processes
+    when jobs > 1.  Each chunk is folded into the summary as it arrives,
+    in any order, and then dropped, so memory does not grow with the
+    trial count, and the summary is identical for any jobs value.
+    ``collect_records=True`` also returns every per-trial record, in
+    index order, e.g. for CSV dumps; these do grow with the trial count.
     """
-    chunks = _chunks(config)
-    if config.jobs == 1:
-        results = map(_run_chunk, itertools.repeat(config), chunks)
-        records = _in_index_order(config.trials, results)
-    else:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            results = pool.map(_run_chunk, itertools.repeat(config), chunks)
-            records = _in_index_order(config.trials, results)
-    summary = _summarize(config, records)
-    if collect_records:
-        return summary, records
-    return summary
-
-
-def _in_index_order(trials: int, results: Iterable[list[TrialRecord]]) -> list[TrialRecord]:
-    records: list = [None] * trials
-    for chunk in results:
-        for rec in chunk:
-            records[rec.trial] = rec
-    return records
+    records: list[TrialRecord] | None = [] if collect_records else None
+    with ProcessPoolExecutor(config.jobs) if config.jobs > 1 else contextlib.nullcontext() as pool:
+        chunks = (pool.map if pool else map)(_run_chunk, itertools.repeat(config), _chunks(config))
+        summary = _fold(config, chunks, records)
+    if records is None:
+        return summary
+    records.sort(key=lambda rec: rec.trial)
+    return summary, records
 
 
 # ---------------------------------------------------------------------------

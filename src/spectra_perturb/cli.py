@@ -146,10 +146,8 @@ def _cmd_bounds(args) -> int:
         e = load_matrix(args.e)
     except (OSError, ValueError) as exc:
         raise _InputError(f"cannot load matrices: {exc}") from exc
-    if a.shape != e.shape:
-        raise _InputError(f"dimension mismatch: A is {a.shape[0]} x {a.shape[0]}, E is {e.shape[0]} x {e.shape[0]}")
     load_ms = (time.perf_counter() - t0) * 1000.0
-    # make_case refuses a non-normal A with a ValueError, reported by main
+    # make_case refuses mismatched shapes or a non-normal A; main reports its ValueError
     case = make_case(a, e)
     if args.hermitian and not case.a_is_hermitian:
         raise _InputError("--hermitian was given but matrix A is not Hermitian at tolerance")

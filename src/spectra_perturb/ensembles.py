@@ -42,6 +42,13 @@ def _check_perturbation_scale(scale) -> None:
         raise ValueError(f"perturbation_scale must be finite and positive, got {scale!r}")
 
 
+def _check_integer(name: str, value, least: int | None = None) -> None:
+    """Refuse a non-integer (bool included) or one below ``least``."""
+    if isinstance(value, bool) or not isinstance(value, int) or (least is not None and value < least):
+        at_least = "" if least is None else f" >= {least}"
+        raise ValueError(f"{name} must be an integer{at_least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class EnsembleSpec:
     """Parameters of one random draw: size, matrix kind, perturbation
@@ -55,15 +62,13 @@ class EnsembleSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 2:
-            raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
+        _check_integer("n", self.n, 2)
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         _check_perturbation_scale(self.perturbation_scale)
         if self.trace_mode not in TRACE_MODES:
             raise ValueError(f"trace_mode must be one of {TRACE_MODES}, got {self.trace_mode!r}")
-        if not isinstance(self.seed, int):
-            raise ValueError("seed must be an integer")
+        _check_integer("seed", self.seed)
 
 
 class _Stream:

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import pytest
 
@@ -10,7 +11,8 @@ from spectra_perturb import (
     run_campaign,
     run_trial,
 )
-from spectra_perturb import campaigns
+from spectra_perturb import bounds, campaigns
+from spectra_perturb.bounds import D2_BOUND_IDS
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -30,6 +32,24 @@ def test_perturbation_scale_must_be_finite_and_positive(scale):
         CampaignConfig(trials=1, n_min=3, n_max=3, perturbation_scale=scale)
     with pytest.raises(ValueError, match="perturbation_scale must be finite and positive"):
         EnsembleSpec(n=3, perturbation_scale=scale)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("trials", 2.5), ("n_min", 2.5), ("n_max", 3.5), ("seed", 1.5), ("jobs", 1.5), ("trials", True)],
+)
+def test_campaign_integers_must_be_integers(field, value):
+    # a float that compares like an integer would otherwise fail deep
+    # inside the run, or (jobs) pass unnoticed
+    config = dict(trials=3, n_min=3, n_max=4, seed=0, jobs=1) | {field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        CampaignConfig(**config)
+
+
+@pytest.mark.parametrize("field, value", [("n", 3.0), ("seed", 1.5)])
+def test_ensemble_integers_must_be_integers(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        EnsembleSpec(**{"n": 3, field: value})
 
 
 def _fields(record) -> dict:
@@ -102,3 +122,83 @@ def test_campaign_counts_match_golden_values(kind):
     assert summary.ordering == {"nonzero_trace_trials": 220, **ordering}
     assert summary.violation_count == 0
     assert summary.check_failure_count == 0
+
+
+def _fold_records(records) -> dict:
+    """The summary keys a record-by-record walk can rebuild: the oracle
+    for the campaign's fold of the chunk arrays."""
+    wins = {bid: 0 for bid in D2_BOUND_IDS}
+    max_slack: dict = {bid: None for bid in D2_BOUND_IDS}
+    violation_count = failure_count = 0
+    violation_samples: list = []
+    failure_samples: list = []
+    for rec in records:
+        if rec.winner:
+            wins[rec.winner] += 1
+        for bid in D2_BOUND_IDS:
+            v = rec.values[bid]
+            if v is not None and (max_slack[bid] is None or v - rec.d2 > max_slack[bid]):
+                max_slack[bid] = v - rec.d2
+        violation_count += len(rec.violation_ids)
+        for bid in rec.violation_ids:
+            if len(violation_samples) < campaigns._SAMPLE_CAP:
+                violation_samples.append({"trial": rec.trial, "id": bid, "d2": rec.d2})
+        failure_count += len(rec.check_failures)
+        for msg in rec.check_failures:
+            if len(failure_samples) < campaigns._SAMPLE_CAP:
+                failure_samples.append({"trial": rec.trial, "message": msg})
+    return {
+        "trials": len(records),
+        "wins": wins,
+        "max_slack": max_slack,
+        "violation_count": violation_count,
+        "violation_samples": violation_samples,
+        "check_failure_count": failure_count,
+        "check_failure_samples": failure_samples,
+    }
+
+
+@pytest.mark.parametrize("d2_factor", [1.0, 1.5, 0.5])
+@pytest.mark.parametrize("kind", KINDS)
+def test_summary_equals_a_record_by_record_fold(kind, d2_factor, monkeypatch):
+    # d2 scaled by 1.5 makes bounds fall below it (violations); by 0.5,
+    # d_inf exceeds it (check failures).  Chunks of 3 trials cut every
+    # size into 8 chunks, which arrive in size order, not trial order, so
+    # the capped samples must be merged across chunks by trial.
+    original = bounds.optimal_match
+
+    def scaled(*args, **kwargs):
+        match = original(*args, **kwargs)
+        return dataclasses.replace(match, d2=match.d2 * d2_factor)
+
+    monkeypatch.setattr(bounds, "optimal_match", scaled)
+    monkeypatch.setattr(campaigns, "_CHUNK_CAP", 3)
+    config = CampaignConfig(trials=11 * 24, n_min=2, n_max=12, kind=kind, seed=5)
+    assert all(len(chunk) == 3 for chunk in campaigns._chunks(config))
+    summary = run_campaign(config)
+    collected, records = run_campaign(config, collect_records=True)
+    assert repr(collected) == repr(summary)
+    folded = {key: summary.as_dict()[key] for key in _fold_records([])}
+    assert repr(folded) == repr(_fold_records(records))
+    if d2_factor == 1.5:
+        assert summary.violation_count > campaigns._SAMPLE_CAP
+    if d2_factor == 0.5:
+        assert summary.check_failure_count > campaigns._SAMPLE_CAP
+
+
+def _peak_bytes(trials: int) -> int:
+    tracemalloc.start()
+    try:
+        run_campaign(CampaignConfig(trials=trials, n_min=2, n_max=4, seed=3))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_does_not_grow_with_the_trial_count():
+    # both counts cut every size into full 128-trial chunks; a campaign
+    # that kept a record per trial would peak about 6x higher at 6,144
+    assert campaigns._CHUNK_CAP == 128
+    run_campaign(CampaignConfig(trials=3, n_min=2, n_max=4))
+    small, large = _peak_bytes(768), _peak_bytes(6144)
+    assert large <= 1.25 * small, (small, large)
