@@ -15,6 +15,23 @@ and the assignment for ``d2`` run matrix by matrix.  Campaigns feed the
 core whole stacks; :func:`make_case` and :func:`evaluate_all` are
 stacks of one, and give the same bits case by case.
 
+The catalog is written as the paper's table.  Each of the 27 distance
+bounds is a row ``(id, family, requires_hermitian, shape, constant,
+scale)``: one of five shapes, evaluated in its family's constant c and a
+scale x (||E||_F, delta(E), delta(A) or the mix of ||A||_F and the
+spectral norm of A), with Delta the triangular excess:
+
+======  ========================================
+norm    sqrt(1 + c) ||E||_F
+square  sqrt(||E||_F^2 + c x^2)
+cross   sqrt(||E||_F^2 + sqrt(1 + c) x Delta)
+plus    sqrt(||E||_F^2 + 2 x Delta + Delta^2)
+minus   sqrt(||E||_F^2 + 2 sqrt(c) x Delta - Delta^2)
+======  ========================================
+
+Only the four excess estimates have formulas of their own.  The
+Hermitian-only entries run exactly on the cases whose A is Hermitian.
+
 Catalog entries carry stable string ids (``eq_1_4`` ... ``thm_4_3_b``)
 used by the command-line tools and by campaign CSV columns.  The ids are
 wire-format identifiers; treat them as opaque.
@@ -22,8 +39,10 @@ wire-format identifiers; treat them as opaque.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -291,13 +310,12 @@ class _Stats:
     case arrays.  ``lam_a`` is the spectrum of A from one eigensolve
     (``eigvalsh`` for a Hermitian A, ``eigvals`` otherwise); since A is
     normal, its spectral norm is max |lam_a|.  ``rank`` (the numerical
-    rank of A + E) is computed only for the cases whose Hermitian
-    entries run (``hermitian``), and is 0 elsewhere."""
+    rank of A + E) is computed only for the cases with a Hermitian A,
+    whose Hermitian-only entries run, and is 0 elsewhere."""
 
     __slots__ = (
         "cases",
         "n",
-        "hermitian",
         "lam_a",
         "e_norm",
         "e2",
@@ -316,7 +334,7 @@ class _Stats:
         "scale",
     )
 
-    def __init__(self, cases: _Cases, hermitian: np.ndarray):
+    def __init__(self, cases: _Cases):
         n = cases.n
         e_norm = _fro_norms(cases.e)
         a_norm = _fro_norms(cases.a)
@@ -335,7 +353,6 @@ class _Stats:
                 radius[rows] = np.abs(lam).max(axis=1)
         self.cases = cases
         self.n = n
-        self.hermitian = hermitian
         self.lam_a = lam_a
         self.e_norm = e_norm
         self.e2 = _square(e_norm)
@@ -351,15 +368,13 @@ class _Stats:
         self.defect = _commutator_defects(cases.a_tilde)
         self.tilde_is_normal = _is_normal(self.defect, tilde_norm)
         self.rank = np.zeros(len(lam_a), dtype=int)
-        if hermitian.any():
-            self.rank[hermitian] = _ranks(cases.a_tilde[hermitian])
+        if cases.hermitian.any():
+            self.rank[cases.hermitian] = _ranks(cases.a_tilde[cases.hermitian])
         self.scale = 1.0 + self.e2 + _square(excess)
 
 
 # ---------------------------------------------------------------------------
 # catalog
-
-SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -370,137 +385,134 @@ class _Entry:
     depends_on_schur_choice: bool
 
 
-# Applicability predicates and value functions work on a whole stack:
-# a predicate returns one flag per case, a value
-# function ``(st, on, context)`` one value per case, where ``on`` flags
-# the cases whose value is reported and ``context`` is the entry id.
-
-
-def _always(st: _Stats):
-    return np.ones(st.e_norm.shape, dtype=bool)
-
-
-def _tilde_normal(st: _Stats):
-    return st.tilde_is_normal
-
-
-def _tilde_nonzero(st: _Stats):
-    return st.tilde_norm > 0.0
-
-
-def _plain(fn):
-    return lambda st, on, context: fn(st)
-
-
-def _root(extra):
-    """The value sqrt(||E||_F^2 + extra(st)); a radicand negative beyond
-    round-off is an error only where the entry applies."""
-    return lambda st, on, context: _safe_sqrt(st.e2 + extra(st), st.scale, context, on)
-
-
-# (entry, applicability predicate, value function); catalog order is the
-# report order and the campaign CSV column order.  Each formula keeps the
-# operation order of its scalar form, so values are bitwise those of one
-# case at a time.
-_CATALOG: tuple[tuple[_Entry, object, object], ...] = (
-    (_Entry("hoffman_wielandt", FAMILY_BASELINE, False, False), _tilde_normal,
-     _plain(lambda st: st.e_norm)),
-    (_Entry("eq_1_4", FAMILY_BASELINE, False, False), _always,
-     _plain(lambda st: math.sqrt(st.n) * st.e_norm)),
-    (_Entry("eq_1_5", FAMILY_BASELINE, False, False), _always,
-     _plain(lambda st: np.sqrt(st.n - st.s + 1) * st.e_norm)),
-    (_Entry("eq_1_6", FAMILY_BASELINE, True, False), _always,
-     _plain(lambda st: SQRT2 * st.e_norm)),
-    (_Entry("eq_1_7", FAMILY_BASELINE, False, False), _always,
-     _root(lambda st: 2.0 * st.mix * st.excess - _square(st.excess))),
-    (_Entry("eq_1_8", FAMILY_BASELINE, True, False), _always,
-     _root(lambda st: SQRT2 * st.e_norm * st.excess)),
-    (_Entry("eq_1_9", FAMILY_BASELINE, True, False), _always,
-     _root(lambda st: 2.0 * st.e_norm * st.excess - _square(st.excess))),
-    (_Entry("eq_3_3a", FAMILY_BANDWIDTH, False, True), _always,
-     _root(lambda st: st.w * _square(st.delta_e))),
-    (_Entry("eq_3_3b", FAMILY_BANDWIDTH, False, True), _always,
-     _root(lambda st: np.sqrt(1.0 + st.w) * st.delta_e * st.excess)),
-    (_Entry("eq_3_3c", FAMILY_BANDWIDTH, False, True), _always,
-     _root(lambda st: 2.0 * st.delta_e * st.excess + _square(st.excess))),
-    (_Entry("eq_3_3d", FAMILY_BANDWIDTH, False, True), _always,
-     _root(lambda st: 2.0 * np.sqrt(st.w) * st.delta_e * st.excess - _square(st.excess))),
-    (_Entry("eq_3_4a", FAMILY_BANDWIDTH_BASE, False, True), _always,
-     _root(lambda st: st.w / (1.0 + st.w) * _square(st.delta_a))),
-    (_Entry("eq_3_4b", FAMILY_BANDWIDTH_BASE, False, True), _always,
-     _root(lambda st: 2.0 * np.sqrt(st.w / (1.0 + st.w)) * st.delta_a * st.excess - _square(st.excess))),
-    (_Entry("eq_3_5a", FAMILY_WORST_CASE, False, False), _always,
-     _root(lambda st: (st.n - 1) * _square(st.delta_e))),
-    (_Entry("eq_3_5b", FAMILY_WORST_CASE, False, False), _always,
-     _root(lambda st: math.sqrt(st.n) * st.delta_e * st.excess)),
-    (_Entry("eq_3_5c", FAMILY_WORST_CASE, False, False), _always,
-     _root(lambda st: 2.0 * st.delta_e * st.excess + _square(st.excess))),
-    (_Entry("eq_3_5d", FAMILY_WORST_CASE, False, False), _always,
-     _root(lambda st: 2.0 * math.sqrt(st.n - 1) * st.delta_e * st.excess - _square(st.excess))),
-    (_Entry("eq_3_5e", FAMILY_WORST_CASE, False, False), _always,
-     _root(lambda st: (st.n - 1) / st.n * _square(st.delta_a))),
-    (_Entry("eq_3_5f", FAMILY_WORST_CASE, False, False), _always,
-     _root(lambda st: 2.0 * math.sqrt((st.n - 1) / st.n) * st.delta_a * st.excess - _square(st.excess))),
-    (_Entry("eq_3_11a", FAMILY_BLOCK, False, False), _always,
-     _root(lambda st: (st.n - st.s) * _square(st.delta_e))),
-    (_Entry("eq_3_11b", FAMILY_BLOCK, False, False), _always,
-     _root(lambda st: np.sqrt(st.n - st.s + 1) * st.delta_e * st.excess)),
-    (_Entry("eq_3_11c", FAMILY_BLOCK, False, False), _always,
-     _root(lambda st: 2.0 * np.sqrt(st.n - st.s) * st.delta_e * st.excess - _square(st.excess))),
-    (_Entry("eq_4_6a", FAMILY_HERMITIAN, True, False), _always,
-     _root(lambda st: _square(st.delta_e))),
-    (_Entry("eq_4_6b", FAMILY_HERMITIAN, True, False), _always,
-     _root(lambda st: SQRT2 * st.delta_e * st.excess)),
-    (_Entry("eq_4_6c", FAMILY_HERMITIAN, True, False), _always,
-     _root(lambda st: 2.0 * st.delta_e * st.excess - _square(st.excess))),
-    (_Entry("eq_4_6d", FAMILY_HERMITIAN, True, False), _always,
-     _root(lambda st: 0.5 * _square(st.delta_a))),
-    (_Entry("eq_4_6e", FAMILY_HERMITIAN, True, False), _always,
-     _root(lambda st: SQRT2 * st.delta_a * st.excess - _square(st.excess))),
-    (_Entry("henrici_3_6", FAMILY_DELTA_ESTIMATE, False, False), _always,
-     _plain(lambda st: _henrici(st.n, st.defect))),
-    (_Entry("sun_3_7", FAMILY_DELTA_ESTIMATE, False, False), _always,
-     _plain(lambda st: _sun(st.tilde_norm, st.defect))),
-    (_Entry("thm_4_3_a", FAMILY_DELTA_ESTIMATE, True, False), _tilde_nonzero,
-     lambda st, on, context: _skew_delta_bounds(st.cases.a_tilde, st.rank, on)),
-    (_Entry("thm_4_3_b", FAMILY_DELTA_ESTIMATE, True, False), _tilde_nonzero,
-     lambda st, on, context: _skew_delta_bounds(st.cases.e, st.rank, on)),
+# The paper's distance bounds as its table: (id, family,
+# requires_hermitian, shape, constant, scale).  A bound is one of the
+# five ``_SHAPES`` in its family's constant c (``_CONSTANTS``) and a
+# scale x, the ``_Stats`` field named.  Catalog order is the report
+# order and the campaign CSV column order.
+_DISTANCE_BOUNDS = (
+    ("hoffman_wielandt", FAMILY_BASELINE, False, "norm", "0", "e_norm"),
+    ("eq_1_4", FAMILY_BASELINE, False, "norm", "n-1", "e_norm"),
+    ("eq_1_5", FAMILY_BASELINE, False, "norm", "n-s", "e_norm"),
+    ("eq_1_6", FAMILY_BASELINE, True, "norm", "1", "e_norm"),
+    ("eq_1_7", FAMILY_BASELINE, False, "minus", "1", "mix"),
+    ("eq_1_8", FAMILY_BASELINE, True, "cross", "1", "e_norm"),
+    ("eq_1_9", FAMILY_BASELINE, True, "minus", "1", "e_norm"),
+    ("eq_3_3a", FAMILY_BANDWIDTH, False, "square", "w", "delta_e"),
+    ("eq_3_3b", FAMILY_BANDWIDTH, False, "cross", "w", "delta_e"),
+    ("eq_3_3c", FAMILY_BANDWIDTH, False, "plus", "w", "delta_e"),
+    ("eq_3_3d", FAMILY_BANDWIDTH, False, "minus", "w", "delta_e"),
+    ("eq_3_4a", FAMILY_BANDWIDTH_BASE, False, "square", "w/(1+w)", "delta_a"),
+    ("eq_3_4b", FAMILY_BANDWIDTH_BASE, False, "minus", "w/(1+w)", "delta_a"),
+    ("eq_3_5a", FAMILY_WORST_CASE, False, "square", "n-1", "delta_e"),
+    ("eq_3_5b", FAMILY_WORST_CASE, False, "cross", "n-1", "delta_e"),
+    ("eq_3_5c", FAMILY_WORST_CASE, False, "plus", "n-1", "delta_e"),
+    ("eq_3_5d", FAMILY_WORST_CASE, False, "minus", "n-1", "delta_e"),
+    ("eq_3_5e", FAMILY_WORST_CASE, False, "square", "(n-1)/n", "delta_a"),
+    ("eq_3_5f", FAMILY_WORST_CASE, False, "minus", "(n-1)/n", "delta_a"),
+    ("eq_3_11a", FAMILY_BLOCK, False, "square", "n-s", "delta_e"),
+    ("eq_3_11b", FAMILY_BLOCK, False, "cross", "n-s", "delta_e"),
+    ("eq_3_11c", FAMILY_BLOCK, False, "minus", "n-s", "delta_e"),
+    ("eq_4_6a", FAMILY_HERMITIAN, True, "square", "1", "delta_e"),
+    ("eq_4_6b", FAMILY_HERMITIAN, True, "cross", "1", "delta_e"),
+    ("eq_4_6c", FAMILY_HERMITIAN, True, "minus", "1", "delta_e"),
+    ("eq_4_6d", FAMILY_HERMITIAN, True, "square", "1/2", "delta_a"),
+    ("eq_4_6e", FAMILY_HERMITIAN, True, "minus", "1/2", "delta_a"),
 )
 
-CATALOG_IDS: tuple[str, ...] = tuple(entry.id for entry, _, _ in _CATALOG)
+# The family constants, one number or one entry per case.  A bound
+# depends on the choice of Schur form exactly when its constant reads w.
+_CONSTANTS = {
+    "0": lambda st: 0,
+    "1": lambda st: 1,
+    "1/2": lambda st: 0.5,
+    "n-1": lambda st: st.n - 1,
+    "(n-1)/n": lambda st: (st.n - 1) / st.n,
+    "n-s": lambda st: st.n - st.s,
+    "w": lambda st: st.w,
+    "w/(1+w)": lambda st: st.w / (1.0 + st.w),
+}
+
+# The five shapes in the constant c, the scale x and the triangular
+# excess d.  ``norm`` is the bound itself; every other shape is the
+# radicand r of sqrt(||E||_F^2 + r).  A coefficient is computed before
+# it meets x, so each bound keeps the operation order of its scalar form
+# and its bits: sqrt(1 + 0) x = x, sqrt(1 + (n - 1)) = sqrt(n) and
+# 2 sqrt(1/2) = sqrt(2) hold exactly.
+_SHAPES = {
+    "norm": lambda c, x, d: np.sqrt(1.0 + c) * x,
+    "square": lambda c, x, d: c * _square(x),
+    "cross": lambda c, x, d: np.sqrt(1.0 + c) * x * d,
+    "plus": lambda c, x, d: 2.0 * x * d + _square(d),
+    "minus": lambda c, x, d: 2.0 * np.sqrt(c) * x * d - _square(d),
+}
+
+
+def _distance_bound(bound_id: str, shape: str, constant: str, scale: str, st: _Stats, on):
+    """A row of ``_DISTANCE_BOUNDS`` on a stack; a radicand negative
+    beyond round-off is an error only where ``on`` (the entry applies)."""
+    value = _SHAPES[shape](_CONSTANTS[constant](st), getattr(st, scale), st.excess)
+    if shape == "norm":
+        return value
+    return _safe_sqrt(st.e2 + value, st.scale, bound_id, on)
+
+
+# The triangular-excess estimates, each with its own formula:
+# (id, requires_hermitian, value function (st, on)).
+_EXCESS_ESTIMATES = (
+    ("henrici_3_6", False, lambda st, on: _henrici(st.n, st.defect)),
+    ("sun_3_7", False, lambda st, on: _sun(st.tilde_norm, st.defect)),
+    ("thm_4_3_a", True, lambda st, on: _skew_delta_bounds(st.cases.a_tilde, st.rank, on)),
+    ("thm_4_3_b", True, lambda st, on: _skew_delta_bounds(st.cases.e, st.rank, on)),
+)
+
+# Hypotheses beyond a normal A (a Hermitian one for the entries that
+# require it), one flag per case of a stack: Hoffman-Wielandt needs a
+# normal A + E, and the skew bounds divide by the rank of A + E.
+_HYPOTHESES = {
+    "hoffman_wielandt": lambda st: st.tilde_is_normal,
+    "thm_4_3_a": lambda st: st.tilde_norm > 0.0,
+    "thm_4_3_b": lambda st: st.tilde_norm > 0.0,
+}
+
+_CATALOG: tuple[_Entry, ...] = tuple(
+    _Entry(bound_id, family, hermitian, "w" in constant)
+    for bound_id, family, hermitian, _, constant, _ in _DISTANCE_BOUNDS
+) + tuple(
+    _Entry(bound_id, FAMILY_DELTA_ESTIMATE, hermitian, False)
+    for bound_id, hermitian, _ in _EXCESS_ESTIMATES
+)
+
+# One value function (st, on) per catalog column.
+_FORMULAS = tuple(
+    partial(_distance_bound, bound_id, shape, constant, scale)
+    for bound_id, _, _, shape, constant, scale in _DISTANCE_BOUNDS
+) + tuple(value for _, _, value in _EXCESS_ESTIMATES)
+
+CATALOG_IDS: tuple[str, ...] = tuple(entry.id for entry in _CATALOG)
 DELTA_ESTIMATE_IDS: tuple[str, ...] = tuple(
-    entry.id for entry, _, _ in _CATALOG if entry.family == FAMILY_DELTA_ESTIMATE
+    entry.id for entry in _CATALOG if entry.family == FAMILY_DELTA_ESTIMATE
 )
 D2_BOUND_IDS: tuple[str, ...] = tuple(
-    entry.id for entry, _, _ in _CATALOG if entry.family != FAMILY_DELTA_ESTIMATE
+    entry.id for entry in _CATALOG if entry.family != FAMILY_DELTA_ESTIMATE
 )
-HERMITIAN_ONLY_IDS: tuple[str, ...] = tuple(
-    entry.id for entry, _, _ in _CATALOG if entry.requires_hermitian
-)
+HERMITIAN_ONLY_IDS: tuple[str, ...] = tuple(entry.id for entry in _CATALOG if entry.requires_hermitian)
 SCHUR_DEPENDENT_IDS: tuple[str, ...] = tuple(
-    entry.id for entry, _, _ in _CATALOG if entry.depends_on_schur_choice
+    entry.id for entry in _CATALOG if entry.depends_on_schur_choice
 )
 
-_BY_ID = {entry.id: (entry, pred, value) for entry, pred, value in _CATALOG}
-_IS_D2_BOUND = np.array([entry.family != FAMILY_DELTA_ESTIMATE for entry, _, _ in _CATALOG])
+_BY_ID = {entry.id: entry for entry in _CATALOG}
+_IS_D2_BOUND = np.array([entry.family != FAMILY_DELTA_ESTIMATE for entry in _CATALOG])
 
 
 def catalog_entries() -> tuple[dict, ...]:
     """Metadata for every catalog entry, in report order."""
-    return tuple(
-        {
-            "id": entry.id,
-            "family": entry.family,
-            "requires_hermitian": entry.requires_hermitian,
-            "depends_on_schur_choice": entry.depends_on_schur_choice,
-        }
-        for entry, _, _ in _CATALOG
-    )
+    return tuple(dataclasses.asdict(entry) for entry in _CATALOG)
 
 
 def family_of(bound_id: str) -> str:
     try:
-        return _BY_ID[bound_id][0].family
+        return _BY_ID[bound_id].family
     except KeyError:
         raise KeyError(f"unknown bound id {bound_id!r}") from None
 
@@ -541,7 +553,7 @@ def _skew_delta_bounds(m: np.ndarray, r: np.ndarray, on: np.ndarray) -> np.ndarr
     skew = m - m.conj().transpose(0, 2, 1)
     nrm2 = _square(_fro_norms(skew))
     radicand = nrm2 - _square(_trace_moduli(skew)) / np.maximum(r, 1)
-    return _safe_sqrt(radicand, 1.0 + nrm2, "thm_4_3", on) / SQRT2
+    return _safe_sqrt(radicand, 1.0 + nrm2, "thm_4_3", on) / math.sqrt(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -580,22 +592,8 @@ class BoundReport:
         raise KeyError(f"unknown bound id {bound_id!r}")
 
     def as_dict(self) -> dict:
-        return {
-            "d2": self.d2,
-            "d_inf": self.d_inf,
-            "bounds": [
-                {
-                    "id": bv.id,
-                    "family": bv.family,
-                    "value": bv.value,
-                    "applicable": bv.applicable,
-                    "requires_hermitian": bv.requires_hermitian,
-                    "depends_on_schur_choice": bv.depends_on_schur_choice,
-                }
-                for bv in self.bounds
-            ],
-            "violations": list(self.violations),
-        }
+        """The fields as a fresh dict, the tuples as lists."""
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in dataclasses.asdict(self).items()}
 
 
 @dataclass(frozen=True)
@@ -612,10 +610,10 @@ class _Evaluation:
     stats: _Stats
 
 
-def _evaluate(cases: _Cases, hermitian: np.ndarray, tol_factor: float) -> _Evaluation:
-    """Evaluate the full catalog on a stack of cases; ``hermitian`` flags
-    the cases whose Hermitian-only entries run."""
-    st = _Stats(cases, hermitian)
+def _evaluate(cases: _Cases, tol_factor: float) -> _Evaluation:
+    """Evaluate the full catalog on a stack of cases; the Hermitian-only
+    entries run on the cases with a Hermitian A."""
+    st = _Stats(cases)
     k = len(st.e_norm)
     d2, d_inf = np.empty(k), np.empty(k)
     for i in range(k):
@@ -623,49 +621,32 @@ def _evaluate(cases: _Cases, hermitian: np.ndarray, tol_factor: float) -> _Evalu
         d2[i], d_inf[i] = match.d2, match.d_inf
     values = np.full((k, len(_CATALOG)), np.nan)
     applicable = np.zeros((k, len(_CATALOG)), dtype=bool)
-    for col, (entry, pred, value_fn) in enumerate(_CATALOG):
-        on = pred(st)
-        if entry.requires_hermitian:
-            on = on & hermitian
+    everywhere = np.ones(k, dtype=bool)
+    for col, (entry, formula) in enumerate(zip(_CATALOG, _FORMULAS)):
+        on = cases.hermitian if entry.requires_hermitian else everywhere
+        if entry.id in _HYPOTHESES:
+            on = on & _HYPOTHESES[entry.id](st)
         if on.any():
-            values[:, col] = np.where(on, value_fn(st, on, entry.id), np.nan)
+            values[:, col] = np.where(on, formula(st, on), np.nan)
             applicable[:, col] = on
     tol = tol_factor * (1.0 + st.a_norm + st.e_norm)
     violated = applicable & _IS_D2_BOUND & (values < (d2 - tol)[:, None])
     return _Evaluation(values, applicable, violated, d2, d_inf, st)
 
 
-def evaluate_all(
-    case: PerturbationCase,
-    include_hermitian: bool | None = None,
-    tol_factor: float = VIOLATION_TOL_FACTOR,
-) -> BoundReport:
+def evaluate_all(case: PerturbationCase, tol_factor: float = VIOLATION_TOL_FACTOR) -> BoundReport:
     """Evaluate the full catalog against the true matching distance.
 
-    ``include_hermitian`` forces the Hermitian-only entries on or off;
-    the default None enables them exactly when the case's base matrix is
-    Hermitian.  Hermitian-only entries are never evaluated on a
-    non-Hermitian base even when forced on: they are reported as not
-    applicable, since their hypotheses fail.  ``tol_factor`` must be
-    finite and positive, else ValueError.
+    The Hermitian-only entries run exactly when the case's base matrix
+    is Hermitian; on any other base they are reported as not applicable,
+    since their hypotheses fail.  ``tol_factor`` must be finite and
+    positive, else ValueError.
     """
     _check_tol_factor(tol_factor)
-    if include_hermitian is None:
-        include_hermitian = case.a_is_hermitian
-    cases = _Cases.of(case)
-    ev = _evaluate(cases, cases.hermitian & bool(include_hermitian), tol_factor)
+    ev = _evaluate(_Cases.of(case), tol_factor)
     bounds = tuple(
-        BoundValue(
-            id=entry.id,
-            family=entry.family,
-            value=value if applicable else None,
-            applicable=applicable,
-            requires_hermitian=entry.requires_hermitian,
-            depends_on_schur_choice=entry.depends_on_schur_choice,
-        )
-        for (entry, _, _), value, applicable in zip(
-            _CATALOG, ev.values[0].tolist(), ev.applicable[0].tolist()
-        )
+        BoundValue(**dataclasses.asdict(entry), value=value if applicable else None, applicable=applicable)
+        for entry, value, applicable in zip(_CATALOG, ev.values[0].tolist(), ev.applicable[0].tolist())
     )
     return BoundReport(
         d2=float(ev.d2[0]),

@@ -174,7 +174,7 @@ def _run_chunk(config: CampaignConfig, indices: range) -> _Chunk:
     seeds = [derive_trial_seed(config.seed, i) for i in indices]
     cases = _draw_cases(config.kind, n, seeds, config.perturbation_scale, config.trace_mode)
     try:
-        ev = _evaluate(cases, cases.hermitian, config.tol_factor)
+        ev = _evaluate(cases, config.tol_factor)
     except NumericalConsistencyError as exc:
         raise NumericalConsistencyError(f"trial {indices[exc.entry]}: {exc}") from exc
     st, values = ev.stats, ev.values

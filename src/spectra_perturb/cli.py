@@ -5,8 +5,8 @@ loaded from JSON files, ``verify`` runs a randomized domination
 campaign, ``fixture`` writes a worked example to disk, and ``tightness``
 dumps per-trial bound values plus a win histogram.  Exit codes: 0 clean,
 1 when any bound violation (or failed campaign check) was observed, 2 on
-input errors.  ``SPECTRA_PERTURB_SEED`` supplies the seed when ``--seed``
-is absent.
+input errors and on output paths that cannot be written.
+``SPECTRA_PERTURB_SEED`` supplies the seed when ``--seed`` is absent.
 """
 
 from __future__ import annotations
@@ -74,13 +74,8 @@ REPORT_SCHEMA = {
 }
 
 
-class _InputError(Exception):
-    pass
-
-
 def build_report(
     case,
-    include_hermitian: bool | None = None,
     tol_factor: float = VIOLATION_TOL_FACTOR,
     dump_schur: bool = False,
     source: dict | None = None,
@@ -88,15 +83,14 @@ def build_report(
 ) -> dict:
     """Full catalog evaluation of a case as a JSON-ready dictionary."""
     t0 = time.perf_counter()
-    report = evaluate_all(case, include_hermitian=include_hermitian, tol_factor=tol_factor)
+    report = evaluate_all(case, tol_factor=tol_factor)
     evaluate_ms = (time.perf_counter() - t0) * 1000.0
-    resolved = case.a_is_hermitian if include_hermitian is None else bool(include_hermitian)
     out = {
         "case": {
             "n": case.n,
             "a_is_normal": case.a_is_normal,
             "a_is_hermitian": case.a_is_hermitian,
-            "include_hermitian": resolved,
+            "include_hermitian": case.a_is_hermitian,
         },
         **report.as_dict(),
         "timing_ms": {"load": load_ms, "evaluate": evaluate_ms},
@@ -137,7 +131,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _cmd_bounds(args) -> int:
     if args.dump_schur and args.format == "csv":
-        raise _InputError("--dump-schur requires --format json")
+        raise ValueError("--dump-schur requires --format json")
     # evaluate_all checks it too, but only after the load and the Schur form
     _check_tol_factor(args.tol)
     t0 = time.perf_counter()
@@ -145,15 +139,14 @@ def _cmd_bounds(args) -> int:
         a = load_matrix(args.a)
         e = load_matrix(args.e)
     except (OSError, ValueError) as exc:
-        raise _InputError(f"cannot load matrices: {exc}") from exc
+        raise ValueError(f"cannot load matrices: {exc}") from exc
     load_ms = (time.perf_counter() - t0) * 1000.0
     # make_case refuses mismatched shapes or a non-normal A; main reports its ValueError
     case = make_case(a, e)
     if args.hermitian and not case.a_is_hermitian:
-        raise _InputError("--hermitian was given but matrix A is not Hermitian at tolerance")
+        raise ValueError("--hermitian was given but matrix A is not Hermitian at tolerance")
     report = build_report(
         case,
-        include_hermitian=True if args.hermitian else None,
         tol_factor=args.tol,
         dump_schur=args.dump_schur,
         source={"a": args.a, "e": args.e},
@@ -186,6 +179,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_tightness(args) -> int:
+    # an unwritable --out fails here, not after the whole campaign
+    open(args.out, "a").close()
     summary, records = run_campaign(_campaign_config(args), collect_records=True)
     write_trials_csv(args.out, records)
     writer = csv.writer(sys.stdout)
@@ -197,11 +192,8 @@ def _cmd_tightness(args) -> int:
 
 
 def _cmd_fixture(args) -> int:
-    try:
-        a, e = fixture_matrices(args.name, args.n)
-        expected = fixture_expectations(args.name, args.n)
-    except ValueError as exc:
-        raise _InputError(str(exc)) from exc
+    a, e = fixture_matrices(args.name, args.n)
+    expected = fixture_expectations(args.name, args.n)
     os.makedirs(args.out_dir, exist_ok=True)
     save_matrix(os.path.join(args.out_dir, "A.json"), a)
     save_matrix(os.path.join(args.out_dir, "E.json"), e)
@@ -218,7 +210,7 @@ def _seed_default() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise _InputError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
+        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
 def _add_campaign_flags(parser: argparse.ArgumentParser) -> None:
@@ -265,7 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument(
         "--hermitian",
         action="store_true",
-        help="require A Hermitian and include the Hermitian-only bounds",
+        help="refuse an A that is not Hermitian (the Hermitian-only bounds run whenever A is)",
     )
     p_bounds.add_argument(
         "--dump-schur",
@@ -307,10 +299,7 @@ def main(argv=None) -> int:
         if getattr(args, "seed", "absent") is None:
             args.seed = _seed_default()
         return args.func(args)
-    except _InputError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

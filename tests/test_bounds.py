@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from spectra_perturb import (
     CATALOG_IDS,
     D2_BOUND_IDS,
     DELTA_ESTIMATE_IDS,
+    FIXTURE_NAMES,
     HERMITIAN_ONLY_IDS,
+    KINDS,
     SCHUR_DEPENDENT_IDS,
     EnsembleSpec,
     NumericalConsistencyError,
@@ -160,6 +163,79 @@ def test_catalog_applicability_flags():
 
 
 # ---------------------------------------------------------------------------
+# the distance bounds against their scalar formulas, written out one by one
+
+SQRT2 = math.sqrt(2.0)
+
+
+def _root(st, extra):
+    return math.sqrt(max(st.e_norm**2 + extra, 0.0))
+
+
+# the paper's 27 distance bounds on the Python scalars of one case, in
+# the operation order that fixes their bits
+SCALAR_BOUNDS = {
+    "hoffman_wielandt": lambda st: st.e_norm,
+    "eq_1_4": lambda st: math.sqrt(st.n) * st.e_norm,
+    "eq_1_5": lambda st: math.sqrt(st.n - st.s + 1) * st.e_norm,
+    "eq_1_6": lambda st: SQRT2 * st.e_norm,
+    "eq_1_7": lambda st: _root(st, 2.0 * st.mix * st.excess - st.excess**2),
+    "eq_1_8": lambda st: _root(st, SQRT2 * st.e_norm * st.excess),
+    "eq_1_9": lambda st: _root(st, 2.0 * st.e_norm * st.excess - st.excess**2),
+    "eq_3_3a": lambda st: _root(st, st.w * st.delta_e**2),
+    "eq_3_3b": lambda st: _root(st, math.sqrt(1.0 + st.w) * st.delta_e * st.excess),
+    "eq_3_3c": lambda st: _root(st, 2.0 * st.delta_e * st.excess + st.excess**2),
+    "eq_3_3d": lambda st: _root(st, 2.0 * math.sqrt(st.w) * st.delta_e * st.excess - st.excess**2),
+    "eq_3_4a": lambda st: _root(st, st.w / (1.0 + st.w) * st.delta_a**2),
+    "eq_3_4b": lambda st: _root(
+        st, 2.0 * math.sqrt(st.w / (1.0 + st.w)) * st.delta_a * st.excess - st.excess**2
+    ),
+    "eq_3_5a": lambda st: _root(st, (st.n - 1) * st.delta_e**2),
+    "eq_3_5b": lambda st: _root(st, math.sqrt(st.n) * st.delta_e * st.excess),
+    "eq_3_5c": lambda st: _root(st, 2.0 * st.delta_e * st.excess + st.excess**2),
+    "eq_3_5d": lambda st: _root(st, 2.0 * math.sqrt(st.n - 1) * st.delta_e * st.excess - st.excess**2),
+    "eq_3_5e": lambda st: _root(st, (st.n - 1) / st.n * st.delta_a**2),
+    "eq_3_5f": lambda st: _root(
+        st, 2.0 * math.sqrt((st.n - 1) / st.n) * st.delta_a * st.excess - st.excess**2
+    ),
+    "eq_3_11a": lambda st: _root(st, (st.n - st.s) * st.delta_e**2),
+    "eq_3_11b": lambda st: _root(st, math.sqrt(st.n - st.s + 1) * st.delta_e * st.excess),
+    "eq_3_11c": lambda st: _root(st, 2.0 * math.sqrt(st.n - st.s) * st.delta_e * st.excess - st.excess**2),
+    "eq_4_6a": lambda st: _root(st, st.delta_e**2),
+    "eq_4_6b": lambda st: _root(st, SQRT2 * st.delta_e * st.excess),
+    "eq_4_6c": lambda st: _root(st, 2.0 * st.delta_e * st.excess - st.excess**2),
+    "eq_4_6d": lambda st: _root(st, 0.5 * st.delta_a**2),
+    "eq_4_6e": lambda st: _root(st, SQRT2 * st.delta_a * st.excess - st.excess**2),
+}
+
+
+def _scalar_stats(case):
+    """The per-case quantities the distance bounds read, as Python scalars."""
+    cases = bounds_module._Cases.of(case)
+    st = bounds_module._evaluate(cases, bounds_module.VIOLATION_TOL_FACTOR).stats
+    fields = ("e_norm", "excess", "delta_e", "delta_a", "w", "s", "mix")
+    return SimpleNamespace(n=st.n, **{name: getattr(st, name)[0].item() for name in fields})
+
+
+def test_distance_bounds_equal_their_scalar_formulas():
+    assert tuple(SCALAR_BOUNDS) == D2_BOUND_IDS
+    cases = [fixture(name) for name in FIXTURE_NAMES]
+    for kind in KINDS:
+        for trace_mode in ("zero", "generic"):
+            for n in range(2, 13):
+                spec = EnsembleSpec(n=n, kind=kind, trace_mode=trace_mode, seed=100 + n)
+                cases.append(random_case(spec))
+    checked = set()
+    for case in cases:
+        st = _scalar_stats(case)
+        for bv in evaluate_all(case).bounds:
+            if bv.applicable and bv.id in SCALAR_BOUNDS:
+                assert repr(bv.value) == repr(SCALAR_BOUNDS[bv.id](st)), (bv.id, case.n)
+                checked.add(bv.id)
+    assert checked == set(D2_BOUND_IDS)
+
+
+# ---------------------------------------------------------------------------
 # hand-checkable 2x2 case
 
 
@@ -239,21 +315,10 @@ def test_skew_bounds_error_paths():
 
 def test_hermitian_entries_gated_by_structure():
     case = make_case(np.diag([1.0j, 2.0]), 0.01 * np.eye(2))
-    report = evaluate_all(case, include_hermitian=True)
+    report = evaluate_all(case)
     for bv in report.bounds:
         if bv.requires_hermitian:
             assert not bv.applicable and bv.value is None
-
-
-def test_hermitian_entries_can_be_forced_off():
-    case = fixture("intro_2x2")
-    report = evaluate_all(case, include_hermitian=False)
-    for bv in report.bounds:
-        if bv.requires_hermitian:
-            assert not bv.applicable
-        elif bv.applicable:
-            assert bv.value is not None
-    assert report.violations == ()
 
 
 def test_report_value_lookup():
@@ -486,7 +551,7 @@ def test_normal_base_mix_uses_the_spectral_norm(rng):
         assert not case.a_is_hermitian
         cases = bounds_module._Cases.of(case)
         tol_factor = bounds_module.VIOLATION_TOL_FACTOR
-        st = bounds_module._evaluate(cases, cases.hermitian, tol_factor).stats
+        st = bounds_module._evaluate(cases, tol_factor).stats
         expected = min(frobenius_norm(a), math.sqrt(n - 1) * np.linalg.norm(a, 2))
         assert abs(st.mix - expected) <= 1e-12 * expected
 

@@ -7,7 +7,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from spectra_perturb import CATALOG_IDS, bounds, matrix_from_json, save_matrix
+from spectra_perturb import CATALOG_IDS, bounds, cli, matrix_from_json, save_matrix
 from spectra_perturb.cli import REPORT_SCHEMA, SEED_ENV_VAR, main
 
 
@@ -68,6 +68,14 @@ def test_bounds_out_file(intro_paths, capsys, tmp_path):
     assert out == ""
     report = json.loads(target.read_text())
     jsonschema.validate(report, REPORT_SCHEMA)
+
+
+def test_bounds_unwritable_out_is_exit_two(intro_paths, capsys, tmp_path):
+    a, e = intro_paths
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run(["bounds", "--a", a, "--e", e, "--out", str(target)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(target) in err
 
 
 def test_bounds_zero_perturbation(tmp_path, capsys):
@@ -186,6 +194,20 @@ def test_bounds_hermitian_flag_requires_hermitian_base(tmp_path, capsys):
     assert "Hermitian" in err
 
 
+def test_bounds_hermitian_flag_leaves_the_report_unchanged(intro_paths, capsys):
+    # on a Hermitian A the flag only checks A: the Hermitian-only entries run anyway
+    a, e = intro_paths
+    reports = []
+    for flags in ([], ["--hermitian"]):
+        code, out, _ = run(["bounds", "--a", a, "--e", e, "--dump-schur", *flags], capsys)
+        assert code == 0
+        report = json.loads(out)
+        del report["timing_ms"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[0]["case"]["include_hermitian"] is True
+
+
 def test_bounds_reports_violations_with_exit_one(intro_paths, capsys, monkeypatch):
     # a d2 far above every bound, as an inconsistent oracle would report
     original = bounds.optimal_match
@@ -286,6 +308,17 @@ def test_tightness_csv_and_histogram(tmp_path, capsys):
     assert sum(int(r[1]) for r in hist[1:]) == 6
 
 
+def test_tightness_unwritable_out_fails_before_the_campaign(tmp_path, capsys, monkeypatch):
+    def campaign(*args, **kwargs):
+        raise AssertionError("the campaign ran")
+
+    monkeypatch.setattr(cli, "run_campaign", campaign)
+    target = tmp_path / "missing" / "trials.csv"
+    code, out, err = run(["tightness", "--trials", "4", "--out", str(target)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(target) in err
+
+
 def test_fixture_writes_files(tmp_path, capsys):
     code, _, _ = run(
         ["fixture", "--name", "intro_2x2", "--out-dir", str(tmp_path / "fx")], capsys
@@ -304,6 +337,14 @@ def test_fixture_writes_files(tmp_path, capsys):
     )
     assert code == 0
     assert abs(json.loads(out)["d2"] - expected["d2"]) < 1e-9
+
+
+def test_fixture_out_dir_that_is_a_file_is_exit_two(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.write_text("")
+    code, _, err = run(["fixture", "--name", "intro_2x2", "--out-dir", str(target)], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and str(target) in err
 
 
 def test_fixture_size_validation(tmp_path, capsys):
