@@ -10,10 +10,11 @@ The pipeline has one core, which works on stacks of cases of one size
 (``_Cases``, arrays (k, n, n)): :func:`_make_cases` checks the inputs
 once and builds the ordered Schur forms, and :func:`_evaluate` computes
 each per-case quantity once and every catalog formula as one array
-expression over the stack.  Only the Schur decomposition, its reorder
-and the assignment for ``d2`` run matrix by matrix.  Campaigns feed the
-core whole stacks; :func:`make_case` and :func:`evaluate_all` are
-stacks of one, and give the same bits case by case.
+expression over the stack.  Only the LAPACK calls of the Schur
+decomposition and its reorder, and the assignment solver for ``d2``,
+run matrix by matrix.  Campaigns feed the core whole stacks;
+:func:`make_case` and :func:`evaluate_all` are stacks of one, and give
+the same bits case by case.
 
 The catalog is written as the paper's table.  Each of the 27 distance
 bounds is a row ``(id, family, requires_hermitian, shape, constant,
@@ -615,10 +616,8 @@ def _evaluate(cases: _Cases, tol_factor: float) -> _Evaluation:
     entries run on the cases with a Hermitian A."""
     st = _Stats(cases)
     k = len(st.e_norm)
-    d2, d_inf = np.empty(k), np.empty(k)
-    for i in range(k):
-        match = optimal_match(st.lam_a[i], cases.eigenvalues[i])
-        d2[i], d_inf[i] = match.d2, match.d_inf
+    match = optimal_match(st.lam_a, cases.eigenvalues)
+    d2, d_inf = match.d2, match.d_inf
     values = np.full((k, len(_CATALOG)), np.nan)
     applicable = np.zeros((k, len(_CATALOG)), dtype=bool)
     everywhere = np.ones(k, dtype=bool)

@@ -11,7 +11,10 @@ as CSV with one fixed column per catalog id.
 Trials run in chunks: the trials of one matrix size, a bounded number
 of them, are drawn, evaluated and checked as stacked arrays (see
 :mod:`spectra_perturb.bounds`), and the summary is folded from each
-chunk's arrays; per-trial records are built only when asked for.  A
+chunk's arrays; per-trial records are built only when asked for.  Per
+trial there remain only the random draws (seed by seed, in stream
+order), the LAPACK calls of the Schur decomposition and its reorder,
+and the assignment solver for ``d2``.  A
 trial's results do not depend on the chunk it ran in, so
 :func:`run_trial` (a chunk of one) reproduces any record of a campaign,
 and summaries are byte-identical for any ``jobs``.

@@ -134,6 +134,9 @@ def _cmd_bounds(args) -> int:
         raise ValueError("--dump-schur requires --format json")
     # evaluate_all checks it too, but only after the load and the Schur form
     _check_tol_factor(args.tol)
+    if args.out:
+        # an unwritable --out fails here, not after the load and the evaluation
+        open(args.out, "a").close()
     t0 = time.perf_counter()
     try:
         a = load_matrix(args.a)

@@ -8,8 +8,9 @@ used by the bound catalog.
 
 Both steps are LAPACK: the decomposition is the implicit-shift QR of
 ``scipy.linalg.schur``, and the reordering moves each eigenvalue to its
-place with ``ztrexc``.  The target order is computed here from diag(t),
-and ``ztrexc`` permutes the diagonal entries exactly, so the ordered
+place with ``ztrexc``.  The target orders of a whole stack come from one
+stable lexsort of the diagonals, ``ztrexc`` runs only on the forms out
+of order, and it permutes the diagonal entries exactly, so the ordered
 diagonal holds the very values of the input diagonal.
 """
 
@@ -129,9 +130,13 @@ def _check_schur_forms(q, t, source) -> None:
         raise ValueError("q t q* does not reconstruct the source matrix")
 
 
-def _order_key(lam: complex) -> tuple[float, float, float]:
-    # descending modulus; ties by descending real, then imaginary part
-    return (-abs(lam), -lam.real, -lam.imag)
+def _descending_order(d: np.ndarray) -> np.ndarray:
+    """Indices that sort each row of a stack of spectra (k, n), or one
+    spectrum (n,), by descending modulus, ties by descending real part,
+    then descending imaginary part; equal eigenvalues keep their
+    relative order.  The modulus is ``hypot``, as Python's ``abs`` of a
+    complex (``np.abs`` of a complex array may differ in the last bit)."""
+    return np.lexsort((-d.imag, -d.real, -np.hypot(d.real, d.imag)), axis=-1)
 
 
 def reorder_schur(form: SchurForm) -> SchurForm:
@@ -153,19 +158,20 @@ def reorder_schur(form: SchurForm) -> SchurForm:
 
 def _reorder(q: np.ndarray, t: np.ndarray) -> None:
     """:func:`reorder_schur` in place on each form of a stack whose
-    matrices are Fortran ordered."""
+    matrices are Fortran ordered; a form already in order is not
+    touched."""
     n = t.shape[-1]
-    for qi, ti in zip(q, t):
-        diag = ti.diagonal().tolist()
-        target = sorted(range(n), key=lambda k: _order_key(diag[k]))
-        # current[p] is the original index of the eigenvalue now at position p;
-        # positions before i are final, the rest keep their relative order
-        current = list(range(n))
-        for i, k in enumerate(target):
-            j = current.index(k, i)
-            if j != i:
-                ztrexc(ti, qi, j + 1, i + 1, overwrite_a=1, overwrite_q=1)
-                current.insert(i, current.pop(j))
+    target = _descending_order(np.diagonal(t, axis1=1, axis2=2))
+    # Moving the eigenvalue target[p] to position p keeps the ones not yet
+    # placed in their original relative order, so it starts at p plus the
+    # number of later targets with a smaller original index.
+    later_smaller = np.triu(target[:, None, :] < target[:, :, None], 1)
+    source = np.arange(n) + np.count_nonzero(later_smaller, axis=2)
+    for i in np.flatnonzero((source != np.arange(n)).any(axis=1)).tolist():
+        ti, qi = t[i], q[i]
+        for p, j in enumerate(source[i].tolist()):
+            if j != p:
+                ztrexc(ti, qi, j + 1, p + 1, overwrite_a=1, overwrite_q=1)
 
 
 def eigenvalues(m) -> np.ndarray:

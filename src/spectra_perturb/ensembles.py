@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import PerturbationCase, _Cases, _make_cases, make_case
-from .decomp import _order_key
+from .decomp import _descending_order
 from .matrices import _fro_norms
 
 __all__ = [
@@ -163,37 +163,50 @@ def _draw_cases(kind: str, n: int, seeds, scale: float, trace_mode: str) -> _Cas
 def _blocked_cases(n: int, seeds, scale: float, trace_mode: str) -> _Cases:
     # Build A + E = U T U* with T genuinely block upper triangular, then
     # recover A as U diag(mu) U* so that E = U (T - diag(mu)) U* has
-    # Frobenius norm exactly perturbation_scale.
-    m = n * n
-    z = np.empty((len(seeds), 2 * m))
-    t = np.zeros((len(seeds), n, n), dtype=np.complex128)
-    mu = np.empty((len(seeds), n), dtype=np.complex128)
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    # Frobenius norm exactly perturbation_scale.  Only the draws run seed
+    # by seed, in stream order: the Haar matrix, lambda, the block count
+    # and cuts, nu, then the noise on the strictly upper positions inside
+    # the blocks, sum b (b - 1) / 2 of them over the block sizes b.
+    k, m = len(seeds), n * n
+    z = np.empty((k, 2 * m))
+    lam = np.empty((k, n), dtype=np.complex128)
+    nu = np.empty((k, n), dtype=np.complex128)
+    cut = np.zeros((k, n), dtype=int)
+    draws, counts = [], []
+    positions = np.arange(1, n)
     stream = _Stream()
     for i, seed in enumerate(seeds):
         rng = stream.reset(seed)
         rng.standard_normal(out=z[i])
-        lam = np.array(sorted(_complex_gaussian(rng, n), key=_order_key))
-        s = int(rng.integers(2, n + 1))
-        cuts = np.sort(rng.choice(np.arange(1, n), size=s - 1, replace=False))
-        # strictly upper positions inside blocks, in row-major order
-        block_of = np.zeros(n, dtype=int)
-        block_of[cuts] = 1
-        block_of = np.cumsum(block_of)
-        inside = upper & (block_of[:, None] == block_of[None, :])
-        nu = _complex_gaussian(rng, n)
-        noise = _complex_gaussian(rng, int(inside.sum()))
-        if trace_mode == "zero":
-            nu -= nu.mean()
-        total = math.sqrt(float(np.sum(np.abs(nu) ** 2) + np.sum(np.abs(noise) ** 2)))
-        if total == 0.0:
-            raise ArithmeticError("degenerate zero draw")
-        factor = scale / total
-        nu *= factor
-        noise *= factor
-        np.fill_diagonal(t[i], lam)
-        t[i][inside] = noise
-        mu[i] = lam - nu
+        lam[i] = _complex_gaussian(rng, n)
+        cuts = rng.choice(positions, size=int(rng.integers(2, n + 1)) - 1, replace=False)
+        cut[i, cuts] = 1
+        edges = [0, *sorted(cuts.tolist()), n]
+        counts.append(sum((b - a) * (b - a - 1) // 2 for a, b in zip(edges, edges[1:])))
+        nu[i] = _complex_gaussian(rng, n)
+        draws.append(_complex_gaussian(rng, counts[-1]))
+    lam = np.take_along_axis(lam, _descending_order(lam), axis=1)
+    block_of = np.cumsum(cut, axis=1)
+    # strictly upper positions inside blocks, matrix by matrix in row-major order
+    inside = np.triu(block_of[:, :, None] == block_of[:, None, :], 1)
+    if trace_mode == "zero":
+        nu -= nu.mean(axis=1)[:, None]
+    noise = np.concatenate(draws)
+    noise_sq = np.abs(noise) ** 2
+    # a sum whose length varies by seed stays one np.sum per seed, which
+    # keeps its pairwise-summation bits
+    ends = np.cumsum(counts).tolist()
+    noise_total = [np.sum(noise_sq[end - count : end]) for count, end in zip(counts, ends)]
+    total = np.sqrt(np.sum(np.abs(nu) ** 2, axis=1) + noise_total)
+    if not total.all():
+        raise ArithmeticError("degenerate zero draw")
+    factor = scale / total
+    nu *= factor[:, None]
+    t = np.zeros((k, n, n), dtype=np.complex128)
+    t[inside] = noise * np.repeat(factor, counts)
+    diagonal = np.arange(n)
+    t[:, diagonal, diagonal] = lam
+    mu = lam - nu
     u = _haar_unitaries((z[:, :m] + 1j * z[:, m:]).reshape(-1, n, n))
     a = _normal_matrices(u, mu)
     a_tilde = u @ t @ u.conj().transpose(0, 2, 1)

@@ -78,6 +78,18 @@ def test_bounds_unwritable_out_is_exit_two(intro_paths, capsys, tmp_path):
     assert err.startswith("error: ") and str(target) in err
 
 
+def test_bounds_unwritable_out_fails_before_loading(intro_paths, capsys, tmp_path, monkeypatch):
+    def load(*args, **kwargs):
+        raise AssertionError("the matrices were loaded")
+
+    monkeypatch.setattr(cli, "load_matrix", load)
+    a, e = intro_paths
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run(["bounds", "--a", a, "--e", e, "--out", str(target)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: [Errno ") and str(target) in err
+
+
 def test_bounds_zero_perturbation(tmp_path, capsys):
     a_path, e_path = tmp_path / "A.json", tmp_path / "E.json"
     save_matrix(a_path, np.diag([1.0, 2.0, -1.0]))

@@ -11,7 +11,8 @@ from spectra_perturb import (
     reorder_schur,
     schur_decompose,
 )
-from spectra_perturb.decomp import _block_boundaries, _block_structure, _order_key, _ranks
+from spectra_perturb import decomp
+from spectra_perturb.decomp import _block_boundaries, _block_structure, _descending_order, _ranks
 
 from conftest import haar_rotated_diagonal, random_complex, rng_for, schur_residuals
 from oracles import char_poly_eigenvalues, match_distance
@@ -72,10 +73,84 @@ def test_reorder_breaks_modulus_ties_deterministically():
     assert abs(ordered.eigenvalues[1] + 1.0j) < 1e-14
 
 
-def test_order_key_is_descending_modulus_then_real_then_imag():
-    assert _order_key(2.0) < _order_key(1.0)
-    assert _order_key(1.0) < _order_key(-1.0)
-    assert _order_key(1.0j) < _order_key(-1.0j)
+def _order_key(lam: complex) -> tuple[float, float, float]:
+    # the canonical order as a Python sort key: descending modulus, ties
+    # by descending real, then imaginary part
+    return (-abs(lam), -lam.real, -lam.imag)
+
+
+def test_descending_order_is_descending_modulus_then_real_then_imag():
+    assert _descending_order(np.array([1.0, 2.0], dtype=complex)).tolist() == [1, 0]
+    assert _descending_order(np.array([-1.0, 1.0], dtype=complex)).tolist() == [1, 0]
+    assert _descending_order(np.array([-1.0j, 1.0j])).tolist() == [1, 0]
+    stack = np.array([[1.0, 2.0], [-1.0, 1.0], [-1.0j, 1.0j], [2.0, 1.0]])
+    assert _descending_order(stack).tolist() == [[1, 0], [1, 0], [1, 0], [0, 1]]
+
+
+def test_descending_order_equals_a_stable_python_sort_on_ties(rng):
+    # equal moduli (3+4i, 4+3i, 5, -5, 5i), equal real parts, exact
+    # duplicates and both signed zeros, shuffled into many diagonals
+    pool = np.array(
+        [3 + 4j, 4 + 3j, 5, -5, 5j, -5j, 3 - 4j, 1 + 1j, 1 - 1j, 1j, -1j, 1, -1, 0.0, -0.0,
+         complex(0.0, -0.0), complex(-0.0, 0.0), 2, 2, 1 + 1j],
+        dtype=complex,
+    )
+    for n in (1, 2, 5, 12, 40):
+        d = rng.choice(pool, size=(50, n))
+        for row, order in zip(d, _descending_order(d)):
+            expected = sorted(range(n), key=lambda k: _order_key(complex(row[k])))
+            assert order.tolist() == expected
+
+
+def test_reorder_makes_no_ztrexc_call_on_an_ordered_stack(rng, monkeypatch):
+    calls = []
+    real = decomp.ztrexc
+
+    def counted(*args, **kwargs):
+        calls.append(args[2:4])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(decomp, "ztrexc", counted)
+    n = 6
+    t = np.triu(random_complex(rng, (3, n, n)), 1)
+    t[:, np.arange(n), np.arange(n)] = [[6, 5, 4, 3, 2, 1], [1j, -1j, 0.5, 0.5, 0.0, -0.0], [2, 2, 2, 2, 2, 2]]
+    q = decomp._fortran_stack(np.broadcast_to(np.eye(n), t.shape))
+    t = decomp._fortran_stack(t)
+    t0 = t.copy()
+    decomp._reorder(q, t)
+    assert calls == [] and np.array_equal(t, t0)
+    # one form out of order: only its moves run, each to its target place
+    t[1, 0, 0], t[1, 1, 1] = t[1, 1, 1], t[1, 0, 0]
+    decomp._reorder(q, t)
+    assert calls == [(2, 1)]
+
+
+def test_reorder_moves_are_those_of_moving_each_target_in_turn(rng, monkeypatch):
+    # reference: move each eigenvalue of the target order, in turn, from
+    # where it now sits to its place, the rest keeping their order
+    calls = []
+    real = decomp.ztrexc
+
+    def counted(*args, **kwargs):
+        calls.append(args[2:4])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(decomp, "ztrexc", counted)
+    pool = np.array([3 + 4j, 5, -5, 1j, -1j, 2, 2, 0.5, 0.0], dtype=complex)
+    for n in (2, 5, 9):
+        t = np.triu(random_complex(rng, (20, n, n)), 1)
+        t[:, np.arange(n), np.arange(n)] = rng.choice(pool, size=(20, n))
+        expected = []
+        for diag in np.diagonal(t, axis1=1, axis2=2).tolist():
+            current = list(range(n))
+            for p, k in enumerate(sorted(range(n), key=lambda k: _order_key(diag[k]))):
+                j = current.index(k, p)
+                if j != p:
+                    expected.append((j + 1, p + 1))
+                    current.insert(p, current.pop(j))
+        calls.clear()
+        decomp._reorder(decomp._fortran_stack(np.broadcast_to(np.eye(n), t.shape)), decomp._fortran_stack(t))
+        assert calls == expected
 
 
 def test_eigenvalues_of_diagonal():

@@ -114,3 +114,63 @@ def test_degenerate_costs_still_give_unique_value():
     m = optimal_match(a, b)
     s = brute_force_match(a, b)
     assert abs(m.d2 - s.d2) < 1e-14
+
+
+def _repeated_spectra(rng, k, n):
+    # each row draws from three values, so eigenvalues repeat within and
+    # across the two spectra and many pairings tie
+    pool = random_complex(rng, (k, 3))
+    return np.take_along_axis(pool, rng.integers(0, 3, size=(k, n)), axis=1)
+
+
+@pytest.mark.parametrize("repeated", [False, True])
+def test_stacked_match_equals_row_by_row_bit_for_bit(rng, repeated):
+    for n in (1, 2, 5, 12):
+        if repeated:
+            a, b = _repeated_spectra(rng, 40, n), _repeated_spectra(rng, 40, n)
+        else:
+            a, b = random_complex(rng, (40, n)), random_complex(rng, (40, n))
+        stacked = optimal_match(a, b)
+        assert stacked.permutation.shape == (40, n)
+        assert stacked.d2.shape == stacked.d_inf.shape == (40,)
+        for i in range(40):
+            row = optimal_match(a[i], b[i])
+            assert isinstance(row.permutation, tuple) and isinstance(row.d2, float)
+            assert repr(row.d2) == repr(stacked.d2[i].item())
+            assert repr(row.d_inf) == repr(stacked.d_inf[i].item())
+            assert row.permutation == tuple(stacked.permutation[i].tolist())
+            # and the scalar formula of a single pair
+            cost = np.abs(b[i][None, :] - a[i][:, None]) ** 2
+            terms = cost[np.arange(n), list(row.permutation)]
+            assert repr(row.d2) == repr(math.sqrt(float(terms.sum())))
+
+
+def test_stacked_brute_force_equals_row_by_row(rng):
+    a, b = _repeated_spectra(rng, 6, 5), _repeated_spectra(rng, 6, 5)
+    stacked = brute_force_match(a, b)
+    for i in range(6):
+        row = brute_force_match(a[i], b[i])
+        assert row.permutation == tuple(stacked.permutation[i].tolist())
+        assert repr(row.d2) == repr(stacked.d2[i].item())
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (np.zeros((3, 4)), np.zeros((3, 5))),
+        (np.zeros((3, 4)), np.zeros((2, 4))),
+        (np.zeros((3, 4)), np.zeros(4)),
+        (np.zeros((3, 0)), np.zeros((3, 0))),
+        (np.zeros((0, 4)), np.zeros((0, 4))),
+        (np.zeros((2, 2, 2)), np.zeros((2, 2, 2))),
+        ([], []),
+        (np.array([[1.0, np.nan]]), np.zeros((1, 2))),
+        (np.zeros((2, 2)), np.array([[1.0, 2.0], [np.inf, 0.0]])),
+        ([1.0, np.inf], [0.0, 0.0]),
+    ],
+)
+def test_bad_stacks_are_rejected(a, b):
+    with pytest.raises(ValueError):
+        optimal_match(a, b)
+    with pytest.raises(ValueError):
+        brute_force_match(a, b)
