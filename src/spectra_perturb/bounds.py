@@ -1,10 +1,11 @@
 """Catalog of spectral-distance bounds and triangular-excess estimates.
 
-A :class:`PerturbationCase` packages a normal matrix ``a``, a free
-perturbation ``e``, and an ordered Schur form of ``a + e``.  The catalog
-evaluates every known Frobenius bound on the optimal-matching distance
-between the two spectra, plus upper/lower estimates of the triangular
-excess ||strict_upper(T)||_F that several of those bounds consume.
+A :class:`PerturbationCase` is a normal matrix ``a``, a free
+perturbation ``e``, and an ordered Schur form of ``a + e``, held once as
+a stack of one case.  The catalog evaluates every known Frobenius bound
+on the optimal-matching distance between the two spectra, plus
+upper/lower estimates of the triangular excess ||strict_upper(T)||_F
+that several of those bounds consume.
 
 The pipeline has one core, which works on stacks of cases of one size
 (``_Cases``, arrays (k, n, n)): :func:`_make_cases` checks the inputs
@@ -48,7 +49,6 @@ from functools import partial
 import numpy as np
 
 from .decomp import (
-    BlockStructure,
     SchurForm,
     _block_boundaries,
     _block_structure,
@@ -153,41 +153,17 @@ def _check_tol_factor(tol_factor) -> None:
 
 
 @dataclass(eq=False)
-class PerturbationCase:
-    """A matrix pair (A, A + E) with an ordered Schur form of A + E.
-
-    Instances are built by :func:`make_case` and treated as immutable.
-    ``a_is_normal`` is always true, since :func:`make_case` refuses a
-    non-normal ``a``; ``a_is_hermitian`` may be either.
-    """
-
-    a: np.ndarray
-    e: np.ndarray
-    a_tilde: np.ndarray
-    schur_tilde: SchurForm
-    block: BlockStructure
-    a_is_normal: bool
-    a_is_hermitian: bool
-
-    @property
-    def n(self) -> int:
-        return self.a.shape[0]
-
-
-@dataclass(eq=False)
 class _Cases:
-    """k cases of one size as stacks: the arrays of k
-    :class:`PerturbationCase` objects with one axis in front.  ``q`` and
-    ``t`` are the ordered Schur factors of ``a_tilde`` (each matrix
-    Fortran ordered), ``boundaries`` (k, n - 1) flags the ends of the
-    eigenvalue blocks of ``t``."""
+    """k cases of one size as stacks (k, n, n).  ``q`` and ``t`` are the
+    ordered Schur factors of ``a_tilde`` (each matrix Fortran ordered),
+    ``boundaries`` (k, n - 1) flags the ends of the eigenvalue blocks of
+    ``t``."""
 
     a: np.ndarray
     e: np.ndarray
     a_tilde: np.ndarray
     q: np.ndarray
     t: np.ndarray
-    eigenvalues: np.ndarray
     boundaries: np.ndarray
     hermitian: np.ndarray
 
@@ -195,33 +171,37 @@ class _Cases:
     def n(self) -> int:
         return self.a.shape[-1]
 
-    def case(self, i: int) -> PerturbationCase:
-        return PerturbationCase(
-            a=self.a[i],
-            e=self.e[i],
-            a_tilde=self.a_tilde[i],
-            schur_tilde=SchurForm(q=self.q[i], t=self.t[i], eigenvalues=self.eigenvalues[i]),
-            block=_block_structure(self.boundaries[i]),
-            a_is_normal=True,
-            a_is_hermitian=bool(self.hermitian[i]),
-        )
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """The spectra (k, n) of the ``a_tilde``: the diagonals of ``t``."""
+        return np.diagonal(self.t, axis1=1, axis2=2)
 
-    @classmethod
-    def of(cls, case: PerturbationCase) -> "_Cases":
-        """The stack of one case (views of its arrays)."""
-        boundaries = np.zeros((1, case.n - 1), dtype=bool)
-        boundaries[0, np.cumsum(case.block.sizes)[:-1] - 1] = True
-        form = case.schur_tilde
-        return cls(
-            a=case.a[None],
-            e=case.e[None],
-            a_tilde=case.a_tilde[None],
-            q=form.q[None],
-            t=form.t[None],
-            eigenvalues=form.eigenvalues[None],
-            boundaries=boundaries,
-            hermitian=np.array([case.a_is_hermitian]),
-        )
+
+class PerturbationCase:
+    """A matrix pair (A, A + E) with an ordered Schur form of A + E.
+
+    A case is a read-only view of its stack of one, built by
+    :func:`make_case` (or :func:`~spectra_perturb.ensembles.random_case`
+    and :func:`~spectra_perturb.ensembles.fixture`); every attribute is a
+    property of that stack.  ``a_is_normal`` is always true, since
+    :func:`make_case` refuses a non-normal ``a``; ``a_is_hermitian`` may
+    be either.
+    """
+
+    __slots__ = ("_cases",)
+
+    a_is_normal = True
+
+    def __init__(self, cases: _Cases):
+        self._cases = cases
+
+    a = property(lambda self: self._cases.a[0])
+    e = property(lambda self: self._cases.e[0])
+    a_tilde = property(lambda self: self._cases.a_tilde[0])
+    n = property(lambda self: self._cases.n)
+    a_is_hermitian = property(lambda self: bool(self._cases.hermitian[0]))
+    schur_tilde = property(lambda self: SchurForm(q=self._cases.q[0], t=self._cases.t[0]))
+    block = property(lambda self: _block_structure(self._cases.boundaries[0]))
 
 
 def make_case(a, e, *, schur: SchurForm | None = None) -> PerturbationCase:
@@ -233,18 +213,16 @@ def make_case(a, e, *, schur: SchurForm | None = None) -> PerturbationCase:
     When ``schur`` is given, its q and t must be a Schur form of ``a + e``
     within :data:`~spectra_perturb.decomp.TAU_SCHUR`, else ValueError; a
     strictly lower part of t within that tolerance is set to zero, and
-    the form is reordered into the canonical eigenvalue order (its
-    ``eigenvalues`` are not read).  Otherwise a fresh decomposition is
-    computed.  Eigenvalue blocks are detected on the ordered factor.
+    the form is reordered into the canonical eigenvalue order.
+    Otherwise a fresh decomposition is computed.  Eigenvalue blocks are
+    detected on the ordered factor.
     """
     a = np.array(as_matrix(a, "a"), order="C")
     e = np.array(as_matrix(e, "e"), order="C")
     if a.shape != e.shape:
         raise ValueError(f"shape mismatch: a is {a.shape}, e is {e.shape}")
-    if schur is None:
-        return _make_cases(a[None], e[None]).case(0)
-    q, t = np.asarray(schur.q)[None], np.asarray(schur.t)[None]
-    return _make_cases(a[None], e[None], q, t).case(0)
+    factors = () if schur is None else (np.asarray(schur.q)[None], np.asarray(schur.t)[None])
+    return PerturbationCase(_make_cases(a[None], e[None], *factors))
 
 
 def _make_cases(a, e, q=None, t=None) -> _Cases:
@@ -279,7 +257,6 @@ def _make_cases(a, e, q=None, t=None) -> _Cases:
         a_tilde=a_tilde,
         q=q,
         t=t,
-        eigenvalues=np.diagonal(t, axis1=1, axis2=2).copy(),
         boundaries=_block_boundaries(t),
         hermitian=hermitian,
     )
@@ -642,7 +619,7 @@ def evaluate_all(case: PerturbationCase, tol_factor: float = VIOLATION_TOL_FACTO
     positive, else ValueError.
     """
     _check_tol_factor(tol_factor)
-    ev = _evaluate(_Cases.of(case), tol_factor)
+    ev = _evaluate(case._cases, tol_factor)
     bounds = tuple(
         BoundValue(**dataclasses.asdict(entry), value=value if applicable else None, applicable=applicable)
         for entry, value, applicable in zip(_CATALOG, ev.values[0].tolist(), ev.applicable[0].tolist())

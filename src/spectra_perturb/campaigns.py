@@ -40,14 +40,7 @@ from .bounds import (
     _check_tol_factor,
     _evaluate,
 )
-from .ensembles import (
-    KINDS,
-    TRACE_MODES,
-    _check_integer,
-    _check_perturbation_scale,
-    _draw_cases,
-    derive_trial_seed,
-)
+from .ensembles import _check_draw, _check_integer, _draw_cases, derive_trial_seed
 
 __all__ = [
     "ORDERING_PAIRS",
@@ -56,7 +49,6 @@ __all__ = [
     "CampaignSummary",
     "run_trial",
     "run_campaign",
-    "csv_header",
     "write_trials_csv",
 ]
 
@@ -112,12 +104,7 @@ class CampaignConfig:
         _check_integer("trials", self.trials, 1)
         _check_integer("n_min", self.n_min, 2)
         _check_integer("n_max", self.n_max, self.n_min)
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.trace_mode not in TRACE_MODES:
-            raise ValueError(f"trace_mode must be one of {TRACE_MODES}")
-        _check_integer("seed", self.seed)
-        _check_perturbation_scale(self.perturbation_scale)
+        _check_draw(self.kind, self.perturbation_scale, self.trace_mode, self.seed)
         _check_tol_factor(self.tol_factor)
         _check_integer("jobs", self.jobs, 1)
 
@@ -416,16 +403,12 @@ def run_campaign(
 # CSV output
 
 
-def csv_header() -> list[str]:
-    return ["trial", "n", "kind", "d2", *CATALOG_IDS, "violation"]
-
-
 def write_trials_csv(path, records: Iterable[TrialRecord]) -> None:
     """One row per trial: trial, n, kind, d2, each catalog value (empty
     where not applicable) and a 0/1 violation flag."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(csv_header())
+        writer.writerow(["trial", "n", "kind", "d2", *CATALOG_IDS, "violation"])
         for rec in records:
             values = (rec.values[bid] for bid in CATALOG_IDS)
             cells = ("" if v is None else repr(v) for v in values)

@@ -12,6 +12,7 @@ input errors and on output paths that cannot be written.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -21,10 +22,10 @@ import time
 
 from .bounds import VIOLATION_TOL_FACTOR, _check_tol_factor, evaluate_all, make_case
 from .campaigns import CampaignConfig, run_campaign, write_trials_csv
-from .ensembles import FIXTURE_NAMES, fixture_expectations, fixture_matrices
+from .ensembles import FIXTURE_NAMES, KINDS, TRACE_MODES, fixture_expectations, fixture_matrices
 from .matrices import load_matrix, matrix_to_json, save_matrix
 
-__all__ = ["REPORT_SCHEMA", "build_report", "main"]
+__all__ = ["REPORT_SCHEMA", "main"]
 
 SEED_ENV_VAR = "SPECTRA_PERTURB_SEED"
 
@@ -74,39 +75,6 @@ REPORT_SCHEMA = {
 }
 
 
-def build_report(
-    case,
-    tol_factor: float = VIOLATION_TOL_FACTOR,
-    dump_schur: bool = False,
-    source: dict | None = None,
-    load_ms: float = 0.0,
-) -> dict:
-    """Full catalog evaluation of a case as a JSON-ready dictionary."""
-    t0 = time.perf_counter()
-    report = evaluate_all(case, tol_factor=tol_factor)
-    evaluate_ms = (time.perf_counter() - t0) * 1000.0
-    out = {
-        "case": {
-            "n": case.n,
-            "a_is_normal": case.a_is_normal,
-            "a_is_hermitian": case.a_is_hermitian,
-            "include_hermitian": case.a_is_hermitian,
-        },
-        **report.as_dict(),
-        "timing_ms": {"load": load_ms, "evaluate": evaluate_ms},
-    }
-    if source:
-        out["case"]["source"] = source
-    if dump_schur:
-        form = case.schur_tilde
-        out["schur"] = {
-            "q": matrix_to_json(form.q),
-            "t": matrix_to_json(form.t),
-            "eigenvalues": [[z.real, z.imag] for z in form.eigenvalues],
-        }
-    return out
-
-
 def _report_csv(report: dict) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -117,6 +85,30 @@ def _report_csv(report: dict) -> str:
         value = "" if item["value"] is None else repr(item["value"])
         writer.writerow([item["id"], item["family"], value, item["applicable"]])
     return buf.getvalue()
+
+
+@contextlib.contextmanager
+def _claimed(path: str | None):
+    """Check that the output ``path`` (if any) can be written before the
+    command does its work, so that an unwritable path fails at once.  A
+    file this creates is removed again when the command raises; a file
+    that already existed is left as it was."""
+    if path is None:
+        yield
+        return
+    try:
+        open(path, "x").close()
+        created = True
+    except FileExistsError:
+        open(path, "a").close()
+        created = False
+    try:
+        yield
+    except BaseException:
+        if created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -134,9 +126,6 @@ def _cmd_bounds(args) -> int:
         raise ValueError("--dump-schur requires --format json")
     # evaluate_all checks it too, but only after the load and the Schur form
     _check_tol_factor(args.tol)
-    if args.out:
-        # an unwritable --out fails here, not after the load and the evaluation
-        open(args.out, "a").close()
     t0 = time.perf_counter()
     try:
         a = load_matrix(args.a)
@@ -148,13 +137,27 @@ def _cmd_bounds(args) -> int:
     case = make_case(a, e)
     if args.hermitian and not case.a_is_hermitian:
         raise ValueError("--hermitian was given but matrix A is not Hermitian at tolerance")
-    report = build_report(
-        case,
-        tol_factor=args.tol,
-        dump_schur=args.dump_schur,
-        source={"a": args.a, "e": args.e},
-        load_ms=load_ms,
-    )
+    t0 = time.perf_counter()
+    evaluation = evaluate_all(case, tol_factor=args.tol)
+    evaluate_ms = (time.perf_counter() - t0) * 1000.0
+    report = {
+        "case": {
+            "n": case.n,
+            "a_is_normal": case.a_is_normal,
+            "a_is_hermitian": case.a_is_hermitian,
+            "include_hermitian": case.a_is_hermitian,
+            "source": {"a": args.a, "e": args.e},
+        },
+        **evaluation.as_dict(),
+        "timing_ms": {"load": load_ms, "evaluate": evaluate_ms},
+    }
+    if args.dump_schur:
+        form = case.schur_tilde
+        report["schur"] = {
+            "q": matrix_to_json(form.q),
+            "t": matrix_to_json(form.t),
+            "eigenvalues": [[z.real, z.imag] for z in form.eigenvalues],
+        }
     if args.format == "json":
         _emit(json.dumps(report, indent=2), args.out)
     else:
@@ -182,8 +185,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_tightness(args) -> int:
-    # an unwritable --out fails here, not after the whole campaign
-    open(args.out, "a").close()
     summary, records = run_campaign(_campaign_config(args), collect_records=True)
     write_trials_csv(args.out, records)
     writer = csv.writer(sys.stdout)
@@ -222,13 +223,13 @@ def _add_campaign_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n-max", type=int, default=12, help="largest matrix size (default 12)")
     parser.add_argument(
         "--kind",
-        choices=["normal", "hermitian", "normal-blocked"],
+        choices=KINDS,
         default="normal",
         help="base-matrix ensemble (default normal)",
     )
     parser.add_argument(
         "--trace-mode",
-        choices=["zero", "generic"],
+        choices=TRACE_MODES,
         default="generic",
         help="whether perturbations are projected to zero trace (default generic)",
     )
@@ -301,7 +302,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", "absent") is None:
             args.seed = _seed_default()
-        return args.func(args)
+        with _claimed(getattr(args, "out", None)):
+            return args.func(args)
     except (OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -40,20 +40,24 @@ TAU_SCHUR = 1e-10
 
 @dataclass(eq=False)
 class SchurForm:
-    """Unitary factor q, upper triangular factor t, and diag(t).
+    """Unitary factor q and upper triangular factor t.
 
     Satisfies q t q* = M for the source matrix M, with q unitary and t
-    upper triangular (strictly lower entries exactly zero).  A form
-    passed to ``make_case`` is read for q and t only.
+    upper triangular (strictly lower entries exactly zero).  The
+    eigenvalues are diag(t).
     """
 
     q: np.ndarray
     t: np.ndarray
-    eigenvalues: np.ndarray
 
     @property
     def n(self) -> int:
         return self.t.shape[0]
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """diag(t), as a fresh array."""
+        return np.diagonal(self.t).copy()
 
 
 @dataclass(frozen=True)
@@ -76,7 +80,7 @@ def schur_decompose(m) -> SchurForm:
     triangular input is returned as-is with q = I.
     """
     q, t = _schur_factors(as_matrix(m)[None])
-    return SchurForm(q=q[0], t=t[0], eigenvalues=np.diagonal(t[0]).copy())
+    return SchurForm(q=q[0], t=t[0])
 
 
 def _fortran_stack(m: np.ndarray) -> np.ndarray:
@@ -153,7 +157,7 @@ def reorder_schur(form: SchurForm) -> SchurForm:
     q = _fortran_stack(form.q[None])
     t = _fortran_stack(form.t[None])
     _reorder(q, t)
-    return SchurForm(q=q[0], t=t[0], eigenvalues=np.diagonal(t[0]).copy())
+    return SchurForm(q=q[0], t=t[0])
 
 
 def _reorder(q: np.ndarray, t: np.ndarray) -> None:

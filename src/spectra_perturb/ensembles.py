@@ -37,9 +37,16 @@ TRACE_MODES = ("zero", "generic")
 _MASK64 = (1 << 64) - 1
 
 
-def _check_perturbation_scale(scale) -> None:
+def _check_draw(kind: str, scale, trace_mode: str, seed) -> None:
+    """The parameters of a draw shared by :class:`EnsembleSpec` and
+    ``CampaignConfig``; ValueError names the first one out of range."""
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     if not (math.isfinite(scale) and scale > 0.0):
         raise ValueError(f"perturbation_scale must be finite and positive, got {scale!r}")
+    if trace_mode not in TRACE_MODES:
+        raise ValueError(f"trace_mode must be one of {TRACE_MODES}, got {trace_mode!r}")
+    _check_integer("seed", seed)
 
 
 def _check_integer(name: str, value, least: int | None = None) -> None:
@@ -63,12 +70,7 @@ class EnsembleSpec:
 
     def __post_init__(self):
         _check_integer("n", self.n, 2)
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        _check_perturbation_scale(self.perturbation_scale)
-        if self.trace_mode not in TRACE_MODES:
-            raise ValueError(f"trace_mode must be one of {TRACE_MODES}, got {self.trace_mode!r}")
-        _check_integer("seed", self.seed)
+        _check_draw(self.kind, self.perturbation_scale, self.trace_mode, self.seed)
 
 
 class _Stream:
@@ -218,14 +220,13 @@ def random_case(spec: EnsembleSpec) -> PerturbationCase:
     perturbation, assembled into a ready-to-evaluate case.  The base and
     the perturbation are drawn from a single stream, so the pair is a
     pure function of the spec."""
-    cases = _draw_cases(spec.kind, spec.n, [spec.seed], spec.perturbation_scale, spec.trace_mode)
-    return cases.case(0)
+    return PerturbationCase(
+        _draw_cases(spec.kind, spec.n, [spec.seed], spec.perturbation_scale, spec.trace_mode)
+    )
 
 
 # ---------------------------------------------------------------------------
 # fixtures
-
-FIXTURE_NAMES = ("intro_2x2", "phi_example", "example_4_4")
 
 # Unitary witness for the phi functionals' basis dependence.
 PHI_EXAMPLE_UNITARY = np.array([[1.0, 1.0j], [1.0j, 1.0]]) / math.sqrt(2.0)
@@ -234,17 +235,58 @@ _SQRT5 = math.sqrt(5.0)
 _SQRT2 = math.sqrt(2.0)
 
 
-def _intro_matrices() -> tuple[np.ndarray, np.ndarray]:
+def _intro_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
     a = np.array([[0.0, 0.0], [0.0, 3.0]], dtype=complex)
     a_tilde = np.array([[-1.0, -1.0], [1.0, 1.0]], dtype=complex)
     return a, a_tilde - a
 
 
-def _phi_matrices() -> tuple[np.ndarray, np.ndarray]:
+def _intro_expectations(n: int) -> dict:
+    return {
+        "fixture": "intro_2x2",
+        "n": 2,
+        "d2": 3.0,
+        "e_norm": math.sqrt(7.0),
+        "excess": 2.0,
+        "bounds": {
+            "eq_1_4": math.sqrt(14.0),
+            "eq_1_6": math.sqrt(14.0),
+            "eq_1_7": math.sqrt(15.0),
+            "eq_1_8": math.sqrt(7.0 + 2.0 * math.sqrt(14.0)),
+            "eq_1_9": math.sqrt(3.0 + 4.0 * math.sqrt(7.0)),
+            "eq_3_5a": math.sqrt(9.5),
+            "eq_3_4b": 3.0,
+            "eq_3_5f": 3.0,
+            "eq_4_6d": math.sqrt(9.25),
+            "eq_4_6e": 3.0,
+            "henrici_3_6": 2.0,
+            "sun_3_7": 2.0,
+            "thm_4_3_a": 2.0,
+            "thm_4_3_b": 2.0,
+        },
+    }
+
+
+def _phi_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
     a = np.array([[1.0 + 1.0j, 0.0], [0.0, 2.0]], dtype=complex)
     # exact rotation of a by PHI_EXAMPLE_UNITARY; entries are exact halves
     a_tilde = np.array([[3.0 + 1.0j, -1.0 - 1.0j], [1.0 + 1.0j, 3.0 + 1.0j]], dtype=complex) / 2.0
     return a, a_tilde - a
+
+
+def _phi_expectations(n: int) -> dict:
+    return {
+        "fixture": "phi_example",
+        "n": 2,
+        "d2": 0.0,
+        "phi1_base": 6.0 - 2.0 * _SQRT5,
+        "phi2_base": 0.0,
+        "phi3_base": 3.0 - 2.0 * _SQRT2,
+        "phi1_rotated": 1.0,
+        "phi2_rotated": 1.0,
+        "phi3_rotated": 1.0,
+        "delta": 1.0,
+    }
 
 
 def _example_4_4_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -258,92 +300,66 @@ def _example_4_4_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return a, e
 
 
+def _example_4_4_expectations(n: int) -> dict:
+    return {
+        "fixture": "example_4_4",
+        "n": n,
+        "d2": math.sqrt(n),
+        "e_norm_sq": float(n - 1),
+        "delta_e": math.sqrt(3.0 - 4.0 / n),
+        "delta_a": 2.0 * math.sqrt(1.0 - 1.0 / n),
+        "excess": 1.0,
+        "block_count": n - 1,
+        "bounds": {
+            "eq_4_6a": math.sqrt(n - 4.0 / n + 2.0),
+            "eq_4_6b": math.sqrt(n + math.sqrt(6.0 - 8.0 / n) - 1.0),
+            "eq_4_6c": math.sqrt(n + 2.0 * math.sqrt(3.0 - 4.0 / n) - 2.0),
+            "eq_4_6d": math.sqrt(n - 2.0 / n + 1.0),
+            "eq_4_6e": math.sqrt(n + 2.0 * math.sqrt(2.0 - 2.0 / n) - 2.0),
+        },
+    }
+
+
+# name -> ((default n, least n, or None for a fixture of one size),
+# matrices (n), expectations (n))
+_FIXTURES = {
+    "intro_2x2": ((2, None), _intro_matrices, _intro_expectations),
+    "phi_example": ((2, None), _phi_matrices, _phi_expectations),
+    "example_4_4": ((5, 3), _example_4_4_matrices, _example_4_4_expectations),
+}
+
+FIXTURE_NAMES = tuple(_FIXTURES)
+
+
+def _fixture(name: str, n: int | None):
+    """The size of a named fixture at the requested n (None for its
+    default), with its matrices and expectations builders."""
+    try:
+        (default, least), matrices, expectations = _FIXTURES[name]
+    except KeyError:
+        raise ValueError(f"unknown fixture {name!r}; expected one of {FIXTURE_NAMES}") from None
+    if n is None:
+        n = default
+    if n != default and (least is None or n < least):
+        sizes = f"is {default} x {default}" if least is None else f"needs n >= {least}"
+        raise ValueError(f"fixture {name!r} {sizes}; n = {n} is not available")
+    return n, matrices, expectations
+
+
 def fixture_matrices(name: str, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The exact (A, E) pair of a named fixture."""
-    if name == "intro_2x2":
-        pair = _intro_matrices()
-    elif name == "phi_example":
-        pair = _phi_matrices()
-    elif name == "example_4_4":
-        if n is None:
-            n = 5
-        if n < 3:
-            raise ValueError("example_4_4 requires n >= 3")
-        return _example_4_4_matrices(n)
-    else:
-        raise ValueError(f"unknown fixture {name!r}; expected one of {FIXTURE_NAMES}")
-    if n is not None and n != 2:
-        raise ValueError(f"fixture {name!r} is 2 x 2; n = {n} is not available")
-    return pair
+    size, matrices, _ = _fixture(name, n)
+    return matrices(size)
 
 
 def fixture(name: str, n: int | None = None) -> PerturbationCase:
     """A named worked example as a ready case.  ``n`` selects the size
     for example_4_4 (default 5, minimum 3); the other fixtures are 2 x 2."""
-    a, e = fixture_matrices(name, n)
-    return make_case(a, e)
+    return make_case(*fixture_matrices(name, n))
 
 
 def fixture_expectations(name: str, n: int | None = None) -> dict:
     """Closed-form expected values for a fixture, keyed by quantity and
     catalog id.  Shipped alongside the matrices by the fixture command."""
-    if name == "intro_2x2":
-        return {
-            "fixture": "intro_2x2",
-            "n": 2,
-            "d2": 3.0,
-            "e_norm": math.sqrt(7.0),
-            "excess": 2.0,
-            "bounds": {
-                "eq_1_4": math.sqrt(14.0),
-                "eq_1_6": math.sqrt(14.0),
-                "eq_1_7": math.sqrt(15.0),
-                "eq_1_8": math.sqrt(7.0 + 2.0 * math.sqrt(14.0)),
-                "eq_1_9": math.sqrt(3.0 + 4.0 * math.sqrt(7.0)),
-                "eq_3_5a": math.sqrt(9.5),
-                "eq_3_4b": 3.0,
-                "eq_3_5f": 3.0,
-                "eq_4_6d": math.sqrt(9.25),
-                "eq_4_6e": 3.0,
-                "henrici_3_6": 2.0,
-                "sun_3_7": 2.0,
-                "thm_4_3_a": 2.0,
-                "thm_4_3_b": 2.0,
-            },
-        }
-    if name == "phi_example":
-        return {
-            "fixture": "phi_example",
-            "n": 2,
-            "d2": 0.0,
-            "phi1_base": 6.0 - 2.0 * _SQRT5,
-            "phi2_base": 0.0,
-            "phi3_base": 3.0 - 2.0 * _SQRT2,
-            "phi1_rotated": 1.0,
-            "phi2_rotated": 1.0,
-            "phi3_rotated": 1.0,
-            "delta": 1.0,
-        }
-    if name == "example_4_4":
-        if n is None:
-            n = 5
-        if n < 3:
-            raise ValueError("example_4_4 requires n >= 3")
-        return {
-            "fixture": "example_4_4",
-            "n": n,
-            "d2": math.sqrt(n),
-            "e_norm_sq": float(n - 1),
-            "delta_e": math.sqrt(3.0 - 4.0 / n),
-            "delta_a": 2.0 * math.sqrt(1.0 - 1.0 / n),
-            "excess": 1.0,
-            "block_count": n - 1,
-            "bounds": {
-                "eq_4_6a": math.sqrt(n - 4.0 / n + 2.0),
-                "eq_4_6b": math.sqrt(n + math.sqrt(6.0 - 8.0 / n) - 1.0),
-                "eq_4_6c": math.sqrt(n + 2.0 * math.sqrt(3.0 - 4.0 / n) - 2.0),
-                "eq_4_6d": math.sqrt(n - 2.0 / n + 1.0),
-                "eq_4_6e": math.sqrt(n + 2.0 * math.sqrt(2.0 - 2.0 / n) - 2.0),
-            },
-        }
-    raise ValueError(f"unknown fixture {name!r}; expected one of {FIXTURE_NAMES}")
+    size, _, expectations = _fixture(name, n)
+    return expectations(size)

@@ -61,8 +61,7 @@ def test_make_case_flags():
 def test_make_case_rejects_wrong_schur(rng):
     a = np.diag([1.0, 2.0])
     e = np.zeros((2, 2))
-    bogus = SchurForm(q=np.eye(2, dtype=complex), t=np.diag([5.0, 6.0]).astype(complex),
-                      eigenvalues=np.array([5.0, 6.0], dtype=complex))
+    bogus = SchurForm(q=np.eye(2, dtype=complex), t=np.diag([5.0, 6.0]).astype(complex))
     with pytest.raises(ValueError):
         make_case(a, e, schur=bogus)
     # a genuine Schur form, but of another matrix
@@ -78,7 +77,7 @@ def _nearly_triangular_pair(lower: float):
     t = np.diag([4.0, 3.0, 2.0, 1.0]).astype(complex) + np.triu(np.ones((4, 4)), 1)
     t[3, 0] = lower * np.linalg.norm(t)
     a = np.diag(np.diag(t))
-    return a, t - a, SchurForm(q=np.eye(4, dtype=complex), t=t, eigenvalues=np.diag(t).copy())
+    return a, t - a, SchurForm(q=np.eye(4, dtype=complex), t=t)
 
 
 def test_make_case_accepts_a_strictly_lower_part_within_tolerance():
@@ -97,16 +96,39 @@ def test_make_case_accepts_a_strictly_lower_part_within_tolerance():
 
 def test_make_case_reorders_supplied_schur():
     # supplied form has ascending moduli; the case must come out ordered,
-    # its eigenvalues taken from t (the supplied ones are not read)
+    # its eigenvalues read off t
     a = np.diag([1.0, 3.0])
     e = np.zeros((2, 2))
-    form = SchurForm(q=np.eye(2, dtype=complex), t=np.diag([1.0, 3.0]).astype(complex),
-                     eigenvalues=np.array([7.0, 8.0], dtype=complex))
+    form = SchurForm(q=np.eye(2, dtype=complex), t=np.diag([1.0, 3.0]).astype(complex))
     case = make_case(a, e, schur=form)
     lam = case.schur_tilde.eigenvalues
     assert abs(lam[0]) >= abs(lam[1])
     assert abs(lam[0] - 3.0) < 1e-14
     assert np.array_equal(lam, np.diag(case.schur_tilde.t))
+
+
+def test_case_attributes_are_read_only():
+    case = fixture("intro_2x2")
+    names = ("a", "e", "a_tilde", "n", "a_is_normal", "a_is_hermitian", "schur_tilde", "block")
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(case, name, getattr(case, name))
+    with pytest.raises(AttributeError):
+        case.extra = 1
+
+
+def test_evaluate_all_evaluates_the_stack_make_case_built(monkeypatch):
+    seen = []
+    original = bounds_module._evaluate
+
+    def spy(cases, tol_factor):
+        seen.append(cases)
+        return original(cases, tol_factor)
+
+    monkeypatch.setattr(bounds_module, "_evaluate", spy)
+    case = fixture("example_4_4")
+    evaluate_all(case)
+    assert len(seen) == 1 and seen[0] is case._cases
 
 
 def test_case_dimension_property():
@@ -211,8 +233,7 @@ SCALAR_BOUNDS = {
 
 def _scalar_stats(case):
     """The per-case quantities the distance bounds read, as Python scalars."""
-    cases = bounds_module._Cases.of(case)
-    st = bounds_module._evaluate(cases, bounds_module.VIOLATION_TOL_FACTOR).stats
+    st = bounds_module._evaluate(case._cases, bounds_module.VIOLATION_TOL_FACTOR).stats
     fields = ("e_norm", "excess", "delta_e", "delta_a", "w", "s", "mix")
     return SimpleNamespace(n=st.n, **{name: getattr(st, name)[0].item() for name in fields})
 
@@ -549,9 +570,8 @@ def test_normal_base_mix_uses_the_spectral_norm(rng):
         a = haar_rotated_diagonal(rng, n)
         case = make_case(a, random_complex(rng, (n, n)))
         assert not case.a_is_hermitian
-        cases = bounds_module._Cases.of(case)
         tol_factor = bounds_module.VIOLATION_TOL_FACTOR
-        st = bounds_module._evaluate(cases, tol_factor).stats
+        st = bounds_module._evaluate(case._cases, tol_factor).stats
         expected = min(frobenius_norm(a), math.sqrt(n - 1) * np.linalg.norm(a, 2))
         assert abs(st.mix - expected) <= 1e-12 * expected
 

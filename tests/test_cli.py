@@ -237,6 +237,56 @@ def test_bounds_reports_violations_with_exit_one(intro_paths, capsys, monkeypatc
     assert "henrici_3_6" not in report["violations"]
 
 
+def test_bounds_violations_still_write_the_out_file(intro_paths, capsys, tmp_path, monkeypatch):
+    original = bounds.optimal_match
+
+    def inflated(*args):
+        match = original(*args)
+        return dataclasses.replace(match, d2=10.0 * match.d2)
+
+    monkeypatch.setattr(bounds, "optimal_match", inflated)
+    a, e = intro_paths
+    target = tmp_path / "report.json"
+    code, out, _ = run(["bounds", "--a", a, "--e", e, "--out", str(target)], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(target.read_text())["violations"]
+
+
+def test_bounds_failure_leaves_no_out_file(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    target = tmp_path / "report.json"
+    code, _, err = run(["bounds", "--a", missing, "--e", missing, "--out", str(target)], capsys)
+    assert code == 2 and "cannot load matrices" in err
+    assert not target.exists()
+    # a file that was there before the run is left as it was
+    target.write_text("earlier report")
+    code, _, _ = run(["bounds", "--a", missing, "--e", missing, "--out", str(target)], capsys)
+    assert code == 2 and target.read_text() == "earlier report"
+
+
+def test_tightness_failed_campaign_leaves_no_csv(tmp_path, capsys, monkeypatch):
+    def campaign(*args, **kwargs):
+        raise ValueError("campaign failed")
+
+    monkeypatch.setattr(cli, "run_campaign", campaign)
+    target = tmp_path / "trials.csv"
+    code, out, err = run(["tightness", "--trials", "4", "--out", str(target)], capsys)
+    assert code == 2 and out == "" and "campaign failed" in err
+    assert not target.exists()
+
+    def inconsistent(*args, **kwargs):
+        raise bounds.NumericalConsistencyError("inconsistent case")
+
+    monkeypatch.setattr(cli, "run_campaign", inconsistent)
+    with pytest.raises(bounds.NumericalConsistencyError):
+        main(["tightness", "--trials", "4", "--out", str(target)])
+    assert not target.exists()
+    target.write_text("earlier trials")
+    with pytest.raises(bounds.NumericalConsistencyError):
+        main(["tightness", "--trials", "4", "--out", str(target)])
+    assert target.read_text() == "earlier trials"
+
+
 BAD_TOLERANCES = ["nan", "inf", "0", "-1"]
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from spectra_perturb import (
     FIXTURE_NAMES,
+    CampaignConfig,
     KINDS,
     PHI_EXAMPLE_UNITARY,
     TRACE_MODES,
@@ -197,6 +198,35 @@ def test_fixture_names_and_errors():
         fixture_matrices("intro_2x2", n=3)
     with pytest.raises(ValueError):
         fixture_matrices("example_4_4", n=2)
+
+
+def test_fixture_sizes_follow_one_rule():
+    for name, n in (("intro_2x2", 5), ("phi_example", 3), ("example_4_4", 2)):
+        with pytest.raises(ValueError) as matrices_error:
+            fixture_matrices(name, n)
+        with pytest.raises(ValueError) as expectations_error:
+            fixture_expectations(name, n)
+        assert str(matrices_error.value) == str(expectations_error.value)
+    for name in FIXTURE_NAMES:
+        a, _ = fixture_matrices(name)
+        assert fixture_expectations(name)["n"] == a.shape[0] == fixture(name).n
+    assert fixture_expectations("example_4_4")["n"] == 5
+
+
+def test_draw_parameters_are_refused_with_one_message():
+    bad = (
+        {"kind": "dense"},
+        {"trace_mode": "none"},
+        {"perturbation_scale": 0.0},
+        {"seed": 1.5},
+    )
+    for fields in bad:
+        with pytest.raises(ValueError) as spec_error:
+            EnsembleSpec(n=2, **fields)
+        with pytest.raises(ValueError) as config_error:
+            CampaignConfig(trials=1, **fields)
+        assert str(spec_error.value) == str(config_error.value)
+        assert repr(next(iter(fields.values()))) in str(spec_error.value)
 
 
 def test_intro_fixture_matrices_exact():
