@@ -56,6 +56,7 @@ from .decomp import (
     _block_boundaries,
     _block_structure,
     _check_schur_forms,
+    _excesses,
     _fortran_stack,
     _ranks,
     _reorder,
@@ -63,6 +64,7 @@ from .decomp import (
 )
 from .matching import optimal_match
 from .matrices import (
+    _TOLERANCES,
     _commutator_defects,
     _fro_norms,
     _is_hermitian,
@@ -91,18 +93,6 @@ __all__ = [
     "evaluate_all",
 ]
 
-# Relative slack below which a negative radicand is treated as round-off
-# and clamped to zero; anything more negative is a real inconsistency.
-RADICAND_TOL = 1e-9
-
-# Entry threshold, relative to ||.||_F, for bandwidth detection on
-# rotated perturbations (floating-point products have no exact zeros).
-W_PRODUCT_RTOL = 1e-13
-
-# Default violation slack factor: a bound b flags as violated only when
-# b < d2 - tol_factor * (1 + ||A||_F + ||E||_F).
-VIOLATION_TOL_FACTOR = 1e-8
-
 FAMILY_BASELINE = "baseline"
 FAMILY_BANDWIDTH = "lemma_3_4"
 FAMILY_BANDWIDTH_BASE = "lemma_3_5"
@@ -123,16 +113,16 @@ class NumericalConsistencyError(ArithmeticError):
         self.entry = entry
 
 
-def _safe_sqrt(radicand, scale, context: str, on=True):
+def _safe_sqrt(radicand, slack, context: str, on=True):
     """Elementwise square root of radicands that are nonnegative in
-    exact arithmetic.  A negative radicand within ``RADICAND_TOL * scale``
-    is round-off and clamps to zero; one beyond it raises, naming its
-    entry, unless ``on`` is false there (an entry whose value is not
-    reported)."""
+    exact arithmetic.  A negative radicand within ``slack`` (a radicand
+    row of ``_TOLERANCES``) is round-off and clamps to zero; one beyond
+    it raises, naming its entry, unless ``on`` is false there (an entry
+    whose value is not reported)."""
     radicand = np.asarray(radicand, dtype=np.float64)
     negative = radicand < 0.0
     if negative.any():
-        slack = np.broadcast_to(RADICAND_TOL * scale, radicand.shape)
+        slack = np.broadcast_to(slack, radicand.shape)
         bad = np.flatnonzero(negative & (radicand < -slack) & on)
         if bad.size:
             i = int(bad[0])
@@ -144,11 +134,6 @@ def _safe_sqrt(radicand, scale, context: str, on=True):
             )
         radicand = np.where(negative, 0.0, radicand)
     return np.sqrt(radicand)
-
-
-def _check_tol_factor(tol_factor) -> None:
-    if not (math.isfinite(tol_factor) and tol_factor > 0.0):
-        raise ValueError(f"tol_factor must be finite and positive, got {tol_factor!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -212,11 +197,12 @@ def make_case(a, e, *, schur: SchurForm | None = None) -> PerturbationCase:
 
     This is the single input check of the case pipeline: ``a`` and ``e``
     must be finite square matrices of one shape, and ``a`` must be normal
-    at :data:`~spectra_perturb.matrices.STRUCTURE_TOL`, else ValueError.
-    When ``schur`` is given, its q and t must be a Schur form of ``a + e``
-    within :data:`~spectra_perturb.decomp.TAU_SCHUR`, else ValueError; a
-    strictly lower part of t within that tolerance is set to zero, and
-    the form is reordered into the canonical eigenvalue order.
+    (or Hermitian) within the ``"normal"`` (``"hermitian"``) row of
+    ``matrices._TOLERANCES``, else ValueError.  When ``schur`` is given,
+    its q and t must be a Schur form of ``a + e`` within the ``"schur_*"``
+    rows, else ValueError; a strictly lower part of t within its row is
+    set to zero, and the form is reordered into the canonical eigenvalue
+    order.
     Otherwise a fresh decomposition is computed.  Eigenvalue blocks are
     detected on the ordered factor.
     """
@@ -327,8 +313,8 @@ def _matrix_stats(cases: _Cases) -> dict:
         "a_norm": _fro_norms(cases.a),
         "a_trace": _trace_moduli(cases.a),
         "tilde_norm": _fro_norms(cases.a_tilde),
-        "excess": _fro_norms(np.triu(cases.t, 1)),
-        "w": _band_widths(rotated, W_PRODUCT_RTOL * _fro_norms(rotated), lower=True),
+        "excess": _excesses(cases.t),
+        "w": _band_widths(rotated, _TOLERANCES["band"](_fro_norms(rotated)), lower=True),
         "s": 1 + np.count_nonzero(cases.boundaries, axis=1),
         "radius": radius,
         "defect": _commutator_defects(cases.a_tilde),
@@ -361,7 +347,7 @@ class _Stats:
         self.delta_a = _deltas(self.a_norm, self.a_trace, self.n)
         self.mix = np.minimum(self.a_norm, np.sqrt(self.n - 1) * self.radius)
         self.tilde_is_normal = _is_normal(self.defect, self.tilde_norm)
-        self.scale = 1.0 + self.e2 + _square(self.excess)
+        self.radicand_slack = _TOLERANCES["distance_radicand"](self.e2, _square(self.excess))
 
 
 def _block_stats(k: int, stacks) -> _Stats:
@@ -458,7 +444,7 @@ def _distance_bound(bound_id: str, shape: str, constant: str, scale: str, st: _S
     value = _SHAPES[shape](_CONSTANTS[constant](st), getattr(st, scale), st.excess)
     if shape == "norm":
         return value
-    return _safe_sqrt(st.e2 + value, st.scale, bound_id, on)
+    return _safe_sqrt(st.e2 + value, st.radicand_slack, bound_id, on)
 
 
 # The triangular-excess estimates, each with its own formula:
@@ -547,10 +533,9 @@ def _henrici_factor(n: int) -> float:
 
 def _sun(nrm: np.ndarray, defect: np.ndarray) -> np.ndarray:
     nrm2 = _square(nrm)
-    inner = _square(nrm2) - 0.5 * _square(defect)
-    scale = 1.0 + _square(nrm2)
-    inner = _safe_sqrt(inner, scale, "sun_3_7 inner radicand")
-    return _safe_sqrt(nrm2 - inner, 1.0 + nrm2, "sun_3_7")
+    nrm4 = _square(nrm2)
+    inner = _safe_sqrt(nrm4 - 0.5 * _square(defect), _TOLERANCES["radicand"](nrm4), "sun_3_7 inner radicand")
+    return _safe_sqrt(nrm2 - inner, _TOLERANCES["radicand"](nrm2), "sun_3_7")
 
 
 def _skew_delta_bound(nrm: np.ndarray, trace: np.ndarray, r: np.ndarray, on: np.ndarray) -> np.ndarray:
@@ -559,7 +544,7 @@ def _skew_delta_bound(nrm: np.ndarray, trace: np.ndarray, r: np.ndarray, on: np.
     numerical rank of A + E where ``on``."""
     nrm2 = _square(nrm)
     radicand = nrm2 - _square(trace) / np.maximum(r, 1)
-    return _safe_sqrt(radicand, 1.0 + nrm2, "thm_4_3", on) / math.sqrt(2.0)
+    return _safe_sqrt(radicand, _TOLERANCES["radicand"](nrm2), "thm_4_3", on) / math.sqrt(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -614,12 +599,12 @@ class _Evaluation:
     stats: _Stats
 
 
-def _evaluate(cases: _Cases, tol_factor: float) -> _Evaluation:
+def _evaluate(cases: _Cases) -> _Evaluation:
     """Evaluate the full catalog on one stack of cases."""
-    return _evaluate_block(len(cases.a), [(slice(None), cases)], tol_factor)
+    return _evaluate_block(len(cases.a), [(slice(None), cases)])
 
 
-def _evaluate_block(k: int, stacks, tol_factor: float) -> _Evaluation:
+def _evaluate_block(k: int, stacks) -> _Evaluation:
     """Evaluate the full catalog on a block of k cases given as ``(rows,
     cases)`` stacks (see :func:`_block_stats`): the matrix work runs
     stack by stack, the catalog once on the block.  The Hermitian-only
@@ -636,21 +621,21 @@ def _evaluate_block(k: int, stacks, tol_factor: float) -> _Evaluation:
         if on.any():
             values[:, col] = np.where(on, formula(st, on), np.nan)
             applicable[:, col] = on
-    tol = tol_factor * (1.0 + st.a_norm + st.e_norm)
+    tol = _TOLERANCES["violation"](st.a_norm, st.e_norm)
     violated = applicable & _IS_D2_BOUND & (values < (st.d2 - tol)[:, None])
     return _Evaluation(values, applicable, violated, st)
 
 
-def evaluate_all(case: PerturbationCase, tol_factor: float = VIOLATION_TOL_FACTOR) -> BoundReport:
+def evaluate_all(case: PerturbationCase) -> BoundReport:
     """Evaluate the full catalog against the true matching distance.
 
     The Hermitian-only entries run exactly when the case's base matrix
     is Hermitian; on any other base they are reported as not applicable,
-    since their hypotheses fail.  ``tol_factor`` must be finite and
-    positive, else ValueError.
+    since their hypotheses fail.  A distance bound is a violation when
+    it falls below d2 by more than the ``"violation"`` row of
+    ``matrices._TOLERANCES``.
     """
-    _check_tol_factor(tol_factor)
-    ev = _evaluate(case._cases, tol_factor)
+    ev = _evaluate(case._cases)
     bounds = tuple(
         BoundValue(**dataclasses.asdict(entry), value=value if applicable else None, applicable=applicable)
         for entry, value, applicable in zip(_CATALOG, ev.values[0].tolist(), ev.applicable[0].tolist())

@@ -35,15 +35,9 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .bounds import (
-    CATALOG_IDS,
-    D2_BOUND_IDS,
-    VIOLATION_TOL_FACTOR,
-    NumericalConsistencyError,
-    _check_tol_factor,
-    _evaluate_block,
-)
+from .bounds import CATALOG_IDS, D2_BOUND_IDS, NumericalConsistencyError, _evaluate_block
 from .ensembles import _check_draw, _check_integer, _draw_cases, derive_trial_seed
+from .matrices import _TOLERANCES
 
 __all__ = [
     "ORDERING_PAIRS",
@@ -52,7 +46,6 @@ __all__ = [
     "CampaignSummary",
     "run_trial",
     "run_campaign",
-    "write_trials_csv",
 ]
 
 # (sharp id, baseline id): the sharp value never exceeds the baseline,
@@ -100,7 +93,6 @@ class CampaignConfig:
     trace_mode: str = "generic"
     seed: int = 0
     perturbation_scale: float = 1.0
-    tol_factor: float = VIOLATION_TOL_FACTOR
     jobs: int = 1
 
     def __post_init__(self):
@@ -108,7 +100,6 @@ class CampaignConfig:
         _check_integer("n_min", self.n_min, 2)
         _check_integer("n_max", self.n_max, self.n_min)
         _check_draw(self.kind, self.perturbation_scale, self.trace_mode, self.seed)
-        _check_tol_factor(self.tol_factor)
         _check_integer("jobs", self.jobs, 1)
 
     def trial_size(self, index: int) -> int:
@@ -178,24 +169,24 @@ def _run_chunk(config: CampaignConfig, indices: range) -> _Chunk:
             )
 
     try:
-        ev = _evaluate_block(len(indices), stacks(), config.tol_factor)
+        ev = _evaluate_block(len(indices), stacks())
     except NumericalConsistencyError as exc:
         raise NumericalConsistencyError(f"trial {indices[exc.entry]}: {exc}") from exc
     st, values = ev.stats, ev.values
 
     # (flags, message, operands) per check, in the order a trial reports
     # them; the message shows each operand's value with %r
-    checks = [(st.d_inf > st.d2 + 1e-12 * (1.0 + st.d2), "metric: d_inf=%r exceeds d2=%r", (st.d_inf, st.d2))]
+    checks = [(st.d_inf > st.d2 + _TOLERANCES["metric"](st.d2), "metric: d_inf=%r exceeds d2=%r", (st.d_inf, st.d2))]
     strict = np.empty((len(indices), len(ORDERING_PAIRS)), dtype=bool)
     for p, (sharp_id, base_id) in enumerate(ORDERING_PAIRS):
         sharp, base = values[:, _COLUMN[sharp_id]], values[:, _COLUMN[base_id]]
         present = ev.applicable[:, _COLUMN[sharp_id]] & ev.applicable[:, _COLUMN[base_id]]
-        tol = 1e-12 * np.maximum(1.0, np.abs(base))
+        tol = _TOLERANCES["ordering"](base)
         message = f"ordering: {sharp_id}=%r exceeds {base_id}=%r"
         checks.append((present & (sharp > base + tol), message, (sharp, base)))
         strict[:, p] = present & (sharp < base - tol)
     lower, upper, excess = values[:, _COLUMN["sun_3_7"]], values[:, _COLUMN["henrici_3_6"]], st.excess
-    slack = 1e-9 * np.maximum(1.0, st.tilde_norm)
+    slack = _TOLERANCES["sandwich"](st.tilde_norm)
     checks += [
         (lower > excess + slack, "sandwich: lower estimate %r exceeds excess %r", (lower, excess)),
         (upper < excess - slack, "sandwich: upper estimate %r is below excess %r", (upper, excess)),
@@ -223,7 +214,7 @@ def _run_chunk(config: CampaignConfig, indices: range) -> _Chunk:
         excess=st.excess,
         winner=winner,
         strict=strict,
-        trace_nonzero=st.e_trace > 1e-12 * np.maximum(1.0, st.e_norm),
+        trace_nonzero=st.e_trace > _TOLERANCES["trace_nonzero"](st.e_norm),
         failures=failures,
     )
 
@@ -232,8 +223,7 @@ def _hermitian_checks(ev) -> list:
     """The comparisons specific to a Hermitian base, flagged only on the
     trials of a chunk whose A is Hermitian."""
     hermitian, e_norm, excess = ev.stats.hermitian, ev.stats.e_norm, ev.stats.excess
-    # tolerance matches the exact-arithmetic nature of these comparisons
-    tol = 1e-12 * np.maximum(np.maximum(1.0, e_norm), excess)
+    tol = _TOLERANCES["hermitian_checks"](e_norm, excess)
 
     def entry(label):
         # (values, where checked)
@@ -424,16 +414,11 @@ def _run_campaign(config: CampaignConfig, sink: Callable[[list], None] | None = 
 # CSV output
 
 
-def write_trials_csv(path, records: Iterable[TrialRecord]) -> None:
-    """One row per trial: trial, n, kind, d2, each catalog value (empty
-    where not applicable) and a 0/1 violation flag."""
-    with open(path, "w", newline="") as fh:
-        _trials_csv(fh)(records)
-
-
 def _trials_csv(fh) -> Callable[[Iterable[TrialRecord]], None]:
-    """Write the header of :func:`write_trials_csv` to ``fh`` and return
-    the function that writes the rows of some records."""
+    """Write the per-trial CSV header to ``fh`` and return the function
+    that writes the rows of some records: one row per trial with trial,
+    n, kind, d2, each catalog value (empty where not applicable) and a
+    0/1 violation flag."""
     writer = csv.writer(fh)
     writer.writerow(["trial", "n", "kind", "d2", *CATALOG_IDS, "violation"])
 

@@ -25,13 +25,7 @@ import sys
 import tempfile
 import time
 
-from .bounds import (
-    VIOLATION_TOL_FACTOR,
-    NumericalConsistencyError,
-    _check_tol_factor,
-    evaluate_all,
-    make_case,
-)
+from .bounds import NumericalConsistencyError, evaluate_all, make_case
 from .campaigns import CampaignConfig, _run_campaign, _trials_csv, run_campaign
 from .ensembles import FIXTURE_NAMES, KINDS, TRACE_MODES, fixture_expectations, fixture_matrices
 from .matrices import load_matrix, matrix_to_json, save_matrix
@@ -135,8 +129,6 @@ def _emit(text: str, out_path: str | None) -> None:
 def _cmd_bounds(args) -> int:
     if args.dump_schur and args.format == "csv":
         raise ValueError("--dump-schur requires --format json")
-    # evaluate_all checks it too, but only after the load and the Schur form
-    _check_tol_factor(args.tol)
     t0 = time.perf_counter()
     try:
         a = load_matrix(args.a)
@@ -149,7 +141,7 @@ def _cmd_bounds(args) -> int:
     if args.hermitian and not case.a_is_hermitian:
         raise ValueError("--hermitian was given but matrix A is not Hermitian at tolerance")
     t0 = time.perf_counter()
-    evaluation = evaluate_all(case, tol_factor=args.tol)
+    evaluation = evaluate_all(case)
     evaluate_ms = (time.perf_counter() - t0) * 1000.0
     report = {
         "case": {
@@ -184,7 +176,6 @@ def _campaign_config(args) -> CampaignConfig:
         kind=args.kind,
         trace_mode=args.trace_mode,
         seed=args.seed,
-        tol_factor=args.tol,
         jobs=args.jobs,
     )
 
@@ -256,12 +247,6 @@ def _add_campaign_flags(parser: argparse.ArgumentParser) -> None:
         default=None,
         help=f"campaign seed (default: ${SEED_ENV_VAR} or 0)",
     )
-    parser.add_argument(
-        "--tol",
-        type=float,
-        default=VIOLATION_TOL_FACTOR,
-        help="violation tolerance factor, finite and positive, scaled by 1 + ||A||_F + ||E||_F (default 1e-8)",
-    )
     parser.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
 
 
@@ -287,12 +272,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_bounds.add_argument("--out", default=None, help="write the report here instead of stdout")
     p_bounds.add_argument("--format", choices=["json", "csv"], default="json")
-    p_bounds.add_argument(
-        "--tol",
-        type=float,
-        default=VIOLATION_TOL_FACTOR,
-        help="violation tolerance factor, finite and positive (default 1e-8)",
-    )
     p_bounds.set_defaults(func=_cmd_bounds)
 
     p_verify = sub.add_parser("verify", help="run a randomized domination campaign")

@@ -21,21 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import zgees, ztrexc
 
-from .matrices import _fro_norms, as_matrix
+from .matrices import _TOLERANCES, _fro_norms, as_matrix
 
 __all__ = [
     "SchurForm",
     "BlockStructure",
-    "TAU_SCHUR",
     "schur_decompose",
     "reorder_schur",
     "eigenvalues",
     "departure_from_normality",
 ]
-
-#: Residual budget for Schur-form invariants (reconstruction, unitarity,
-#: triangularity), relative to n * max(1, ||M||_F).
-TAU_SCHUR = 1e-10
 
 
 @dataclass(eq=False)
@@ -124,13 +119,12 @@ def _check_schur_forms(q, t, source) -> None:
     source matrices; ValueError names the first invariant some matrix
     violates."""
     n = t.shape[-1]
-    budget = TAU_SCHUR * n * np.maximum(1.0, _fro_norms(source))
     qh = q.conj().transpose(0, 2, 1)
-    if (_fro_norms(qh @ q - np.eye(n)) > TAU_SCHUR * n).any():
+    if (_fro_norms(qh @ q - np.eye(n)) > _TOLERANCES["schur_unitary"](n)).any():
         raise ValueError("q is not unitary within tolerance")
-    if (_fro_norms(np.tril(t, -1)) > TAU_SCHUR * np.maximum(1.0, _fro_norms(t))).any():
+    if (_fro_norms(np.tril(t, -1)) > _TOLERANCES["schur_triangular"](_fro_norms(t))).any():
         raise ValueError("t is not upper triangular within tolerance")
-    if (_fro_norms(q @ t @ qh - source) > budget).any():
+    if (_fro_norms(q @ t @ qh - source) > _TOLERANCES["schur_reconstruct"](n, _fro_norms(source))).any():
         raise ValueError("q t q* does not reconstruct the source matrix")
 
 
@@ -185,44 +179,40 @@ def eigenvalues(m) -> np.ndarray:
 
 def _ranks(m: np.ndarray) -> np.ndarray:
     """Numerical rank of each matrix of a stack: the number of singular
-    values above ``64 n eps * sigma_max``.
+    values above the ``"rank"`` row of ``_TOLERANCES``.
 
     Uses a true SVD: singular values computed through M* M lose half the
     working precision, which misclassifies exact zeros at this threshold.
     """
-    rtol = 64 * m.shape[-1] * float(np.finfo(np.float64).eps)
     sigma = np.linalg.svd(m, compute_uv=False)
-    return np.count_nonzero(sigma > rtol * sigma[:, :1], axis=1)
+    return np.count_nonzero(sigma > _TOLERANCES["rank"](m.shape[-1], sigma[:, :1]), axis=1)
+
+
+def _excesses(t: np.ndarray) -> np.ndarray:
+    """||strict_upper(t)||_F of each triangular factor of a stack: the
+    triangular excess, the departure from normality of its source."""
+    return _fro_norms(np.triu(t, 1))
 
 
 def departure_from_normality(m) -> float:
-    """sqrt(max(0, ||M||_F^2 - sum |lambda_i|^2)).
-
-    Equals the Frobenius norm of the strictly upper part of the Schur
-    triangular factor; zero exactly when M is normal.  Note the formula
-    is a difference of nearly equal quantities for (near-)normal inputs,
-    where the result floors at roughly sqrt(n*eps)*||M||_F.
-    """
-    m = as_matrix(m)
-    lam = eigenvalues(m)
-    nrm2 = float(np.linalg.norm(m, "fro")) ** 2
-    excess = nrm2 - float(np.sum(np.abs(lam) ** 2))
-    return float(np.sqrt(max(0.0, excess)))
+    """||strict_upper(T)||_F of the Schur factor T of M: the same for
+    every Schur form of M, and zero exactly when M is normal."""
+    return float(_excesses(schur_decompose(m).t[None])[0])
 
 
 def _block_boundaries(t: np.ndarray) -> np.ndarray:
     """Boundary flags (k, n - 1) of each upper triangular factor of a
     stack: entry [i, b] is true when a block of t[i] ends at index b,
-    that is when every entry t[i, r, c] with r <= b < c has modulus at
-    most ``1e-12 * ||t[i]||_F``.  A diagonal t has n blocks, a dense
-    strictly upper t one."""
+    that is when every entry t[i, r, c] with r <= b < c has modulus
+    within the ``"block"`` row of ``_TOLERANCES``.  A diagonal t has n
+    blocks, a dense strictly upper t one."""
     # above[i, r, c] = max over j > c of |t[i, r, j]|, and its running
     # max over the rows r <= c is the largest entry right of and above
     # the boundary after c
     a = np.abs(t)
     above = np.maximum.accumulate(a[:, :, :0:-1], axis=2)[:, :, ::-1]
     corner = np.maximum.accumulate(above[:, :-1, :], axis=1)
-    return np.diagonal(corner, axis1=1, axis2=2) <= 1e-12 * _fro_norms(t)[:, None]
+    return np.diagonal(corner, axis1=1, axis2=2) <= _TOLERANCES["block"](_fro_norms(t)[:, None])
 
 
 def _block_structure(boundaries: np.ndarray) -> BlockStructure:

@@ -16,7 +16,6 @@ import math
 import numpy as np
 
 __all__ = [
-    "STRUCTURE_TOL",
     "as_matrix",
     "as_spectrum",
     "frobenius_norm",
@@ -30,8 +29,47 @@ __all__ = [
     "load_matrix",
 ]
 
-#: Relative tolerance of the normality / Hermitian predicates.
-STRUCTURE_TOL = 1e-10
+# Every inequality of the paper holds in exact arithmetic, so each test
+# of one in floating point carries a round-off slack.  This is the one
+# table of them: each row maps the raw quantities a threshold scales with
+# (norms, sizes, values) to the threshold.  A row's operation order is
+# part of it: a threshold's last bit can decide a borderline case.  The
+# floors max(1, .) and 1 + . make the thresholds of small matrices
+# absolute, not relative.
+_TOLERANCES = {
+    # ||M M* - M* M||_F scales quadratically with M
+    "normal": lambda nrm: 1e-10 * np.maximum(1.0, nrm * nrm),
+    # ||M - M*||_F scales linearly with M
+    "hermitian": lambda nrm: 1e-10 * np.maximum(1.0, nrm),
+    # ||Q* Q - I||_F of a supplied Schur form: entries O(1), n^2 of them
+    "schur_unitary": lambda n: 1e-10 * n,
+    # the strictly lower part of a supplied t, relative to t
+    "schur_triangular": lambda nrm: 1e-10 * np.maximum(1.0, nrm),
+    # ||Q T Q* - M||_F grows with n and with M
+    "schur_reconstruct": lambda n, nrm: 1e-10 * n * np.maximum(1.0, nrm),
+    # an entry of t this small next to ||t||_F ends an eigenvalue block
+    "block": lambda nrm: 1e-12 * nrm,
+    # larger singular values count toward the numerical rank
+    "rank": lambda n, sigma_max: 64 * n * float(np.finfo(np.float64).eps) * sigma_max,
+    # Q* E Q has no exact zeros; smaller entries do not widen the band
+    "band": lambda nrm: 1e-13 * nrm,
+    # a radicand ||.||^2 - y clamps to 0 within this of its leading square
+    "radicand": lambda lead: 1e-9 * (1.0 + lead),
+    # the same for a distance bound, (1 + ||E||_F^2) + Delta^2 in this order
+    "distance_radicand": lambda e2, excess2: 1e-9 * (1.0 + e2 + excess2),
+    # a bound below d2 by more than this is a violation
+    "violation": lambda a_norm, e_norm: 1e-8 * (1.0 + a_norm + e_norm),
+    # d_inf <= d2
+    "metric": lambda d2: 1e-12 * (1.0 + d2),
+    # a sharpened bound against its baseline
+    "ordering": lambda base: 1e-12 * np.maximum(1.0, np.abs(base)),
+    # the excess estimates against the excess of A + E
+    "sandwich": lambda nrm: 1e-9 * np.maximum(1.0, nrm),
+    # tr(E) counts as nonzero beyond this
+    "trace_nonzero": lambda e_norm: 1e-12 * np.maximum(1.0, e_norm),
+    # the comparisons of a Hermitian base, on the scale of ||E||_F + Delta
+    "hermitian_checks": lambda e_norm, excess: 1e-12 * np.maximum(np.maximum(1.0, e_norm), excess),
+}
 
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -97,24 +135,22 @@ def _commutator_defects(m: np.ndarray) -> np.ndarray:
 
 
 def _is_normal(defect, nrm):
-    # The commutator defect scales quadratically with M, hence the
-    # squared norm in the threshold.
-    return defect <= STRUCTURE_TOL * np.maximum(1.0, nrm * nrm)
+    return defect <= _TOLERANCES["normal"](nrm)
 
 
 def _is_hermitian(m: np.ndarray) -> np.ndarray:
     defect = _fro_norms(m - m.conj().transpose(0, 2, 1))
-    return defect <= STRUCTURE_TOL * np.maximum(1.0, _fro_norms(m))
+    return defect <= _TOLERANCES["hermitian"](_fro_norms(m))
 
 
 def is_normal(m) -> bool:
-    """Whether M M* = M* M within ``STRUCTURE_TOL * max(1, ||M||_F^2)``."""
+    """Whether M M* = M* M within the ``"normal"`` row of ``_TOLERANCES``."""
     m = as_matrix(m)[None]
     return bool(_is_normal(_commutator_defects(m), _fro_norms(m))[0])
 
 
 def is_hermitian(m) -> bool:
-    """Whether M = M* within ``STRUCTURE_TOL * max(1, ||M||_F)``."""
+    """Whether M = M* within the ``"hermitian"`` row of ``_TOLERANCES``."""
     return bool(_is_hermitian(as_matrix(m)[None])[0])
 
 

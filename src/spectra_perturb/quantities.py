@@ -77,8 +77,9 @@ def w_lower(m, tol: float = 0.0) -> int:
 
     ``tol`` is an absolute threshold on entry moduli.  The default 0.0
     is an exact zero test, appropriate for explicitly constructed
-    matrices; pass roughly 1e-13 * ||M||_F for floating-point products
-    such as rotated perturbations, where exact zeros do not survive.
+    matrices; for floating-point products such as rotated perturbations,
+    where exact zeros do not survive, pass the ``"band"`` row of
+    ``matrices._TOLERANCES`` at ||M||_F, as the catalog does.
     """
     return int(_band_widths(as_matrix(m)[None], np.array([tol]), lower=True)[0])
 

@@ -150,7 +150,7 @@ def test_numerical_consistency_error_names_its_trial(monkeypatch):
     original = bounds._sun
 
     def failing(nrm, defect):
-        bounds._safe_sqrt(np.where(nrm == target_norm, -1.0, 1.0), 1.0, "sun_3_7")
+        bounds._safe_sqrt(np.where(nrm == target_norm, -1.0, 1.0), 0.0, "sun_3_7")
         return original(nrm, defect)
 
     monkeypatch.setattr(bounds, "_sun", failing)

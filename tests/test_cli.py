@@ -312,7 +312,7 @@ def test_tightness_failing_after_its_first_chunk_leaves_the_earlier_csv(tmp_path
 def _inconsistent_sun(monkeypatch):
     # sun_3_7's radicand negative beyond round-off on every case
     def sun(nrm, defect):
-        return bounds._safe_sqrt(-np.ones_like(nrm), 1.0, "sun_3_7")
+        return bounds._safe_sqrt(-np.ones_like(nrm), 0.0, "sun_3_7")
 
     monkeypatch.setattr(bounds, "_sun", sun)
 
@@ -334,30 +334,6 @@ def test_verify_inconsistent_case_is_exit_three(capsys, monkeypatch):
     assert err.startswith("error: trial 0: sun_3_7 (entry 0)")
 
 
-BAD_TOLERANCES = ["nan", "inf", "0", "-1"]
-
-
-@pytest.mark.parametrize("tol", BAD_TOLERANCES)
-def test_bounds_rejects_invalid_tolerance(intro_paths, capsys, tmp_path, tol):
-    a, e = intro_paths
-    code, out, err = run(["bounds", "--a", a, "--e", e, "--tol", tol], capsys)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and "finite and positive" in err
-    # refused before any matrix is loaded
-    missing = str(tmp_path / "missing.json")
-    code, _, err = run(["bounds", "--a", missing, "--e", missing, "--tol", tol], capsys)
-    assert code == 2 and "finite and positive" in err
-
-
-@pytest.mark.parametrize("tol", BAD_TOLERANCES)
-def test_verify_rejects_invalid_tolerance(capsys, tol):
-    code, out, err = run(["verify", "--trials", "2", "--tol", tol], capsys)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and "finite and positive" in err
-
-
 def test_verify_smoke(capsys):
     code, out, _ = run(
         ["verify", "--trials", "5", "--n-min", "2", "--n-max", "4", "--seed", "7"], capsys
@@ -370,9 +346,48 @@ def test_verify_smoke(capsys):
     assert summary["kind"] == "normal"
 
 
+def _refused_as_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "unrecognized arguments: --tol" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--a", "A.json", "--e", "E.json"],
+        ["verify", "--trials", "2"],
+        ["tightness", "--trials", "2", "--out", "t.csv"],
+    ],
+    ids=["bounds", "verify", "tightness"],
+)
+def test_tol_option_is_gone(argv, capsys):
+    # the violation slack is a row of the tolerance table, not an option
+    _refused_as_usage_error([*argv, "--tol", "1e-8"], capsys)
+
+
+BAD_TOLERANCES = ["nan", "inf", "0", "-1"]
+
+
+@pytest.mark.parametrize("tol", BAD_TOLERANCES)
+def test_bounds_rejects_invalid_tolerance(intro_paths, capsys, tmp_path, tol):
+    a, e = intro_paths
+    _refused_as_usage_error(["bounds", "--a", a, "--e", e, "--tol", tol], capsys)
+    # refused before any matrix is loaded
+    missing = str(tmp_path / "missing.json")
+    _refused_as_usage_error(["bounds", "--a", missing, "--e", missing, "--tol", tol], capsys)
+
+
+@pytest.mark.parametrize("tol", BAD_TOLERANCES)
+def test_verify_rejects_invalid_tolerance(capsys, tol):
+    _refused_as_usage_error(["verify", "--trials", "2", "--tol", tol], capsys)
+
+
 def test_verify_rejects_bad_tolerance(capsys):
-    code, _, err = run(["verify", "--trials", "2", "--tol", "-1.0"], capsys)
-    assert code == 2
+    _refused_as_usage_error(["verify", "--trials", "2", "--tol", "-1.0"], capsys)
 
 
 def test_verify_rejects_bad_range(capsys):

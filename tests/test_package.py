@@ -1,6 +1,8 @@
+import ast
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,7 @@ import pytest
 import spectra_perturb
 
 ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "spectra_perturb").glob("*.py"))
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 # __main__ runs the CLI on import
 MODULES = [m.name for m in pkgutil.iter_modules(spectra_perturb.__path__) if m.name != "__main__"]
@@ -39,3 +42,39 @@ def test_demo_runs(demo):
         [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
+
+
+def _tolerances(tree: ast.AST) -> list:
+    """The round-off thresholds written in a syntax tree: float constants
+    in (0, 1e-6) and ``finfo(...).eps``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and type(node.value) is float and 0.0 < node.value < 1e-6:
+            found.append(node)
+        elif isinstance(node, ast.Attribute) and node.attr == "eps" and isinstance(node.value, ast.Call):
+            func = node.value.func
+            if getattr(func, "attr", getattr(func, "id", None)) == "finfo":
+                found.append(node)
+    return found
+
+
+def test_every_tolerance_lives_in_the_table():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in SOURCES}
+    (table,) = [
+        node
+        for node in trees["matrices.py"].body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["_TOLERANCES"]
+    ]
+    inside = {id(node) for node in _tolerances(table)}
+    assert inside, "the table holds no tolerance the search recognises"
+    outside = [
+        f"{name}:{node.lineno}" for name, tree in trees.items() for node in _tolerances(tree) if id(node) not in inside
+    ]
+    assert not outside, f"tolerances outside matrices._TOLERANCES: {outside}"
+
+
+def test_readme_lists_every_tolerance():
+    from spectra_perturb.matrices import _TOLERANCES
+
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## Tolerances\n", 1)[1].split("\n## ", 1)[0]
+    assert re.findall(r"^\| `(\w+)` \|", section, flags=re.M) == list(_TOLERANCES)
