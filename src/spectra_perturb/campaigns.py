@@ -14,13 +14,13 @@ each.  The trials of one size are drawn and taken through the matrix
 work as one stacked array (Schur form, reorder, blocks, spectrum of A,
 matching; see :mod:`spectra_perturb.bounds`), one size after the other;
 the catalog, the checks and the fold into the summary then run once on
-the per-trial numbers of the whole chunk.  Per-trial records are built
-only when asked for, chunk by chunk in trial order.  Per trial there
-remain only the random draws (seed by seed, in stream order), the
-LAPACK calls of the Schur decomposition and its reorder, and the
-assignment solver for ``d2``.  A trial's results do not depend on the
-chunk it ran in, so :func:`run_trial` (a chunk of one) reproduces any
-record of a campaign, and summaries are byte-identical for any ``jobs``.
+the per-trial numbers of the whole chunk, and so does the writer of the
+per-trial CSV.  Per trial there remain only the random draws (seed by
+seed, in stream order), the LAPACK calls of the Schur decomposition and
+its reorder, and the assignment solver for ``d2``.  A trial's results
+do not depend on the chunk it ran in, so :func:`run_trial` (a chunk of
+one) reproduces any row of a campaign, and summaries and CSVs are
+byte-identical for any ``jobs``.
 """
 
 from __future__ import annotations
@@ -108,11 +108,10 @@ class CampaignConfig:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """Everything kept of one trial, built only when asked for: the
+    """Everything kept of one trial, as :func:`run_trial` returns it: the
     catalog values (None where not applicable), the ids that violated
     domination, failed invariant checks (as messages) and the winning
-    bound.  The summary reads the chunk arrays instead, so the former
-    ``strict_orderings`` and ``trace_nonzero`` fields are gone."""
+    bound."""
 
     trial: int
     n: int
@@ -244,36 +243,24 @@ def _hermitian_checks(ev) -> list:
     return checks
 
 
-def _records(chunk: _Chunk) -> list[TrialRecord]:
-    """One record per trial of a chunk, in trial order."""
-    rows = chunk.values.astype(object)
-    rows[~chunk.applicable] = None
-    failures: list[list[str]] = [[] for _ in chunk.trials]
-    for i, message in chunk.failures:
-        failures[i].append(message)
-    columns = (chunk.n, chunk.d2, chunk.d_inf, chunk.e_norm, chunk.excess, chunk.winner, chunk.violated, rows)
-    n, d2, d_inf, e_norm, excess, winner, violated, rows = (a.tolist() for a in columns)
-    return [
-        TrialRecord(
-            trial=trial,
-            n=n[i],
-            kind=chunk.kind,
-            d2=d2[i],
-            d_inf=d_inf[i],
-            e_norm=e_norm[i],
-            excess=excess[i],
-            values=dict(zip(CATALOG_IDS, rows[i])),
-            violation_ids=tuple(itertools.compress(CATALOG_IDS, violated[i])),
-            check_failures=tuple(failures[i]),
-            winner=CATALOG_IDS[winner[i]] if winner[i] >= 0 else "",
-        )
-        for i, trial in enumerate(chunk.trials)
-    ]
-
-
 def run_trial(config: CampaignConfig, index: int) -> TrialRecord:
     """Execute one seeded trial and run every per-trial check."""
-    return _records(_run_chunk(config, range(index, index + 1)))[0]
+    chunk = _run_chunk(config, range(index, index + 1))
+    columns = (chunk.n, chunk.d2, chunk.d_inf, chunk.e_norm, chunk.excess, chunk.winner)
+    n, d2, d_inf, e_norm, excess, winner = (a.item() for a in columns)
+    return TrialRecord(
+        trial=index,
+        n=n,
+        kind=chunk.kind,
+        d2=d2,
+        d_inf=d_inf,
+        e_norm=e_norm,
+        excess=excess,
+        values=dict(zip(CATALOG_IDS, np.where(chunk.applicable, chunk.values, None)[0].tolist())),
+        violation_ids=tuple(itertools.compress(CATALOG_IDS, chunk.violated[0].tolist())),
+        check_failures=tuple(message for _, message in chunk.failures),
+        winner=CATALOG_IDS[winner] if winner >= 0 else "",
+    )
 
 
 @dataclass(frozen=True)
@@ -317,10 +304,10 @@ def _add_samples(samples: list, chunk: _Chunk, rows: Iterable[tuple[int, dict]])
 
 
 def _fold(
-    config: CampaignConfig, chunks: Iterable[_Chunk], sink: Callable[[list], None] | None
+    config: CampaignConfig, chunks: Iterable[_Chunk], sink: Callable[[_Chunk], None] | None
 ) -> CampaignSummary:
     """Fold the chunks, in trial order, into the campaign summary, and
-    hand each chunk's records to ``sink`` unless it is None."""
+    hand each chunk to ``sink`` unless it is None."""
     trials = 0
     wins = np.zeros(len(CATALOG_IDS), dtype=np.int64)
     max_slack = np.full(len(_D2_COLUMNS), -np.inf)
@@ -345,7 +332,7 @@ def _fold(
         nonzero_trace += int(chunk.trace_nonzero.sum())
         strict += chunk.strict[chunk.trace_nonzero].sum(axis=0)
         if sink is not None:
-            sink(_records(chunk))
+            sink(chunk)
 
     if wins.sum() != trials:
         raise AssertionError("tightness wins do not sum to the trial count")
@@ -383,50 +370,46 @@ def _chunks(config: CampaignConfig) -> list[range]:
     return [range(i, min(i + length, config.trials)) for i in range(0, config.trials, length)]
 
 
-def run_campaign(
-    config: CampaignConfig, collect_records: bool = False
-) -> CampaignSummary | tuple[CampaignSummary, list[TrialRecord]]:
+def run_campaign(config: CampaignConfig) -> CampaignSummary:
     """Run all trials (in processes when jobs > 1) and aggregate.
 
     Trials are evaluated in chunks of consecutive trials, of a fixed
-    maximum length, shared among the worker processes when jobs > 1.
-    Each chunk is folded into the summary as it arrives, in trial order,
-    and then dropped, so memory does not grow with the trial count, and
-    the summary is identical for any jobs value.  ``collect_records=True``
-    also returns every per-trial record, in index order, e.g. for CSV
-    dumps; these do grow with the trial count.
+    maximum length, shared among at most one worker process per chunk
+    when jobs > 1.  Each chunk is folded into the summary as it arrives,
+    in trial order, and then dropped, so memory does not grow with the
+    trial count, and the summary is identical for any jobs value.
+    :func:`run_trial` gives the record of any one trial.
     """
-    if not collect_records:
-        return _run_campaign(config)
-    records: list[TrialRecord] = []
-    return _run_campaign(config, records.extend), records
+    return _run_campaign(config)
 
 
-def _run_campaign(config: CampaignConfig, sink: Callable[[list], None] | None = None) -> CampaignSummary:
-    """:func:`run_campaign`, handing the records of each chunk, in trial
-    order, to ``sink`` (unless it is None) as the chunk is folded."""
-    with ProcessPoolExecutor(config.jobs) if config.jobs > 1 else contextlib.nullcontext() as pool:
-        chunks = (pool.map if pool else map)(_run_chunk, itertools.repeat(config), _chunks(config))
-        return _fold(config, chunks, sink)
+def _run_campaign(config: CampaignConfig, sink: Callable[[_Chunk], None] | None = None) -> CampaignSummary:
+    """:func:`run_campaign`, handing each chunk, in trial order, to
+    ``sink`` (unless it is None) as the chunk is folded."""
+    chunks = _chunks(config)
+    workers = min(config.jobs, len(chunks))
+    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        results = (pool.map if pool else map)(_run_chunk, itertools.repeat(config), chunks)
+        return _fold(config, results, sink)
 
 
 # ---------------------------------------------------------------------------
 # CSV output
 
 
-def _trials_csv(fh) -> Callable[[Iterable[TrialRecord]], None]:
+def _trials_csv(fh) -> Callable[[_Chunk], None]:
     """Write the per-trial CSV header to ``fh`` and return the function
-    that writes the rows of some records: one row per trial with trial,
-    n, kind, d2, each catalog value (empty where not applicable) and a
-    0/1 violation flag."""
+    that writes the rows of a chunk: one row per trial with trial, n,
+    kind, d2, each catalog value (empty where not applicable) and a 0/1
+    violation flag."""
     writer = csv.writer(fh)
     writer.writerow(["trial", "n", "kind", "d2", *CATALOG_IDS, "violation"])
 
-    def write(records: Iterable[TrialRecord]) -> None:
-        for rec in records:
-            values = (rec.values[bid] for bid in CATALOG_IDS)
-            cells = ("" if v is None else repr(v) for v in values)
-            flag = 1 if rec.violation_ids else 0
-            writer.writerow([rec.trial, rec.n, rec.kind, repr(rec.d2), *cells, flag])
+    def write(chunk: _Chunk) -> None:
+        values = np.where(chunk.applicable, chunk.values, None).tolist()
+        rows = zip(chunk.trials, chunk.n.tolist(), chunk.d2.tolist(), values, chunk.violated.any(axis=1).tolist())
+        for trial, n, d2, row, flag in rows:
+            cells = ("" if v is None else repr(v) for v in row)
+            writer.writerow([trial, n, chunk.kind, repr(d2), *cells, int(flag)])
 
     return write

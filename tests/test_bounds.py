@@ -650,3 +650,16 @@ def test_scaled_example_keeps_its_hypotheses():
 def test_make_case_refuses_a_small_non_normal_base():
     with pytest.raises(ValueError, match="not normal"):
         make_case(1e-6 * np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2)))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the 1e-10 * n * max(1, ||M||_F) floor of the schur_reconstruct row accepts a small wrong Schur form",
+)
+def test_make_case_refuses_a_small_schur_form_that_does_not_reconstruct():
+    # q t q* = [[3, 5], [0, 1]] * s is not diag(1, 3) * s at any scale;
+    # at s = 1e-11 the form is accepted and d2 reads 0
+    for s in (1.0, 1e-11):
+        wrong = SchurForm(np.eye(2), s * np.array([[3.0, 5.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="does not reconstruct the source matrix"):
+            make_case(s * np.diag([1.0, 3.0]), np.zeros((2, 2)), schur=wrong)

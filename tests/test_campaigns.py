@@ -1,14 +1,19 @@
+import csv
 import dataclasses
+import io
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from spectra_perturb import (
+    CATALOG_IDS,
     KINDS,
     TRACE_MODES,
     CampaignConfig,
     EnsembleSpec,
+    TrialRecord,
     derive_trial_seed,
     frobenius_norm,
     random_case,
@@ -17,6 +22,7 @@ from spectra_perturb import (
 )
 from spectra_perturb import bounds, campaigns
 from spectra_perturb.bounds import D2_BOUND_IDS
+from spectra_perturb.cli import main
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -65,6 +71,39 @@ def _fields(record) -> dict:
     } | {"values": {bid: repr(v) for bid, v in record.values.items()}}
 
 
+def _campaign_rows(config) -> tuple:
+    """The summary of a campaign and the fields of each of its trials,
+    read off the chunk arrays in the form _fields gives a record."""
+    chunks: list = []
+    summary = campaigns._run_campaign(config, chunks.append)
+    rows = []
+    for chunk in chunks:
+        values = np.where(chunk.applicable, chunk.values, None).tolist()
+        for i, trial in enumerate(chunk.trials):
+            winner = int(chunk.winner[i])
+            record = TrialRecord(
+                trial=trial,
+                n=int(chunk.n[i]),
+                kind=chunk.kind,
+                d2=float(chunk.d2[i]),
+                d_inf=float(chunk.d_inf[i]),
+                e_norm=float(chunk.e_norm[i]),
+                excess=float(chunk.excess[i]),
+                values=dict(zip(CATALOG_IDS, values[i])),
+                violation_ids=tuple(itertools.compress(CATALOG_IDS, chunk.violated[i])),
+                check_failures=tuple(message for row, message in chunk.failures if row == i),
+                winner=CATALOG_IDS[winner] if winner >= 0 else "",
+            )
+            rows.append(_fields(record))
+    return summary, rows
+
+
+def _assert_rows_equal_single_trials(config, rows) -> None:
+    assert [row["trial"] for row in rows] == list(range(config.trials))
+    for i, row in enumerate(rows):
+        assert row == _fields(run_trial(config, i))
+
+
 @pytest.mark.parametrize("trace_mode", TRACE_MODES)
 @pytest.mark.parametrize("kind", KINDS)
 def test_records_do_not_depend_on_batching(kind, trace_mode):
@@ -82,10 +121,8 @@ def test_records_do_not_depend_on_batching(kind, trace_mode):
     )
     cap = campaigns._CHUNK_CAP
     assert list(map(len, campaigns._chunks(config))) == [sizes * cap, sizes]
-    _, records = run_campaign(config, collect_records=True)
-    assert [rec.trial for rec in records] == list(range(config.trials))
-    for i, rec in enumerate(records):
-        assert _fields(rec) == _fields(run_trial(config, i))
+    _, rows = _campaign_rows(config)
+    _assert_rows_equal_single_trials(config, rows)
 
 
 def test_chunks_give_every_worker_work():
@@ -119,24 +156,83 @@ def test_chunks_cover_every_trial_once_and_shrink_at_large_n():
 @pytest.mark.parametrize("kind", KINDS)
 def test_records_across_a_chunk_boundary_equal_single_trials(kind, trace_mode):
     # n = 2..12 holds 11 * 128 = 1,408 trials in a chunk, so 1,500 trials
-    # cross into a short second chunk; the records come back in trial
-    # order and each equals the trial run on its own
+    # cross into a short second chunk; the rows come back in trial order
+    # and each equals the trial run on its own
     config = CampaignConfig(trials=1500, kind=kind, trace_mode=trace_mode, seed=2718)
     assert list(map(len, campaigns._chunks(config))) == [1408, 92]
-    _, records = run_campaign(config, collect_records=True)
-    assert [rec.trial for rec in records] == list(range(config.trials))
-    for i, rec in enumerate(records):
-        assert _fields(rec) == _fields(run_trial(config, i))
+    _, rows = _campaign_rows(config)
+    _assert_rows_equal_single_trials(config, rows)
 
 
 def test_jobs_give_identical_records_across_chunks():
     # n = 2..4 holds 384 trials in a chunk, so 900 trials make three
-    # chunks for the two workers; their records come back in trial order
+    # chunks for the two workers; their rows come back in trial order
     config = dict(trials=900, n_min=2, n_max=4, seed=42)
-    serial = run_campaign(CampaignConfig(**config, jobs=1), collect_records=True)
-    parallel = run_campaign(CampaignConfig(**config, jobs=2), collect_records=True)
+    serial = _campaign_rows(CampaignConfig(**config, jobs=1))
+    parallel = _campaign_rows(CampaignConfig(**config, jobs=2))
     assert len(campaigns._chunks(CampaignConfig(**config))) == 3
     assert repr(parallel) == repr(serial)
+    _assert_rows_equal_single_trials(CampaignConfig(**config), serial[1])
+
+
+@pytest.mark.parametrize("trials, chunks, workers", [(3, 1, []), (220, 20, [20])])
+def test_pool_has_at_most_one_worker_per_chunk(trials, chunks, workers, monkeypatch):
+    # --jobs 64 on 3 trials is one chunk and needs no pool; on 220 trials
+    # over n = 2..12 it is 20 chunks, one per worker.  The stand-in pool
+    # records its worker count and maps in this process.
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(campaigns, "ProcessPoolExecutor", SerialPool)
+    config = CampaignConfig(trials=trials, jobs=64)
+    assert len(campaigns._chunks(config)) == chunks
+    summary = run_campaign(config)
+    assert sizes == workers
+    assert summary.as_dict() == run_campaign(dataclasses.replace(config, jobs=1)).as_dict()
+
+
+def _csv_from_records(records) -> bytes:
+    """The tightness CSV of some run_trial records, cell by cell."""
+    fh = io.StringIO()
+    writer = csv.writer(fh)
+    writer.writerow(["trial", "n", "kind", "d2", *CATALOG_IDS, "violation"])
+    for rec in records:
+        cells = ("" if rec.values[bid] is None else repr(rec.values[bid]) for bid in CATALOG_IDS)
+        writer.writerow([rec.trial, rec.n, rec.kind, repr(rec.d2), *cells, 1 if rec.violation_ids else 0])
+    return fh.getvalue().encode()
+
+
+def test_tightness_csv_is_written_from_the_chunk_arrays(tmp_path, capsys, monkeypatch):
+    # 1,500 trials over n = 2..12 cross a chunk boundary; the CSV is
+    # written without building a single TrialRecord, serially and with
+    # two workers, and equals the rows of the trials run on their own
+    trials = 1500
+    config = CampaignConfig(trials=trials, seed=31)
+    assert len(campaigns._chunks(config)) == 2
+    expected = _csv_from_records([run_trial(config, i) for i in range(trials)])
+
+    def no_records(*args, **kwargs):
+        raise AssertionError("a TrialRecord was built")
+
+    monkeypatch.setattr(campaigns, "TrialRecord", no_records)
+    for jobs in ("1", "2"):
+        out = tmp_path / f"trials-{jobs}.csv"
+        argv = ["tightness", "--trials", str(trials), "--seed", "31", "--jobs", jobs, "--out", str(out)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert out.read_bytes() == expected
 
 
 def test_numerical_consistency_error_names_its_trial(monkeypatch):
@@ -239,8 +335,10 @@ def test_summary_equals_a_record_by_record_fold(kind, d2_factor, monkeypatch):
     config = CampaignConfig(trials=11 * 24, n_min=2, n_max=12, kind=kind, seed=5)
     assert all(len(chunk) == 33 for chunk in campaigns._chunks(config))
     summary = run_campaign(config)
-    collected, records = run_campaign(config, collect_records=True)
+    collected, rows = _campaign_rows(config)
     assert repr(collected) == repr(summary)
+    records = [run_trial(config, i) for i in range(config.trials)]
+    assert rows == [_fields(rec) for rec in records]
     folded = {key: summary.as_dict()[key] for key in _fold_records([])}
     assert repr(folded) == repr(_fold_records(records))
     if d2_factor == 1.5:
