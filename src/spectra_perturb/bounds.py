@@ -12,13 +12,17 @@ stacks of cases of one size (``_Cases``, arrays (k, n, n)):
 :func:`_make_cases` checks the inputs once and builds the ordered Schur
 forms, and :func:`_matrix_stats` reduces a stack to per-case numbers
 (norms, traces, excess, band width, blocks, the spectrum of A and the
-matching distances).  The scalar stage, :func:`_evaluate_block`, runs
-every catalog formula as one array expression over a block of such
-numbers, which may gather stacks of several sizes.  Only the LAPACK
-calls of the Schur decomposition and its reorder, and the assignment
-solver for ``d2``, run matrix by matrix.  Campaigns feed the core
-blocks of every size; :func:`make_case` and :func:`evaluate_all` are a
-block of one stack of one, and give the same bits case by case.
+matching distances).  The spectrum of A is one stacked Hermitian
+eigensolve: ``eigvalsh`` for a Hermitian A, the pencil eigenbasis of
+``decomp._normal_spectra`` for any other normal A, with ``eigvals`` for
+the few matrices whose pencil residual is too large.  The scalar stage,
+:func:`_evaluate_block`, runs every catalog formula as one array
+expression over a block of such numbers, which may gather stacks of
+several sizes.  Only the LAPACK calls of the Schur decomposition and
+its reorder, and the assignment solver for ``d2``, run matrix by
+matrix.  Campaigns feed the core blocks of every size; :func:`make_case`
+and :func:`evaluate_all` are a block of one stack of one, and give the
+same bits case by case.
 
 The catalog is written as the paper's table.  Each of the 27 distance
 bounds is a row ``(id, family, requires_hermitian, shape, constant,
@@ -58,6 +62,7 @@ from .decomp import (
     _check_schur_forms,
     _excesses,
     _fortran_stack,
+    _normal_spectra,
     _ranks,
     _reorder,
     _schur_factors,
@@ -279,19 +284,20 @@ def _matrix_stats(cases: _Cases) -> dict:
     """The matrix work on one stack: every per-case number that the
     catalog and the campaign checks read, one array entry per case.
 
-    ``lam_a``, the spectrum of A, comes from one eigensolve
-    (``eigvalsh`` for a Hermitian A, ``eigvals`` otherwise); it gives
-    the matching distances and, since A is normal, the spectral norm
-    max |lam_a| (``radius``).  The rank of A + E and ``||K||_F``, ``|tr
-    K|`` of the skew parts K = M - M* of M = A + E and M = E are computed
-    only for the cases with a Hermitian A, whose Hermitian-only entries
-    run, and are 0 elsewhere.  The Henrici factor ((n^3 - n) / 12)^(1/4)
-    is one Python float per size, broadcast."""
+    ``lam_a``, the spectrum of A, comes from one Hermitian eigensolve
+    (``eigvalsh`` for a Hermitian A, :func:`_normal_spectra` otherwise,
+    which falls back to ``eigvals`` matrix by matrix); it is a function
+    of A alone, and gives the matching distances and, since A is normal,
+    the spectral norm max |lam_a| (``radius``).  The rank of A + E and
+    ``||K||_F``, ``|tr K|`` of the skew parts K = M - M* of M = A + E
+    and M = E are computed only for the cases with a Hermitian A, whose
+    Hermitian-only entries run, and are 0 elsewhere.  The Henrici factor
+    ((n^3 - n) / 12)^(1/4) is one Python float per size, broadcast."""
     n, k = cases.n, len(cases.a)
     hermitian = cases.hermitian
     lam_a = np.empty(cases.eigenvalues.shape, dtype=np.complex128)
     radius = np.empty(k)
-    for rows, eigensolve in ((hermitian, np.linalg.eigvalsh), (~hermitian, np.linalg.eigvals)):
+    for rows, eigensolve in ((hermitian, np.linalg.eigvalsh), (~hermitian, _normal_spectra)):
         if rows.any():
             lam = eigensolve(cases.a[rows])
             lam_a[rows] = lam

@@ -12,6 +12,10 @@ place with ``ztrexc``.  The target orders of a whole stack come from one
 stable lexsort of the diagonals, ``ztrexc`` runs only on the forms out
 of order, and it permutes the diagonal entries exactly, so the ordered
 diagonal holds the very values of the input diagonal.
+
+A normal matrix needs no Schur form for its spectrum alone: one
+Hermitian eigensolve of a pencil of its Hermitian parts diagonalises it
+(``_normal_spectra``).
 """
 
 from __future__ import annotations
@@ -112,6 +116,45 @@ def _schur_factors(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows, cols = np.tril_indices(n, -1)
     t[:, rows, cols] = 0.0
     return q, t
+
+
+# c of the Hermitian pencil H + cK below: fixed and generic (the
+# fractional part of the golden ratio)
+_PENCIL_C = 0.6180339887498949
+
+
+def _normal_spectra(a: np.ndarray) -> np.ndarray:
+    """Spectrum (k, n) of each normal matrix of a stack (k, n, n), from
+    one stacked Hermitian eigensolve.
+
+    For a normal A the Hermitian parts H = (A + A*)/2 and K = (A - A*)/2i
+    commute, so an eigenbasis V of the Hermitian pencil H + cK = wA +
+    (wA)*, w = (1 - ic)/2, diagonalises A, and lam = diag(V* A V).
+    Hoffman-Wielandt on V* A V = diag(lam) + offdiag puts lam within
+    ||A V - V diag(lam)||_F of the spectrum, in the optimal matching.
+    Where that residual exceeds the ``"spectrum"`` row of
+    ``_TOLERANCES`` (two eigenvalues with nearly equal Re lam + c Im lam,
+    whose eigenvectors the pencil mixes, or an A normal only at the
+    ``"normal"`` tolerance), the matrix's spectrum comes from
+    ``np.linalg.eigvals`` instead.  The result depends on A alone.
+
+    Each matrix is first scaled exactly by 2^-e, e the exponent of its
+    largest real or imaginary part, so that the squares of the residual
+    check neither underflow nor overflow at any scale of A; lam is
+    scaled back by 2^e, again exactly."""
+    a = np.ascontiguousarray(a, dtype=np.complex128)
+    exponent = np.frexp(np.abs(a.view(np.float64)).max(axis=(1, 2)))[1]
+    unit = np.ldexp(a.view(np.float64), -exponent[:, None, None]).view(np.complex128)
+    wa = ((1.0 - 1j * _PENCIL_C) / 2) * unit
+    v = np.linalg.eigh(wa + wa.conj().transpose(0, 2, 1))[1]
+    av = unit @ v
+    lam = (v.conj() * av).sum(axis=1)
+    residual = _fro_norms(av - v * lam[:, None, :])
+    fallback = residual > _TOLERANCES["spectrum"](a.shape[-1], _fro_norms(unit))
+    lam = np.ldexp(lam.view(np.float64), exponent[:, None]).view(np.complex128)
+    if fallback.any():
+        lam[fallback] = np.linalg.eigvals(a[fallback])
+    return lam
 
 
 def _check_schur_forms(q, t, source) -> None:

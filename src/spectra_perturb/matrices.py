@@ -51,6 +51,10 @@ _TOLERANCES = {
     "block": lambda nrm: 1e-12 * nrm,
     # larger singular values count toward the numerical rank
     "rank": lambda n, sigma_max: 64 * n * float(np.finfo(np.float64).eps) * sigma_max,
+    # ||A V - V diag(lam)||_F of the pencil eigenbasis V of a normal A,
+    # which bounds the error of lam (Hoffman-Wielandt); no floor, so it
+    # scales with A and an exact zero stays exact
+    "spectrum": lambda n, nrm: 64 * n * float(np.finfo(np.float64).eps) * nrm,
     # Q* E Q has no exact zeros; smaller entries do not widen the band
     "band": lambda nrm: 1e-13 * nrm,
     # a radicand ||.||^2 - y clamps to 0 within this of its leading square

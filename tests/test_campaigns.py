@@ -15,7 +15,9 @@ from spectra_perturb import (
     EnsembleSpec,
     TrialRecord,
     derive_trial_seed,
+    evaluate_all,
     frobenius_norm,
+    make_case,
     random_case,
     run_campaign,
     run_trial,
@@ -255,8 +257,10 @@ def test_numerical_consistency_error_names_its_trial(monkeypatch):
 
 
 # Integer outcomes of 220-trial campaigns at seed 42, recorded before the
-# reorder moved to LAPACK ztrexc and A's spectrum to one eigensolve.  They
-# must survive last-bit changes in the pipeline; max_slack is not pinned.
+# reorder moved to LAPACK ztrexc and A's spectrum to one eigensolve, and
+# unchanged since a non-Hermitian A's spectrum comes from the Hermitian
+# pencil H + cK.  They must survive last-bit changes in the pipeline;
+# max_slack is not pinned.
 GOLDEN_COUNTS = {
     "normal": (
         {"eq_3_3c": 79, "eq_3_4b": 19, "eq_3_11b": 113, "eq_3_11c": 9},
@@ -281,6 +285,27 @@ def test_campaign_counts_match_golden_values(kind):
     assert summary.ordering == {"nonzero_trace_trials": 220, **ordering}
     assert summary.violation_count == 0
     assert summary.check_failure_count == 0
+
+
+@pytest.mark.parametrize("kind", ["normal", "hermitian"])
+def test_a_replayed_pair_gives_the_campaign_values(kind, monkeypatch):
+    # the spectrum of A is a function of A alone, so bounds on a drawn
+    # pair, through a case of its own, equals the campaign's trial bit
+    # for bit; seed 42's 220 normal trials include one whose pencil
+    # falls back to eigvals
+    fallbacks = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda m: fallbacks.append(len(m)) or eigvals(m))
+    config = CampaignConfig(trials=220, kind=kind, seed=42)
+    for i in range(config.trials):
+        drawn = random_case(EnsembleSpec(n=config.trial_size(i), kind=kind, seed=derive_trial_seed(config.seed, i)))
+        report = evaluate_all(make_case(drawn.a, drawn.e))
+        record = run_trial(config, i)
+        assert (repr(report.d2), repr(report.d_inf)) == (repr(record.d2), repr(record.d_inf))
+        assert {bv.id: repr(bv.value) for bv in report.bounds} == {
+            bid: repr(v) for bid, v in record.values.items()
+        }
+    assert bool(fallbacks) == (kind == "normal")
 
 
 def _fold_records(records) -> dict:

@@ -1,6 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectra_perturb import (
     SchurForm,
@@ -13,6 +17,7 @@ from spectra_perturb import (
 )
 from spectra_perturb import decomp
 from spectra_perturb.decomp import _block_boundaries, _block_structure, _descending_order, _ranks
+from spectra_perturb.matrices import _TOLERANCES
 
 from conftest import haar_rotated_diagonal, random_complex, rng_for, schur_residuals
 from oracles import char_poly_eigenvalues, match_distance
@@ -313,3 +318,105 @@ def test_reorder_accepts_c_ordered_and_read_only_input(rng):
     assert np.array_equal(ordered.t, expected.t)
     assert np.array_equal(ordered.q, expected.q)
     assert_valid_schur_form(ordered, m)
+
+
+# ---------------------------------------------------------------------------
+# the spectrum of a normal matrix from the Hermitian pencil H + cK
+
+SCALES = (1e-170, 1e-150, 1e-12, 1e12, 1e150, 1e170)
+
+
+def _spectra_and_fallbacks(a):
+    """decomp._normal_spectra of a stack, and the rows it sent to eigvals."""
+    with mock.patch.object(np.linalg, "eigvals", wraps=np.linalg.eigvals) as spy:
+        lam = decomp._normal_spectra(a)
+    sent = [m for call in spy.call_args_list for m in call.args[0]]
+    return lam, [i for i, m in enumerate(a) if any(np.array_equal(m, s) for s in sent)]
+
+
+def _spectrum_row(a):
+    return float(_TOLERANCES["spectrum"](a.shape[-1], frobenius_norm(a)))
+
+
+def _normal_with_spectrum(seed, mu):
+    q = np.linalg.qr(random_complex(rng_for(seed), (len(mu), len(mu))))[0]
+    return (q * mu) @ q.conj().T
+
+
+def _separated(seed, n):
+    """A spectrum whose values Re + c Im lie at least 1 - c apart."""
+    rng = rng_for(seed)
+    return np.arange(n) + 1j * rng.uniform(-0.5, 0.5, n) + complex(*rng.standard_normal(2))
+
+
+def _collided(seed, n):
+    """A spectrum whose last two values share Re + c Im: mu_j = mu_i + t (c - i)."""
+    mu = _separated(seed, n)
+    mu[-1] = mu[-2] + 1.5 * (decomp._PENCIL_C - 1j)
+    return mu
+
+
+def _haar(seed, n):
+    return haar_rotated_diagonal(rng_for(seed), n)
+
+
+def _repeated(seed, n):
+    """n eigenvalues drawn from n // 2 + 1 separated values, so most repeat."""
+    m = n // 2 + 1
+    return _normal_with_spectrum(seed, _separated(seed, m)[rng_for(seed + 1).integers(0, m, n)])
+
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+@pytest.mark.parametrize("draw", [_haar, _repeated], ids=["haar", "repeated"])
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 16), seed=seeds)
+def test_normal_spectra_agree_with_eigvals(draw, n, seed):
+    a = draw(seed, n)
+    lam = decomp._normal_spectra(a[None])[0]
+    assert optimal_match(lam, np.linalg.eigvals(a)).d2 <= _spectrum_row(a)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 12), seed=seeds)
+def test_pencil_collision_falls_back_alone(n, seed):
+    collided = _normal_with_spectrum(seed, _collided(seed, n))
+    others = np.stack([_normal_with_spectrum(seed + k, _separated(seed + k, n)) for k in (1, 2)])
+    stack = np.stack([others[0], collided, others[1]])
+    lam, fallbacks = _spectra_and_fallbacks(stack)
+    assert fallbacks == [1]
+    assert np.array_equal(lam[1], np.linalg.eigvals(collided))
+    # the other rows are those of the stack without the collision
+    assert np.array_equal(lam[[0, 2]], decomp._normal_spectra(others))
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(2, 12), seed=seeds)
+def test_normal_spectra_scale_with_a(n, seed):
+    stack = np.stack(
+        [
+            _normal_with_spectrum(seed, _separated(seed, n)),
+            _normal_with_spectrum(seed, _collided(seed, n)),
+        ]
+    )
+    lam, fallbacks = _spectra_and_fallbacks(stack)
+    for s in SCALES:
+        scaled, scaled_fallbacks = _spectra_and_fallbacks(s * stack)
+        assert scaled_fallbacks == fallbacks
+        for a, unscaled, row in zip(stack, lam, scaled):
+            assert optimal_match(row / s, unscaled).d2 <= _spectrum_row(a)
+
+
+def test_a_power_of_two_scales_the_pencil_spectrum_exactly():
+    a = _normal_with_spectrum(5, _separated(5, 9))[None]
+    lam = decomp._normal_spectra(a)
+    for s in (2.0**-600, 2.0**600):
+        assert np.array_equal(decomp._normal_spectra(s * a) / s, lam)
+
+
+def test_normal_spectra_of_zero_are_exact_zeros():
+    for n in (1, 2, 7):
+        lam, fallbacks = _spectra_and_fallbacks(np.zeros((3, n, n), dtype=complex))
+        assert fallbacks == []
+        assert lam.shape == (3, n) and not lam.any()
