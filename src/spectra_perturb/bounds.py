@@ -9,11 +9,12 @@ that several of those bounds consume.
 
 The pipeline has one core in two stages.  The matrix stage works on
 stacks of cases of one size (``_Cases``, arrays (k, n, n)):
-:func:`_make_cases` checks the inputs once and builds the ordered Schur
-forms, and :func:`_matrix_stats` reduces a stack to per-case numbers
-(norms, traces, excess, band width, blocks, the spectrum of A and the
-matching distances).  The spectrum of A is one stacked Hermitian
-eigensolve: ``eigvalsh`` for a Hermitian A, the pencil eigenbasis of
+:func:`make_case` checks a matrix pair once (a generator's draws are
+valid by construction), :func:`_make_cases` builds the ordered Schur
+forms of trusted stacks, and :func:`_matrix_stats` reduces a stack to
+per-case numbers (norms, traces, excess, band width, blocks, the
+spectrum of A and the matching distances).  The spectrum of A is one
+stacked Hermitian eigensolve: ``eigvalsh`` for a Hermitian A, the pencil eigenbasis of
 ``decomp._normal_spectra`` for any other normal A, with ``eigvals`` for
 the few matrices whose pencil residual is too large.  The scalar stage,
 :func:`_evaluate_block`, runs every catalog formula as one array
@@ -59,7 +60,6 @@ from .decomp import (
     SchurForm,
     _block_boundaries,
     _block_structure,
-    _check_schur_forms,
     _excesses,
     _fortran_stack,
     _normal_spectra,
@@ -70,6 +70,7 @@ from .decomp import (
 from .matching import optimal_match
 from .matrices import (
     _TOLERANCES,
+    _check_range,
     _commutator_defects,
     _fro_norms,
     _is_hermitian,
@@ -109,9 +110,9 @@ FAMILY_DELTA_ESTIMATE = "delta_estimate"
 
 class NumericalConsistencyError(ArithmeticError):
     """A radicand that is nonnegative in exact arithmetic came out
-    negative beyond round-off slack, so the case data is inconsistent
-    (e.g. a Schur form that does not belong to ``a + e``).  ``entry`` is
-    the index of the offending case in its stack (0 for one case)."""
+    negative beyond round-off slack, so the case data is inconsistent.
+    ``entry`` is the index of the offending case in its stack (0 for one
+    case)."""
 
     def __init__(self, message: str, entry: int = 0):
         super().__init__(message)
@@ -197,53 +198,44 @@ class PerturbationCase:
     block = property(lambda self: _block_structure(self._cases.boundaries[0]))
 
 
-def make_case(a, e, *, schur: SchurForm | None = None) -> PerturbationCase:
+def make_case(a, e) -> PerturbationCase:
     """Assemble a :class:`PerturbationCase` from a matrix pair.
 
-    This is the single input check of the case pipeline: ``a`` and ``e``
-    must be finite square matrices of one shape, and ``a`` must be normal
-    (or Hermitian) within the ``"normal"`` (``"hermitian"``) row of
-    ``matrices._TOLERANCES``, else ValueError.  When ``schur`` is given,
-    its q and t must be a Schur form of ``a + e`` within the ``"schur_*"``
-    rows, else ValueError; a strictly lower part of t within its row is
-    set to zero, and the form is reordered into the canonical eigenvalue
-    order.
-    Otherwise a fresh decomposition is computed.  Eigenvalue blocks are
-    detected on the ordered factor.
+    The only check of a matrix pair, in this order: ``a`` and ``e`` are
+    finite, non-empty square matrices of one shape, ``a`` is Hermitian or
+    normal (the ``"hermitian"``, ``"normal"`` rows of
+    ``matrices._TOLERANCES``), ``a + e`` is finite, and ||A||_F + ||E||_F
+    keeps to ``matrices._check_range``; else ValueError.  The Schur form
+    of ``a + e`` is computed and reordered into the canonical eigenvalue
+    order, and eigenvalue blocks are detected on the ordered factor.
     """
     a = np.array(as_matrix(a, "a"), order="C")
     e = np.array(as_matrix(e, "e"), order="C")
     if a.shape != e.shape:
         raise ValueError(f"shape mismatch: a is {a.shape}, e is {e.shape}")
-    factors = () if schur is None else (np.asarray(schur.q)[None], np.asarray(schur.t)[None])
-    return PerturbationCase(_make_cases(a[None], e[None], *factors))
+    a, e = a[None], e[None]
+    # an overflow in a check is its failure (a NaN defect, an infinite norm)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Hermitian implies normal: a Hermitian A passes even where the
+        # commutator test's tighter tolerance would reject it.
+        if not (_is_hermitian(a)[0] or _is_normal(_commutator_defects(a), _fro_norms(a))[0]):
+            raise ValueError("matrix A is not normal at tolerance; the catalog does not apply")
+        if not np.isfinite(a + e).all():
+            raise ValueError("a + e contains non-finite entries")
+        _check_range((_fro_norms(a) + _fro_norms(e))[0], "||A||_F + ||E||_F")
+    return PerturbationCase(_make_cases(a, e))
 
 
 def _make_cases(a, e, q=None, t=None) -> _Cases:
-    """:func:`make_case` for stacks (k, n, n) of C-ordered matrix pairs,
-    with an optional stack of Schur forms (q, t) of ``a + e``."""
-    for name, m in (("a", a), ("e", e)):
-        if not np.isfinite(m).all():
-            raise ValueError(f"{name} contains non-finite entries")
+    """The cases of stacks (k, n, n) of C-ordered matrix pairs that pass
+    :func:`make_case`'s checks, which are not made again.  The Schur forms
+    of ``a + e`` are computed, or given as exactly triangular (q, t)."""
     hermitian = _is_hermitian(a)
-    # Hermitian implies normal: a Hermitian A passes even where the
-    # commutator test's tighter tolerance would reject it.
-    other = a[~hermitian]
-    if len(other) and not _is_normal(_commutator_defects(other), _fro_norms(other)).all():
-        raise ValueError("matrix A is not normal at tolerance; the catalog does not apply")
     a_tilde = a + e
-    if not np.isfinite(a_tilde).all():
-        raise ValueError("a + e contains non-finite entries")
     if q is None:
         q, t = _schur_factors(a_tilde)
     else:
-        if q.shape != a.shape or t.shape != a.shape:
-            raise ValueError("factor shapes do not match the source matrix")
         q, t = _fortran_stack(q), _fortran_stack(t)
-        _check_schur_forms(q, t, a_tilde)
-        # drop a strictly lower part within tolerance, as _schur_factors does
-        rows, cols = np.tril_indices(t.shape[-1], -1)
-        t[:, rows, cols] = 0.0
     _reorder(q, t)
     # a case's arrays are never written again; an in-place write by a
     # caller would leave what was derived from them stale

@@ -8,7 +8,7 @@ dumps per-trial bound values plus a win histogram.  Exit codes: 0 clean,
 input errors and on output paths that cannot be written, 3 when a case's
 numbers are inconsistent (a ``NumericalConsistencyError``: a quantity
 that is nonnegative in exact arithmetic came out negative beyond
-round-off, e.g. for a Schur form that does not belong to ``a + e``).
+round-off).
 ``SPECTRA_PERTURB_SEED`` supplies the seed when ``--seed`` is absent.
 """
 

@@ -157,20 +157,6 @@ def _normal_spectra(a: np.ndarray) -> np.ndarray:
     return lam
 
 
-def _check_schur_forms(q, t, source) -> None:
-    """Check the invariants of a stack of Schur forms against a stack of
-    source matrices; ValueError names the first invariant some matrix
-    violates."""
-    n = t.shape[-1]
-    qh = q.conj().transpose(0, 2, 1)
-    if (_fro_norms(qh @ q - np.eye(n)) > _TOLERANCES["schur_unitary"](n)).any():
-        raise ValueError("q is not unitary within tolerance")
-    if (_fro_norms(np.tril(t, -1)) > _TOLERANCES["schur_triangular"](_fro_norms(t))).any():
-        raise ValueError("t is not upper triangular within tolerance")
-    if (_fro_norms(q @ t @ qh - source) > _TOLERANCES["schur_reconstruct"](n, _fro_norms(source))).any():
-        raise ValueError("q t q* does not reconstruct the source matrix")
-
-
 def _descending_order(d: np.ndarray) -> np.ndarray:
     """Indices that sort each row of a stack of spectra (k, n), or one
     spectrum (n,), by descending modulus, ties by descending real part,

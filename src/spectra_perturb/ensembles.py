@@ -16,7 +16,7 @@ import numpy as np
 
 from .bounds import PerturbationCase, _Cases, _make_cases, make_case
 from .decomp import _descending_order
-from .matrices import _fro_norms
+from .matrices import _check_range, _fro_norms
 
 __all__ = [
     "KINDS",
@@ -44,6 +44,8 @@ def _check_draw(kind: str, scale, trace_mode: str, seed) -> None:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     if not (math.isfinite(scale) and scale > 0.0):
         raise ValueError(f"perturbation_scale must be finite and positive, got {scale!r}")
+    # a drawn ||A||_F is O(sqrt(n)), negligible next to a scale this rule refuses
+    _check_range(scale, "perturbation_scale")
     if trace_mode not in TRACE_MODES:
         raise ValueError(f"trace_mode must be one of {TRACE_MODES}, got {trace_mode!r}")
     _check_integer("seed", seed)

@@ -3,8 +3,9 @@
 Matrices are plain numpy ``complex128`` arrays.  Inputs are checked at
 the boundary: each public function here validates its argument through
 :func:`as_matrix` (or :func:`as_spectrum`), ``make_case`` validates a
-matrix pair once, and JSON loading validates every entry.  Inside the
-package, the arrays of a built case are trusted and not checked again.
+matrix pair once and a draw's parameters once, both to the overflow
+rule :func:`_check_range`, and JSON loading validates every entry.
+Inside the package, arrays (drawn ones too) are trusted, not checked.
 """
 
 from __future__ import annotations
@@ -41,12 +42,6 @@ _TOLERANCES = {
     "normal": lambda nrm: 1e-10 * np.maximum(1.0, nrm * nrm),
     # ||M - M*||_F scales linearly with M
     "hermitian": lambda nrm: 1e-10 * np.maximum(1.0, nrm),
-    # ||Q* Q - I||_F of a supplied Schur form: entries O(1), n^2 of them
-    "schur_unitary": lambda n: 1e-10 * n,
-    # the strictly lower part of a supplied t, relative to t
-    "schur_triangular": lambda nrm: 1e-10 * np.maximum(1.0, nrm),
-    # ||Q T Q* - M||_F grows with n and with M
-    "schur_reconstruct": lambda n, nrm: 1e-10 * n * np.maximum(1.0, nrm),
     # an entry of t this small next to ||t||_F ends an eigenvalue block
     "block": lambda nrm: 1e-12 * nrm,
     # larger singular values count toward the numerical rank
@@ -74,6 +69,16 @@ _TOLERANCES = {
     # the comparisons of a Hermitian base, on the scale of ||E||_F + Delta
     "hermitian_checks": lambda e_norm, excess: 1e-12 * np.maximum(np.maximum(1.0, e_norm), excess),
 }
+
+
+def _check_range(nrm: float, name: str) -> None:
+    """The overflow rule of a case's inputs: ValueError unless (2 nrm)^4
+    is finite, nrm = ||A||_F + ||E||_F.  It bounds the largest powers
+    taken: ||A + E||_F^4 and the squared commutator defect of A + E in
+    ``sun_3_7``, and the squared eigenvalue distances of the matching."""
+    x = 2.0 * float(nrm)
+    if not math.isfinite(x * x * x * x):
+        raise ValueError(f"{name} = {nrm:.3e} is too large: (2 ({name}))^4 overflows")
 
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:

@@ -32,7 +32,6 @@ from spectra_perturb import (
     random_case,
     rotated_perturbation,
     rotated_perturbation_residual,
-    schur_decompose,
     sun_delta_lower,
     w_lower,
 )
@@ -58,54 +57,25 @@ def test_make_case_flags():
         make_case([[0.0, 1.0], [0.0, 0.0]], np.zeros((2, 2)))
 
 
-def test_make_case_rejects_wrong_schur(rng):
-    a = np.diag([1.0, 2.0])
-    e = np.zeros((2, 2))
-    bogus = SchurForm(q=np.eye(2, dtype=complex), t=np.diag([5.0, 6.0]).astype(complex))
-    with pytest.raises(ValueError):
-        make_case(a, e, schur=bogus)
-    # a genuine Schur form, but of another matrix
-    a = haar_rotated_diagonal(rng, 4)
-    other = schur_decompose(random_complex(rng, (4, 4)))
-    with pytest.raises(ValueError, match="reconstruct"):
-        make_case(a, random_complex(rng, (4, 4)), schur=other)
-
-
-def _nearly_triangular_pair(lower: float):
-    """(a, e, form): t = diag(4, 3, 2, 1) plus a unit strictly upper part
-    and ``lower * ||t||_F`` at t[3, 0], q = I, a = diag(t), a + e = t."""
-    t = np.diag([4.0, 3.0, 2.0, 1.0]).astype(complex) + np.triu(np.ones((4, 4)), 1)
-    t[3, 0] = lower * np.linalg.norm(t)
-    a = np.diag(np.diag(t))
-    return a, t - a, SchurForm(q=np.eye(4, dtype=complex), t=t)
-
-
-def test_make_case_accepts_a_strictly_lower_part_within_tolerance():
-    # within the "schur_triangular" tolerance the form passes the check;
-    # its strictly lower part is then dropped, so the stored factor is
-    # exactly triangular
-    a, e, form = _nearly_triangular_pair(1e-11)
-    case = make_case(a, e, schur=form)
-    assert np.all(np.tril(case.schur_tilde.t, -1) == 0)
-    assert case.block.sizes == (4,)
-    assert np.array_equal(case.schur_tilde.eigenvalues, [4.0, 3.0, 2.0, 1.0])
-    assert evaluate_all(case).violations == ()
-    a, e, form = _nearly_triangular_pair(1e-9)
-    with pytest.raises(ValueError, match="not upper triangular"):
-        make_case(a, e, schur=form)
-
-
-def test_make_case_reorders_supplied_schur():
-    # supplied form has ascending moduli; the case must come out ordered,
-    # its eigenvalues read off t
+def test_make_case_reorders_the_computed_schur_form():
+    # diag(1, 3) takes the triangular fast path (q = I, t = diag(1, 3)),
+    # which has ascending moduli; the case must come out ordered, its
+    # eigenvalues read off t
     a = np.diag([1.0, 3.0])
     e = np.zeros((2, 2))
-    form = SchurForm(q=np.eye(2, dtype=complex), t=np.diag([1.0, 3.0]).astype(complex))
-    case = make_case(a, e, schur=form)
+    case = make_case(a, e)
     lam = case.schur_tilde.eigenvalues
     assert abs(lam[0]) >= abs(lam[1])
     assert abs(lam[0] - 3.0) < 1e-14
     assert np.array_equal(lam, np.diag(case.schur_tilde.t))
+
+
+def test_make_case_takes_no_schur_form():
+    # a case's Schur form is always computed: in the canonical order it is
+    # unique up to diagonal phases, so a supplied one would add nothing
+    form = SchurForm(q=np.eye(2, dtype=complex), t=np.diag([3.0, 1.0]).astype(complex))
+    with pytest.raises(TypeError, match="schur"):
+        make_case(np.diag([1.0, 3.0]), np.zeros((2, 2)), schur=form)
 
 
 def test_case_attributes_are_read_only():
@@ -123,9 +93,9 @@ def test_case_arrays_are_read_only():
     # flags stale: A[1, 1] = 100 on the 2x2 example gave d2 = 100 and four
     # violated bounds
     a, e = np.diag([1.0, 3.0]), np.zeros((2, 2))
-    form = SchurForm(q=np.eye(2, dtype=complex), t=np.diag([1.0, 3.0]).astype(complex))
-    supplied = make_case(a, e, schur=form)
-    cases = [fixture("intro_2x2"), supplied]
+    copied = make_case(a, e)
+    cases = [fixture("intro_2x2"), copied]
+    # normal-blocked reorders the generator's own Schur form
     cases += [random_case(EnsembleSpec(n=4, kind=kind, seed=3)) for kind in KINDS]
     for case in cases:
         form = case.schur_tilde
@@ -135,7 +105,7 @@ def test_case_arrays_are_read_only():
     assert evaluate_all(fixture("intro_2x2")).violations == ()
     # make_case copies its inputs, so the caller's arrays stay writable
     a[1, 1] = 100.0
-    assert supplied.a[1, 1] == 3.0
+    assert copied.a[1, 1] == 3.0
 
 
 @pytest.mark.parametrize("tol_factor", [0.0, -1.0, math.nan, math.inf, -math.inf])
@@ -652,14 +622,45 @@ def test_make_case_refuses_a_small_non_normal_base():
         make_case(1e-6 * np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2)))
 
 
+# ---------------------------------------------------------------------------
+# extreme scales: (2 (||A||_F + ||E||_F))^4 must be finite, so that no
+# power the catalog or the matching takes overflows
+
+
+def _scaled_pair(s: float):
+    """diag(1, 3) s and [[0, 1], [1, 0]] s / 10: a Hermitian A, d2 about
+    7.05e-3 s."""
+    return np.diag([1.0, 3.0]) * s, np.array([[0.0, 1.0], [1.0, 0.0]]) * (s / 10)
+
+
+@pytest.mark.parametrize("s", [1e80, 1e160])
+def test_make_case_refuses_a_pair_whose_fourth_powers_overflow(s):
+    # at 1e80 ||A + E||_F^4 overflowed and sun_3_7 raised a false
+    # NumericalConsistencyError; at 1e160 the squared distances did, and
+    # the assignment solver called its cost matrix infeasible
+    with pytest.raises(ValueError, match=r"\|\|A\|\|_F \+ \|\|E\|\|_F = .* is too large"):
+        make_case(*_scaled_pair(s))
+
+
+def test_make_case_accepts_a_pair_just_inside_the_range():
+    # (2 (||A||_F + ||E||_F))^4 is about 1.9e306 at s = 1e76
+    s = 1e76
+    report = evaluate_all(make_case(*_scaled_pair(s)))
+    unit = evaluate_all(make_case(*_scaled_pair(1.0)))
+    assert report.violations == ()
+    assert abs(report.d2 / s - unit.d2) <= 1e-12 * unit.d2
+    for bv, ref in zip(report.bounds, unit.bounds):
+        assert bv.applicable == ref.applicable
+        if bv.applicable:
+            assert abs(bv.value / s - ref.value) <= 1e-9 * ref.value
+
+
 @pytest.mark.xfail(
     strict=True,
-    reason="the 1e-10 * n * max(1, ||M||_F) floor of the schur_reconstruct row accepts a small wrong Schur form",
+    reason="the matching and the norms square entries without scaling, so d2 underflows "
+    "at s = 1e-170; scaling is ROADMAP direction 1, since small inputs are legitimate",
 )
-def test_make_case_refuses_a_small_schur_form_that_does_not_reconstruct():
-    # q t q* = [[3, 5], [0, 1]] * s is not diag(1, 3) * s at any scale;
-    # at s = 1e-11 the form is accepted and d2 reads 0
-    for s in (1.0, 1e-11):
-        wrong = SchurForm(np.eye(2), s * np.array([[3.0, 5.0], [0.0, 1.0]]))
-        with pytest.raises(ValueError, match="does not reconstruct the source matrix"):
-            make_case(s * np.diag([1.0, 3.0]), np.zeros((2, 2)), schur=wrong)
+def test_a_tiny_pair_keeps_its_distance():
+    d2 = evaluate_all(make_case(*_scaled_pair(1.0))).d2
+    tiny = evaluate_all(make_case(*_scaled_pair(1e-170))).d2
+    assert abs(tiny - 1e-170 * d2) <= 1e-9 * 1e-170 * d2

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -44,6 +45,25 @@ def test_perturbation_scale_must_be_finite_and_positive(scale):
         CampaignConfig(trials=1, n_min=3, n_max=3, perturbation_scale=scale)
     with pytest.raises(ValueError, match="perturbation_scale must be finite and positive"):
         EnsembleSpec(n=3, perturbation_scale=scale)
+
+
+def test_perturbation_scale_must_keep_fourth_powers_finite():
+    # at 1e80 henrici_3_6 and sun_3_7 were non-finite in every trial, and
+    # the campaign reported ok, since NaN passes the sandwich check
+    for make in (
+        lambda scale: CampaignConfig(trials=11, perturbation_scale=scale),
+        lambda scale: EnsembleSpec(n=3, perturbation_scale=scale),
+    ):
+        with pytest.raises(ValueError, match=r"^perturbation_scale = 1\.000e\+80 is too large"):
+            make(1e80)
+    # just inside the rule, (2 * 5.7e76)^4 is about 1.7e308: a clean run
+    # with every value finite
+    config = CampaignConfig(trials=11, perturbation_scale=5.7e76)
+    assert run_campaign(config).ok
+    for i in range(config.trials):
+        record = run_trial(config, i)
+        values = [record.d2, *(v for v in record.values.values() if v is not None)]
+        assert all(map(math.isfinite, values))
 
 
 @pytest.mark.parametrize(

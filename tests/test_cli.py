@@ -193,6 +193,21 @@ def test_bounds_rejects_nonnormal_base(tmp_path, capsys):
     assert "not normal" in err
 
 
+@pytest.mark.parametrize("s", [1e80, 1e160])
+def test_bounds_refuses_a_pair_whose_fourth_powers_overflow(tmp_path, capsys, s):
+    # before the overflow rule, 1e80 exited 3 with a false "radicand -inf"
+    # of sun_3_7 and 1e160 exited 2 with the assignment solver's
+    # "cost matrix is infeasible"
+    a_path, e_path = tmp_path / "A.json", tmp_path / "E.json"
+    save_matrix(a_path, np.diag([1.0, 3.0]) * s)
+    save_matrix(e_path, np.array([[0.0, 1.0], [1.0, 0.0]]) * (s / 10))
+    target = tmp_path / "report.json"
+    code, out, err = run(["bounds", "--a", str(a_path), "--e", str(e_path), "--out", str(target)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ||A||_F + ||E||_F = ") and "is too large" in err
+    assert not target.exists()
+
+
 def test_bounds_hermitian_flag_requires_hermitian_base(tmp_path, capsys):
     a_path, e_path = tmp_path / "A.json", tmp_path / "E.json"
     save_matrix(a_path, np.diag([1.0j, 2.0]))  # normal but not Hermitian

@@ -109,21 +109,40 @@ def test_case_kinds_everything_consistent():
         assert np.allclose(case.a + case.e, case.a_tilde)
 
 
-def test_blocked_cases_have_structure():
+@pytest.mark.parametrize("n", range(2, 13))
+def test_blocked_cases_have_structure(n):
     for seed in range(25):
-        spec = EnsembleSpec(n=9, kind="normal-blocked", trace_mode="generic", seed=seed)
+        spec = EnsembleSpec(n=n, kind="normal-blocked", trace_mode="generic", seed=seed)
         case = random_case(spec)
         assert case.a_is_normal
         assert case.block.s >= 2
         assert abs(frobenius_norm(case.e) - 1.0) <= 1e-12
         form = case.schur_tilde
-        tol = 1e-10 * case.n * max(1.0, frobenius_norm(case.a_tilde))
-        assert all(res <= tol for res in schur_residuals(case.a_tilde, form))
         assert np.array_equal(form.eigenvalues, np.diag(form.t))
         # the constructed triangular factor really is block triangular:
         # the block count survives re-detection on the stored form
         sizes = case.block.sizes
         assert sum(sizes) == case.n
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_generated_cases_are_valid_inputs(kind):
+    # a draw goes into the case pipeline unchecked, so every kind must
+    # give what make_case would accept: a finite, normal (for hermitian,
+    # Hermitian) A; normal-blocked's planted Schur form must be exactly
+    # triangular, unitary and reconstruct A + E within 1e-10 n max(1, ||.||_F)
+    check = is_hermitian if kind == "hermitian" else is_normal
+    for n in range(2, 13):
+        for seed in range(8):
+            case = random_case(EnsembleSpec(n=n, kind=kind, seed=seed))
+            assert np.isfinite(case.a).all() and check(case.a)
+            if kind != "normal-blocked":
+                continue
+            form = case.schur_tilde
+            assert not np.tril(form.t, -1).any()
+            unitarity, _, reconstruction = schur_residuals(case.a_tilde, form)
+            assert unitarity <= 1e-10 * n
+            assert reconstruction <= 1e-10 * n * max(1.0, frobenius_norm(case.a_tilde))
 
 
 def test_blocked_zero_trace_mode():
