@@ -10,6 +10,7 @@ Inside the package, arrays (drawn ones too) are trusted, not checked.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import math
@@ -258,11 +259,20 @@ def load_matrix(path) -> np.ndarray:
 
     Raises OSError when the file cannot be read, and ValueError when it
     is not valid JSON or not a valid matrix (see :func:`matrix_from_json`);
-    every ValueError message starts with the path.
+    every ValueError message starts with the path.  The cyclic garbage
+    collector is paused while the text is decoded: its n*n [re, im]
+    lists hold no cycles, yet their allocation set off hundreds of
+    collections at large n.  Its previous state is then restored.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            gc_was_enabled = gc.isenabled()
+            gc.disable()
+            try:
+                obj = json.load(fh)
+            finally:
+                if gc_was_enabled:
+                    gc.enable()
         return matrix_from_json(obj)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc

@@ -1,5 +1,8 @@
+import contextlib
+import gc
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -219,5 +222,88 @@ def test_save_and_load_matrix(tmp_path, rng):
 def test_load_matrix_rejects_garbage(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("not json at all")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}: not valid JSON")):
         load_matrix(path)
+    bad = tmp_path / "bad_entry.json"
+    bad.write_text(_text_with_bad_entry_37())
+    with pytest.raises(ValueError, match="^" + re.escape(f"{bad}: entry 37 ")):
+        load_matrix(bad)
+
+
+def _text_with_bad_entry_37() -> str:
+    entries = [[float(k), -float(k)] for k in range(64)]
+    entries[37] = [1.0, "2"]
+    return json.dumps({"n": 8, "entries": entries})
+
+
+def _special_256(rng):
+    """An n = 256 matrix with the float edge cases the JSON decoder must keep."""
+    m = random_complex(rng, (256, 256))
+    m.flat[1] = complex(-0.0, 5e-324)
+    m.flat[2] = complex(1e308, -1e308)
+    m.flat[3] = complex(-5e-324, -0.0)
+    m.flat[4] = complex(7, -2)  # written below as the integers [7, -2]
+    return m
+
+
+@pytest.mark.parametrize("layout", ["save_matrix", "json.dumps"])
+def test_load_matrix_round_trips_bit_for_bit_at_n_256(tmp_path, rng, layout):
+    m = _special_256(rng)
+    path = tmp_path / "m.json"
+    if layout == "save_matrix":  # one trailing newline
+        save_matrix(path, m)
+    else:  # the benchmark's writer: no newline
+        path.write_text(json.dumps(matrix_to_json(m)))
+    text = path.read_text()
+    assert text.endswith("\n") == (layout == "save_matrix")
+    assert text.count("[7.0, -2.0]") == 1
+    path.write_text(text.replace("[7.0, -2.0]", "[7, -2]"))
+    loaded = load_matrix(path)
+    assert loaded.dtype == np.complex128 and loaded.shape == (256, 256)
+    assert np.array_equal(loaded.view(np.float64), m.view(np.float64))
+
+
+@pytest.fixture(params=[True, False], ids=["gc-enabled", "gc-disabled"])
+def gc_state(request):
+    """The collector in the state the test is for, restored afterwards."""
+    was_enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    try:
+        yield request.param
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ('{"n": 1, "entries": [[1, 0]]}', None),
+        ('{"n": 1, "entries": [[1, 0]', ValueError),
+        (_text_with_bad_entry_37(), ValueError),
+        (None, OSError),
+    ],
+    ids=["good", "not-json", "bad-entry", "missing"],
+)
+def test_load_matrix_leaves_the_collector_as_it_found_it(tmp_path, gc_state, text, error):
+    path = tmp_path / "m.json"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(error) if error else contextlib.nullcontext():
+        load_matrix(path)
+    assert gc.isenabled() is gc_state
+
+
+def test_load_matrix_decodes_with_the_collector_paused(tmp_path, monkeypatch, gc_state):
+    states = []
+    decode = json.load
+
+    def watched(fh):
+        states.append(gc.isenabled())
+        return decode(fh)
+
+    monkeypatch.setattr(json, "load", watched)
+    path = tmp_path / "m.json"
+    save_matrix(path, np.eye(2))
+    load_matrix(path)
+    assert states == [False]
+    assert gc.isenabled() is gc_state
