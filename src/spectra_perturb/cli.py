@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import os
@@ -250,6 +251,8 @@ def _add_campaign_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
 
 
+# one per process: parsing does not change it, and each one left behind is cyclic garbage
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spectra-perturb",
@@ -293,8 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if getattr(args, "seed", "absent") is None:
             args.seed = _seed_default()

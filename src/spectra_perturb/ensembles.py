@@ -107,10 +107,6 @@ def derive_trial_seed(seed: int, trial_index: int) -> int:
     return (seed ^ trial_index) & _MASK64
 
 
-def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
 def _haar_unitaries(z: np.ndarray) -> np.ndarray:
     """Haar unitaries from a stack of complex Gaussian matrices: the QR
     factor q with the phases of diag(r) divided out."""
@@ -167,52 +163,54 @@ def _draw_cases(kind: str, n: int, seeds, scale: float, trace_mode: str) -> _Cas
 def _blocked_cases(n: int, seeds, scale: float, trace_mode: str) -> _Cases:
     # Build A + E = U T U* with T genuinely block upper triangular, then
     # recover A as U diag(mu) U* so that E = U (T - diag(mu)) U* has
-    # Frobenius norm exactly perturbation_scale.  Only the draws run seed
-    # by seed, in stream order: the Haar matrix, lambda, the block count
-    # and cuts, nu, then the noise on the strictly upper positions inside
-    # the blocks, sum b (b - 1) / 2 of them over the block sizes b.
+    # Frobenius norm exactly perturbation_scale.  Only the stream calls run
+    # seed by seed, in stream order: the Haar matrix, Re lambda and Im lambda
+    # in one call (Philox is sequential); the block count s; s - 1 cuts; nu
+    # and the noise, c real then c imaginary values for the c = sum b (b - 1) / 2
+    # strictly upper positions inside blocks of sizes b.  c is known only after
+    # the cuts, so the noise is drawn for the largest c, (n - 1)(n - 2) / 2; the
+    # stream is re-keyed per seed, so the unused tail moves no other draw.
     k, m = len(seeds), n * n
-    z = np.empty((k, 2 * m))
-    lam = np.empty((k, n), dtype=np.complex128)
-    nu = np.empty((k, n), dtype=np.complex128)
-    cut = np.zeros((k, n), dtype=int)
-    draws, counts = [], []
-    positions = np.arange(1, n)
+    head = np.empty((k, 2 * m + 2 * n))
+    tail = np.empty((k, 2 * n + (n - 1) * (n - 2)))
+    picks = []
     stream = _Stream()
     for i, seed in enumerate(seeds):
         rng = stream.reset(seed)
-        rng.standard_normal(out=z[i])
-        lam[i] = _complex_gaussian(rng, n)
-        cuts = rng.choice(positions, size=int(rng.integers(2, n + 1)) - 1, replace=False)
-        cut[i, cuts] = 1
-        edges = [0, *sorted(cuts.tolist()), n]
-        counts.append(sum((b - a) * (b - a - 1) // 2 for a, b in zip(edges, edges[1:])))
-        nu[i] = _complex_gaussian(rng, n)
-        draws.append(_complex_gaussian(rng, counts[-1]))
+        rng.standard_normal(out=head[i])
+        picks.append(rng.choice(n - 1, rng.integers(2, n + 1) - 1, replace=False))
+        rng.standard_normal(out=tail[i])
+    lam = head[:, 2 * m : 2 * m + n] + 1j * head[:, 2 * m + n :]
     lam = np.take_along_axis(lam, _descending_order(lam), axis=1)
+    nu = tail[:, :n] + 1j * tail[:, n : 2 * n]
+    if trace_mode == "zero":
+        nu -= nu.mean(axis=1)[:, None]
+    cut = np.zeros((k, n), dtype=int)
+    cut[np.repeat(np.arange(k), [p.size for p in picks]), np.concatenate(picks) + 1] = 1
     block_of = np.cumsum(cut, axis=1)
     # strictly upper positions inside blocks, matrix by matrix in row-major order
     inside = np.triu(block_of[:, :, None] == block_of[:, None, :], 1)
-    if trace_mode == "zero":
-        nu -= nu.mean(axis=1)[:, None]
-    noise = np.concatenate(draws)
-    noise_sq = np.abs(noise) ** 2
-    # a sum whose length varies by seed stays one np.sum per seed, which
-    # keeps its pairwise-summation bits
-    ends = np.cumsum(counts).tolist()
-    noise_total = [np.sum(noise_sq[end - count : end]) for count, end in zip(counts, ends)]
+    counts = np.count_nonzero(inside, axis=(1, 2))
+    first = np.cumsum(counts) - counts
+    owner = np.nonzero(inside)[0]
+    real_col = 2 * n + np.arange(owner.size) - first[owner]
+    noise = tail[owner, real_col] + 1j * tail[owner, real_col + counts[owner]]
+    # row sums of equal-length segments keep np.sum's pairwise bits per segment
+    noise_total = np.empty(k)
+    for count in set(counts.tolist()):
+        rows = np.flatnonzero(counts == count)
+        noise_total[rows] = (np.abs(noise[first[rows, None] + np.arange(count)]) ** 2).sum(axis=1)
     total = np.sqrt(np.sum(np.abs(nu) ** 2, axis=1) + noise_total)
     if not total.all():
         raise ArithmeticError("degenerate zero draw")
     factor = scale / total
     nu *= factor[:, None]
     t = np.zeros((k, n, n), dtype=np.complex128)
-    t[inside] = noise * np.repeat(factor, counts)
+    t[inside] = noise * factor[owner]
     diagonal = np.arange(n)
     t[:, diagonal, diagonal] = lam
-    mu = lam - nu
-    u = _haar_unitaries((z[:, :m] + 1j * z[:, m:]).reshape(-1, n, n))
-    a = _normal_matrices(u, mu)
+    u = _haar_unitaries((head[:, :m] + 1j * head[:, m : 2 * m]).reshape(-1, n, n))
+    a = _normal_matrices(u, lam - nu)
     a_tilde = u @ t @ u.conj().transpose(0, 2, 1)
     return _make_cases(a, a_tilde - a, u, t)
 

@@ -2,6 +2,10 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -121,6 +125,28 @@ def test_bounds_dump_schur_rejects_csv(intro_paths, capsys):
     code, _, err = run(["bounds", "--a", a, "--e", e, "--dump-schur", "--format", "csv"], capsys)
     assert code == 2
     assert "error" in err
+
+
+def test_main_answers_every_call_of_a_process_as_a_fresh_process(intro_paths, capsys):
+    # main builds one parser per process; every call, also one after a
+    # usage error, gives a fresh interpreter's report and exit code
+    a, e = intro_paths
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    commands = (["bounds", "--a", a, "--e", e, "--format", "csv"], ["verify", "--trials", "5", "--seed", "7"])
+    for argv in commands:
+        # bytes, so that the CSV's \r\n line ends are compared as written
+        fresh = subprocess.run(
+            [sys.executable, "-m", "spectra_perturb", *argv], env=env, capture_output=True, timeout=120
+        )
+        assert fresh.returncode == 0, fresh.stderr
+        for _ in range(2):
+            assert run(argv, capsys) == (fresh.returncode, fresh.stdout.decode(), fresh.stderr.decode())
+            with pytest.raises(SystemExit) as exc:
+                main(["bounds", "--a", a])
+            assert exc.value.code == 2
+            assert capsys.readouterr().err.startswith("usage: spectra-perturb bounds")
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_bounds_corrupt_input(tmp_path, capsys):

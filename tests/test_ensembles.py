@@ -152,20 +152,26 @@ def test_blocked_zero_trace_mode():
         assert abs(np.trace(case.e)) <= 1e-11 * frobenius_norm(case.e)
 
 
+def _complex_gaussian(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 def _blocked_cases_seed_by_seed(n, seeds, scale, trace_mode):
     # The blocked generator as one loop over the seeds, every step per
-    # seed, with the canonical order as a Python sort key: the reference
-    # for the stacked generator, which must give the same bits.
+    # seed and every draw its own stream call, with the canonical order
+    # as a Python sort key: the reference for the stacked generator, which
+    # must give the same bits.  Also returns each seed's noise count.
     m = n * n
     z = np.empty((len(seeds), 2 * m))
     t = np.zeros((len(seeds), n, n), dtype=np.complex128)
     mu = np.empty((len(seeds), n), dtype=np.complex128)
+    counts = []
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
     stream = ensembles._Stream()
     for i, seed in enumerate(seeds):
         rng = stream.reset(seed)
         rng.standard_normal(out=z[i])
-        draw = ensembles._complex_gaussian(rng, n)
+        draw = _complex_gaussian(rng, n)
         lam = np.array(sorted(draw, key=lambda x: (-abs(x), -x.real, -x.imag)))
         s = int(rng.integers(2, n + 1))
         cuts = np.sort(rng.choice(np.arange(1, n), size=s - 1, replace=False))
@@ -173,8 +179,9 @@ def _blocked_cases_seed_by_seed(n, seeds, scale, trace_mode):
         block_of[cuts] = 1
         block_of = np.cumsum(block_of)
         inside = upper & (block_of[:, None] == block_of[None, :])
-        nu = ensembles._complex_gaussian(rng, n)
-        noise = ensembles._complex_gaussian(rng, int(inside.sum()))
+        counts.append(int(inside.sum()))
+        nu = _complex_gaussian(rng, n)
+        noise = _complex_gaussian(rng, counts[-1])
         if trace_mode == "zero":
             nu -= nu.mean()
         total = math.sqrt(float(np.sum(np.abs(nu) ** 2) + np.sum(np.abs(noise) ** 2)))
@@ -187,17 +194,25 @@ def _blocked_cases_seed_by_seed(n, seeds, scale, trace_mode):
     u = ensembles._haar_unitaries((z[:, :m] + 1j * z[:, m:]).reshape(-1, n, n))
     a = ensembles._normal_matrices(u, mu)
     a_tilde = u @ t @ u.conj().transpose(0, 2, 1)
-    return _make_cases(a, a_tilde - a, u, t)
+    return _make_cases(a, a_tilde - a, u, t), counts
 
 
 @pytest.mark.parametrize("trace_mode", TRACE_MODES)
 def test_blocked_generator_equals_the_seed_by_seed_reference(trace_mode):
-    for n in range(2, 13):
+    counts = {}
+    for n in (*range(2, 13), 24):
         seeds = [derive_trial_seed(1000 * n + 7, trial) for trial in range(29)] + [(1 << 64) - 1]
         stacked = ensembles._blocked_cases(n, seeds, 0.7, trace_mode)
-        reference = _blocked_cases_seed_by_seed(n, seeds, 0.7, trace_mode)
+        reference, counts[n] = _blocked_cases_seed_by_seed(n, seeds, 0.7, trace_mode)
         for name in ("a", "e", "q", "t", "eigenvalues"):
             assert np.array_equal(getattr(stacked, name), getattr(reference, name)), (n, name)
+    # the seeds reach the noise sums the stacked generator groups by
+    # length: empty ones, equal lengths, and one longer than numpy's
+    # pairwise-summation block of 128, where a row sum could first part
+    # from np.sum of the segment
+    assert set(counts[2]) == {0}
+    assert all(len(set(c)) < len(c) for c in counts.values())
+    assert max(counts[24]) > 128
 
 
 def test_trial_seed_derivation():
