@@ -218,19 +218,21 @@ def make_case(a, e) -> PerturbationCase:
     with np.errstate(over="ignore", invalid="ignore"):
         # Hermitian implies normal: a Hermitian A passes even where the
         # commutator test's tighter tolerance would reject it.
-        if not (_is_hermitian(a)[0] or _is_normal(_commutator_defects(a), _fro_norms(a))[0]):
+        hermitian = _is_hermitian(a)
+        if not (hermitian[0] or _is_normal(_commutator_defects(a), _fro_norms(a))[0]):
             raise ValueError("matrix A is not normal at tolerance; the catalog does not apply")
         if not np.isfinite(a + e).all():
             raise ValueError("a + e contains non-finite entries")
         _check_range((_fro_norms(a) + _fro_norms(e))[0], "||A||_F + ||E||_F")
-    return PerturbationCase(_make_cases(a, e))
+    return PerturbationCase(_make_cases(a, e, hermitian=hermitian))
 
 
-def _make_cases(a, e, q=None, t=None) -> _Cases:
+def _make_cases(a, e, q=None, t=None, hermitian=None) -> _Cases:
     """The cases of stacks (k, n, n) of C-ordered matrix pairs that pass
     :func:`make_case`'s checks, which are not made again.  The Schur forms
-    of ``a + e`` are computed, or given as exactly triangular (q, t)."""
-    hermitian = _is_hermitian(a)
+    of ``a + e`` and the Hermitian flags of ``a`` are computed unless
+    given, the forms as exactly triangular (q, t)."""
+    hermitian = _is_hermitian(a) if hermitian is None else hermitian
     a_tilde = a + e
     if q is None:
         q, t = _schur_factors(a_tilde)
@@ -288,12 +290,10 @@ def _matrix_stats(cases: _Cases) -> dict:
     n, k = cases.n, len(cases.a)
     hermitian = cases.hermitian
     lam_a = np.empty(cases.eigenvalues.shape, dtype=np.complex128)
-    radius = np.empty(k)
     for rows, eigensolve in ((hermitian, np.linalg.eigvalsh), (~hermitian, _normal_spectra)):
         if rows.any():
-            lam = eigensolve(cases.a[rows])
-            lam_a[rows] = lam
-            radius[rows] = np.abs(lam).max(axis=1)
+            rows = slice(None) if rows.all() else rows  # the stack itself, not a copy
+            lam_a[rows] = eigensolve(cases.a[rows])
     match = optimal_match(lam_a, cases.eigenvalues)
     rotated = _rotated(cases.q, cases.e)
     rank = np.zeros(k, dtype=int)
@@ -314,7 +314,7 @@ def _matrix_stats(cases: _Cases) -> dict:
         "excess": _excesses(cases.t),
         "w": _band_widths(rotated, _TOLERANCES["band"](_fro_norms(rotated)), lower=True),
         "s": 1 + np.count_nonzero(cases.boundaries, axis=1),
-        "radius": radius,
+        "radius": np.abs(lam_a).max(axis=1),
         "defect": _commutator_defects(cases.a_tilde),
         "henrici": np.full(k, _henrici_factor(n)),
         "rank": rank,

@@ -20,12 +20,13 @@ Hermitian eigensolve of a pencil of its Hermitian parts diagonalises it
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import zgees, ztrexc
 
-from .matrices import _TOLERANCES, _fro_norms, as_matrix
+from .matrices import _TOLERANCES, _fro_norms, _strict_upper, as_matrix
 
 __all__ = [
     "SchurForm",
@@ -94,6 +95,12 @@ def _no_sort(x):
     return None
 
 
+@functools.cache
+def _zgees_lwork(n: int) -> int:
+    """The ``zgees`` workspace ``scipy.linalg.schur`` asks for: a function of n alone."""
+    return int(zgees(_no_sort, np.zeros((n, n), dtype=np.complex128), lwork=-1)[-2][0].real)
+
+
 def _schur_factors(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Schur factors (q, t) of each matrix of a stack, from one LAPACK
     ``zgees`` call per matrix (with the workspace ``scipy.linalg.schur``
@@ -103,18 +110,13 @@ def _schur_factors(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = m.shape[-1]
     t = _fortran_stack(m)
     q = _fortran_stack(np.broadcast_to(np.eye(n), m.shape))
-    triangular = ~np.tril(m, -1).any(axis=(1, 2))
-    lwork = None
-    for i in np.flatnonzero(~triangular):
-        if lwork is None:
-            lwork = int(zgees(_no_sort, t[i], lwork=-1)[-2][0].real)
-        ti, _, _, vs, _, info = zgees(_no_sort, t[i], lwork=lwork, overwrite_a=1)
+    for i in np.flatnonzero(np.tril(m, -1).any(axis=(1, 2))):
+        ti, _, _, vs, _, info = zgees(_no_sort, t[i], lwork=_zgees_lwork(n), overwrite_a=1)
         if info > 0:
             raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
         t[i] = ti
         q[i] = vs
-    rows, cols = np.tril_indices(n, -1)
-    t[:, rows, cols] = 0.0
+    t[:, _strict_upper(n).T] = 0.0
     return q, t
 
 
@@ -189,14 +191,16 @@ def _reorder(q: np.ndarray, t: np.ndarray) -> None:
     touched."""
     n = t.shape[-1]
     target = _descending_order(np.diagonal(t, axis1=1, axis2=2))
+    moved = np.flatnonzero((target != np.arange(n)).any(axis=1))
+    target = target[moved]
     # Moving the eigenvalue target[p] to position p keeps the ones not yet
     # placed in their original relative order, so it starts at p plus the
     # number of later targets with a smaller original index.
-    later_smaller = np.triu(target[:, None, :] < target[:, :, None], 1)
+    later_smaller = (target[:, None, :] < target[:, :, None]) & _strict_upper(n)
     source = np.arange(n) + np.count_nonzero(later_smaller, axis=2)
-    for i in np.flatnonzero((source != np.arange(n)).any(axis=1)).tolist():
+    for i, row in zip(moved.tolist(), source.tolist()):
         ti, qi = t[i], q[i]
-        for p, j in enumerate(source[i].tolist()):
+        for p, j in enumerate(row):
             if j != p:
                 ztrexc(ti, qi, j + 1, p + 1, overwrite_a=1, overwrite_q=1)
 
@@ -220,7 +224,7 @@ def _ranks(m: np.ndarray) -> np.ndarray:
 def _excesses(t: np.ndarray) -> np.ndarray:
     """||strict_upper(t)||_F of each triangular factor of a stack: the
     triangular excess, the departure from normality of its source."""
-    return _fro_norms(np.triu(t, 1))
+    return _fro_norms(np.where(_strict_upper(t.shape[-1]), t, 0.0))
 
 
 def departure_from_normality(m) -> float:

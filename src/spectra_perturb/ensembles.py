@@ -10,13 +10,14 @@ therefore need no shared state.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import PerturbationCase, _Cases, _make_cases, make_case
 from .decomp import _descending_order
-from .matrices import _check_range, _fro_norms
+from .matrices import _check_range, _fro_norms, _strict_upper
 
 __all__ = [
     "KINDS",
@@ -75,29 +76,29 @@ class EnsembleSpec:
         _check_draw(self.kind, self.perturbation_scale, self.trace_mode, self.seed)
 
 
-class _Stream:
-    """One Philox generator, re-keyed for each draw of a batch.  Setting
-    the state (key ``(seed mod 2^64, 0)``, counter 0, empty buffer) gives
-    the draws of a fresh ``Philox(key=...)`` at a quarter of the cost,
-    since the constructor first seeds itself from OS entropy."""
+class _Stream(threading.local):
+    """One Philox generator per thread, re-keyed for each draw: setting
+    the state (key ``(seed mod 2^64, 0)``, counter 0, empty buffer) of one
+    dict of Python ints gives the draws of a fresh ``Philox(key=...)``
+    without its constructor, which seeds itself from OS entropy.  The
+    setter copies the values, so a re-key just writes the key into the
+    dict.  Each thread builds its own on its first use of an instance."""
 
     def __init__(self):
         self.bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
         self.generator = np.random.Generator(self.bitgen)
+        self.key = [0, 0]
+        self.state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": self.key},
+                      "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
     def reset(self, seed: int) -> np.random.Generator:
-        self.bitgen.state = {
-            "bit_generator": "Philox",
-            "state": {
-                "counter": np.zeros(4, dtype=np.uint64),
-                "key": np.array([seed & _MASK64, 0], dtype=np.uint64),
-            },
-            "buffer": np.zeros(4, dtype=np.uint64),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        self.key[0] = seed & _MASK64
+        self.bitgen.state = self.state
         return self.generator
+
+
+# the generators' stream, one per thread: threads that draw at once must not share one
+_STREAM = _Stream()
 
 
 def derive_trial_seed(seed: int, trial_index: int) -> int:
@@ -144,9 +145,8 @@ def _draw_cases(kind: str, n: int, seeds, scale: float, trace_mode: str) -> _Cas
     # one stream per seed: the real and imaginary parts of the Haar
     # draw, the spectrum, then those of the perturbation
     draws = np.empty((len(seeds), 4 * m + (n if real else 2 * n)))
-    stream = _Stream()
     for row, seed in zip(draws, seeds):
-        stream.reset(seed).standard_normal(out=row)
+        _STREAM.reset(seed).standard_normal(out=row)
     z = draws[:, :m] + 1j * draws[:, m : 2 * m]
     rest = draws[:, 2 * m :]
     if real:
@@ -174,9 +174,8 @@ def _blocked_cases(n: int, seeds, scale: float, trace_mode: str) -> _Cases:
     head = np.empty((k, 2 * m + 2 * n))
     tail = np.empty((k, 2 * n + (n - 1) * (n - 2)))
     picks = []
-    stream = _Stream()
     for i, seed in enumerate(seeds):
-        rng = stream.reset(seed)
+        rng = _STREAM.reset(seed)
         rng.standard_normal(out=head[i])
         picks.append(rng.choice(n - 1, rng.integers(2, n + 1) - 1, replace=False))
         rng.standard_normal(out=tail[i])
@@ -189,7 +188,7 @@ def _blocked_cases(n: int, seeds, scale: float, trace_mode: str) -> _Cases:
     cut[np.repeat(np.arange(k), [p.size for p in picks]), np.concatenate(picks) + 1] = 1
     block_of = np.cumsum(cut, axis=1)
     # strictly upper positions inside blocks, matrix by matrix in row-major order
-    inside = np.triu(block_of[:, :, None] == block_of[:, None, :], 1)
+    inside = (block_of[:, :, None] == block_of[:, None, :]) & _strict_upper(n)
     counts = np.count_nonzero(inside, axis=(1, 2))
     first = np.cumsum(counts) - counts
     owner = np.nonzero(inside)[0]

@@ -10,6 +10,7 @@ Inside the package, arrays (drawn ones too) are trusted, not checked.
 
 from __future__ import annotations
 
+import functools
 import gc
 import itertools
 import json
@@ -136,6 +137,15 @@ def _fro_norms(m: np.ndarray) -> np.ndarray:
     re, im = flat.real, flat.imag
     squares = re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)
     return np.sqrt(squares[:, 0, 0])
+
+
+# Cached per size and process, like decomp._zgees_lwork: a read-only bool mask, no n^2 index array.
+@functools.cache
+def _strict_upper(n: int) -> np.ndarray:
+    """The read-only (n, n) mask of the entries above the diagonal."""
+    mask = np.triu(np.ones((n, n), dtype=bool), 1)
+    mask.flags.writeable = False
+    return mask
 
 
 def _commutator_defects(m: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .matrices import _fro_norms, as_matrix, as_spectrum
+from .matrices import _fro_norms, _strict_upper, as_matrix, as_spectrum
 
 __all__ = [
     "delta",
@@ -58,18 +58,15 @@ def _deltas(nrm: np.ndarray, trace_moduli: np.ndarray, n) -> np.ndarray:
 
 def _band_widths(m: np.ndarray, tol: np.ndarray, lower: bool) -> np.ndarray:
     """Band width of each matrix of a stack (see :func:`w_lower`), with
-    one threshold per matrix.  Diagonals are scanned from the outermost
-    inwards and the scan stops once every matrix has its width."""
-    width = np.zeros(m.shape[0], dtype=int)
-    open_ = np.ones(m.shape[0], dtype=bool)
-    for d in range(m.shape[-1] - 1, 0, -1):
-        band = np.diagonal(m, -d if lower else d, axis1=1, axis2=2)
-        found = open_ & (np.abs(band) > tol[:, None]).any(axis=1)
-        width[found] = d
-        open_ &= ~found
-        if not open_.any():
-            break
-    return width
+    one threshold per matrix: the outermost diagonal's one entry when it
+    decides every width, else one pass over the strictly lower entries."""
+    m = m if lower else m.transpose(0, 2, 1)
+    n = m.shape[-1]
+    if (np.abs(m[:, n - 1, 0]) > tol).all():
+        return np.full(m.shape[0], n - 1)
+    beyond = (np.abs(m) > tol[:, None, None]) & _strict_upper(n).T
+    # the first entry beyond tol in row i, at column j, is the row's widest
+    return np.where(beyond.any(axis=2), np.arange(n) - beyond.argmax(axis=2), 0).max(axis=1)
 
 
 def w_lower(m, tol: float = 0.0) -> int:

@@ -57,6 +57,18 @@ def test_make_case_flags():
         make_case([[0.0, 1.0], [0.0, 0.0]], np.zeros((2, 2)))
 
 
+def test_make_case_computes_the_hermitian_flags_once(monkeypatch):
+    # the normality gate's flags are the case's: _make_cases is handed
+    # them and does not test A again
+    calls = []
+    is_hermitian = bounds_module._is_hermitian
+    monkeypatch.setattr(bounds_module, "_is_hermitian", lambda m: calls.append(m.shape) or is_hermitian(m))
+    for a, hermitian in ((np.diag([1.0, 2.0]), True), (np.diag([1.0j, 2.0]), False)):
+        calls.clear()
+        assert make_case(a, np.ones((2, 2))).a_is_hermitian is hermitian
+        assert calls == [(1, 2, 2)]
+
+
 def test_make_case_reorders_the_computed_schur_form():
     # diag(1, 3) takes the triangular fast path (q = I, t = diag(1, 3)),
     # which has ascending moduli; the case must come out ordered, its

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -213,6 +215,69 @@ def test_blocked_generator_equals_the_seed_by_seed_reference(trace_mode):
     assert set(counts[2]) == {0}
     assert all(len(set(c)) < len(c) for c in counts.values())
     assert max(counts[24]) > 128
+
+
+def _fresh_generator(seed):
+    return np.random.Generator(np.random.Philox(key=np.array([seed & ((1 << 64) - 1), 0], dtype=np.uint64)))
+
+
+def test_draws_build_no_bit_generator_once_the_stream_exists(monkeypatch):
+    for kind in KINDS:
+        ensembles._draw_cases(kind, 4, [1, 2], 1.0, "generic")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a bit generator was built for a draw")
+
+    monkeypatch.setattr(np.random, "Philox", refuse)
+    for kind in KINDS:
+        for trace_mode in TRACE_MODES:
+            ensembles._draw_cases(kind, 5, [3, 4, 5], 0.5, trace_mode)
+    random_case(EnsembleSpec(n=3, kind="normal-blocked", seed=6))
+
+
+def test_a_rekey_gives_the_draws_of_a_fresh_generator():
+    # each round leaves a partly used buffer and a cached 32-bit half in
+    # the generator, which the next re-key must discard
+    draws = (
+        lambda g: g.standard_normal(7),
+        lambda g: g.integers(0, 2**32, size=3, dtype=np.uint32),
+        lambda g: g.random(),
+        lambda g: g.choice(9, 4, replace=False),
+    )
+    s1, s2 = 123456789, (1 << 64) - 1
+    for seed in (s1, s2, s1, s1, 1 << 64 | 5):
+        rng, fresh = ensembles._STREAM.reset(seed), _fresh_generator(seed)
+        for draw in draws:
+            assert np.array_equal(draw(rng), draw(fresh)), seed
+
+
+def test_threads_that_draw_at_once_each_get_their_own_seeds_bits():
+    seeds = {name: [derive_trial_seed(seed, i) for i in range(20)] for name, seed in (("x", 11), ("y", 12))}
+    expected = {name: ensembles._draw_cases("normal", 3, s, 1.0, "generic") for name, s in seeds.items()}
+    start = threading.Barrier(len(seeds), timeout=30)
+    wrong, done = [], []
+
+    def draw(name):
+        start.wait()
+        for _ in range(60):
+            cases = ensembles._draw_cases("normal", 3, seeds[name], 1.0, "generic")
+            if not (np.array_equal(cases.a, expected[name].a) and np.array_equal(cases.e, expected[name].e)):
+                wrong.append(name)
+        done.append(name)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=draw, args=(name,)) for name in seeds]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(done) == sorted(seeds)
+    assert not wrong
 
 
 def test_trial_seed_derivation():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectra_perturb import (
     PHI_EXAMPLE_UNITARY,
@@ -17,6 +19,8 @@ from spectra_perturb import (
     w_lower,
     w_upper,
 )
+
+from spectra_perturb.quantities import _band_widths
 
 from conftest import haar_rotated_diagonal, random_complex, rng_for
 
@@ -83,6 +87,66 @@ def test_band_widths_range(rng):
     m = random_complex(rng, (6, 6))
     assert 0 <= w_lower(m) <= 5
     assert 0 <= w_upper(m) <= 5
+
+
+def _band_widths_by_diagonal(m, tol, lower):
+    # the band width as a scan of the diagonals from the outermost
+    # inwards, stopping once every matrix has its width: the reference
+    # for the package's one-pass version
+    width = np.zeros(m.shape[0], dtype=int)
+    open_ = np.ones(m.shape[0], dtype=bool)
+    for d in range(m.shape[-1] - 1, 0, -1):
+        band = np.diagonal(m, -d if lower else d, axis1=1, axis2=2)
+        found = open_ & (np.abs(band) > tol[:, None]).any(axis=1)
+        width[found] = d
+        open_ &= ~found
+        if not open_.any():
+            break
+    return width
+
+
+# entry values: exact zeros, moduli exactly at a threshold below (0.5,
+# 1.0; the test is a strict >), and 0.3 + 0.4i, whose computed modulus
+# sits at 0.5 to the last bit
+_ENTRIES = st.sampled_from([0.0, 0.5, -0.5j, 1.0, -1.0, 1j, 2.0, 0.3 + 0.4j, 1e-300])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    k=st.integers(1, 3),
+    lower=st.booleans(),
+    fortran=st.booleans(),
+    data=st.data(),
+)
+def test_band_widths_equal_the_diagonal_scan(n, k, lower, fortran, data):
+    m = np.array(data.draw(st.lists(_ENTRIES, min_size=k * n * n, max_size=k * n * n)), dtype=complex)
+    m = m.reshape(k, n, n)
+    # planted zero diagonals, on either side of the main one
+    rows, cols = np.indices((n, n))
+    for i in range(k):
+        for d in data.draw(st.sets(st.integers(-(n - 1), n - 1))):
+            m[i][cols - rows == d] = 0.0
+    if fortran:
+        m = np.ascontiguousarray(m.transpose(0, 2, 1)).transpose(0, 2, 1)
+    tol = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]), min_size=k, max_size=k)))
+    widths = _band_widths(m, tol, lower)
+    assert widths.dtype.kind == "i" and widths.shape == (k,)
+    assert np.array_equal(widths, _band_widths_by_diagonal(m, tol, lower))
+    if n == 1:
+        assert not widths.any()
+
+
+def test_band_widths_equal_the_diagonal_scan_on_dense_stacks(rng):
+    # the outermost diagonal decides (dense) or one pass runs (triangular
+    # to rounding), with the package's band tolerance
+    for n in (2, 5, 12, 40):
+        m = random_complex(rng, (6, n, n))
+        m[3:] = np.triu(m[3:]) + 1e-15 * np.tril(m[3:], -1)
+        m[4, n - 1, 0] = 0.0
+        tol = 1e-13 * np.linalg.norm(m, axis=(1, 2))
+        for lower in (True, False):
+            assert np.array_equal(_band_widths(m, tol, lower), _band_widths_by_diagonal(m, tol, lower))
 
 
 def test_normal_band_mass_identity(rng):
