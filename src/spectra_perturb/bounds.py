@@ -333,32 +333,33 @@ def _skew_parts(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Stats:
-    """The per-case numbers of a block of cases, which may differ in
-    size: the columns of :func:`_matrix_stats` (``n`` among them, one
-    entry per case) and the scalars derived from them.  No matrix is
-    held, so a block's memory does not grow with its largest size."""
+    """The per-case results of a block of k cases, which may differ in
+    size, one array entry per case; no matrix is held, so a block's
+    memory does not grow with its largest size.  ``_Stats(k, stacks)``
+    runs the matrix work of each ``(rows, cases)`` stack as it arrives
+    and sets the columns of :func:`_matrix_stats` at ``rows``: ``n``,
+    ``hermitian``, ``d2``, ``d_inf``, ``e_norm``, ``e_trace``, ``a_norm``,
+    ``a_trace``, ``tilde_norm``, ``excess``, ``w``, ``s``, ``radius``,
+    ``defect``, ``henrici``, ``rank`` and the four ``skew_*``; then
+    ``e2``, ``delta_e``, ``delta_a``, ``mix``, ``tilde_is_normal`` and
+    ``radicand_slack``.  :func:`_evaluate_block` sets the catalog's
+    ``values`` (k, entries), NaN where not ``applicable``, ``applicable``
+    and ``violated``; ``campaigns._run_chunk`` sets ``trials``,
+    ``winner``, ``strict`` and ``failures``."""
 
-    def __init__(self, columns: dict):
-        self.__dict__.update(columns)
+    def __init__(self, k: int, stacks):
+        columns = self.__dict__
+        for rows, cases in stacks:
+            for name, column in _matrix_stats(cases).items():
+                if name not in columns:
+                    columns[name] = np.empty(k, dtype=column.dtype)
+                columns[name][rows] = column
         self.e2 = _square(self.e_norm)
         self.delta_e = _deltas(self.e_norm, self.e_trace, self.n)
         self.delta_a = _deltas(self.a_norm, self.a_trace, self.n)
         self.mix = np.minimum(self.a_norm, np.sqrt(self.n - 1) * self.radius)
         self.tilde_is_normal = _is_normal(self.defect, self.tilde_norm)
         self.radicand_slack = _TOLERANCES["distance_radicand"](self.e2, _square(self.excess))
-
-
-def _block_stats(k: int, stacks) -> _Stats:
-    """The stats of a block of k cases from ``(rows, cases)`` pairs: each
-    stack's matrix work runs as the stack arrives, and its per-case
-    results land at ``rows`` of the block."""
-    columns: dict = {}
-    for rows, cases in stacks:
-        for name, column in _matrix_stats(cases).items():
-            if name not in columns:
-                columns[name] = np.empty(k, dtype=column.dtype)
-            columns[name][rows] = column
-    return _Stats(columns)
 
 
 # ---------------------------------------------------------------------------
@@ -585,43 +586,26 @@ class BoundReport:
         return {k: list(v) if isinstance(v, tuple) else v for k, v in dataclasses.asdict(self).items()}
 
 
-@dataclass(frozen=True)
-class _Evaluation:
-    """The catalog on a block of cases: ``values`` (k, entries) holds NaN
-    where ``applicable`` is false; ``violated`` flags the applicable
-    distance bounds below d2 (``stats.d2``) by more than the slack."""
-
-    values: np.ndarray
-    applicable: np.ndarray
-    violated: np.ndarray
-    stats: _Stats
-
-
-def _evaluate(cases: _Cases) -> _Evaluation:
-    """Evaluate the full catalog on one stack of cases."""
-    return _evaluate_block(len(cases.a), [(slice(None), cases)])
-
-
-def _evaluate_block(k: int, stacks) -> _Evaluation:
-    """Evaluate the full catalog on a block of k cases given as ``(rows,
-    cases)`` stacks (see :func:`_block_stats`): the matrix work runs
-    stack by stack, the catalog once on the block.  The Hermitian-only
-    entries run on the cases with a Hermitian A; a NumericalConsistencyError
-    names its case by block row."""
-    st = _block_stats(k, stacks)
-    values = np.full((k, len(_CATALOG)), np.nan)
-    applicable = np.zeros((k, len(_CATALOG)), dtype=bool)
+def _evaluate_block(k: int, stacks) -> _Stats:
+    """The stats of a block of k cases given as ``(rows, cases)`` stacks
+    (see :class:`_Stats`), with the full catalog evaluated on them: the
+    matrix work runs stack by stack, the catalog once on the block.  The
+    Hermitian-only entries run on the cases with a Hermitian A; a
+    NumericalConsistencyError names its case by block row."""
+    st = _Stats(k, stacks)
+    st.values = np.full((k, len(_CATALOG)), np.nan)
+    st.applicable = np.zeros((k, len(_CATALOG)), dtype=bool)
     everywhere = np.ones(k, dtype=bool)
     for col, (entry, formula) in enumerate(zip(_CATALOG, _FORMULAS)):
         on = st.hermitian if entry.requires_hermitian else everywhere
         if entry.id in _HYPOTHESES:
             on = on & _HYPOTHESES[entry.id](st)
         if on.any():
-            values[:, col] = np.where(on, formula(st, on), np.nan)
-            applicable[:, col] = on
+            st.values[:, col] = np.where(on, formula(st, on), np.nan)
+            st.applicable[:, col] = on
     tol = _TOLERANCES["violation"](st.a_norm, st.e_norm)
-    violated = applicable & _IS_D2_BOUND & (values < (st.d2 - tol)[:, None])
-    return _Evaluation(values, applicable, violated, st)
+    st.violated = st.applicable & _IS_D2_BOUND & (st.values < (st.d2 - tol)[:, None])
+    return st
 
 
 def evaluate_all(case: PerturbationCase) -> BoundReport:
@@ -633,14 +617,14 @@ def evaluate_all(case: PerturbationCase) -> BoundReport:
     it falls below d2 by more than the ``"violation"`` row of
     ``matrices._TOLERANCES``.
     """
-    ev = _evaluate(case._cases)
+    st = _evaluate_block(1, [(slice(None), case._cases)])
     bounds = tuple(
         BoundValue(**dataclasses.asdict(entry), value=value if applicable else None, applicable=applicable)
-        for entry, value, applicable in zip(_CATALOG, ev.values[0].tolist(), ev.applicable[0].tolist())
+        for entry, value, applicable in zip(_CATALOG, st.values[0].tolist(), st.applicable[0].tolist())
     )
     return BoundReport(
-        d2=float(ev.stats.d2[0]),
-        d_inf=float(ev.stats.d_inf[0]),
+        d2=float(st.d2[0]),
+        d_inf=float(st.d_inf[0]),
         bounds=bounds,
-        violations=tuple(CATALOG_IDS[j] for j in np.flatnonzero(ev.violated[0])),
+        violations=tuple(CATALOG_IDS[j] for j in np.flatnonzero(st.violated[0])),
     )

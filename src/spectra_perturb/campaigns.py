@@ -35,7 +35,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .bounds import CATALOG_IDS, D2_BOUND_IDS, NumericalConsistencyError, _evaluate_block
+from .bounds import CATALOG_IDS, D2_BOUND_IDS, NumericalConsistencyError, _evaluate_block, _Stats
 from .ensembles import _check_draw, _check_integer, _draw_cases, derive_trial_seed
 from .matrices import _TOLERANCES
 
@@ -126,36 +126,16 @@ class TrialRecord:
     winner: str
 
 
-@dataclass(frozen=True)
-class _Chunk:
-    """The per-trial rows of one chunk (row i is trial ``trials[i]``, of
-    size ``n[i]``), small enough to send back from a worker.  ``winner``
-    is a catalog column (-1 where no distance bound applied), ``strict``
-    flags the ordering pairs that held strictly, and ``failures`` lists
-    ``(row, message)`` in trial-then-check order."""
-
-    kind: str
-    n: np.ndarray
-    trials: range
-    values: np.ndarray
-    applicable: np.ndarray
-    violated: np.ndarray
-    d2: np.ndarray
-    d_inf: np.ndarray
-    e_norm: np.ndarray
-    excess: np.ndarray
-    winner: np.ndarray
-    strict: np.ndarray
-    trace_nonzero: np.ndarray
-    failures: list
-
-
-def _run_chunk(config: CampaignConfig, indices: range) -> _Chunk:
+def _run_chunk(config: CampaignConfig, indices: range) -> _Stats:
     """Execute a chunk of consecutive trials and run every per-trial
     check on it.  The trials of one size (every ``sizes``-th trial of the
     chunk) are drawn and taken through the matrix work as one stack, one
     size after the other; the catalog and the checks then run once on
-    the whole chunk."""
+    the whole chunk.  The chunk's stats come back (row i is trial
+    ``trials[i]``), small enough to send back from a worker: ``winner``
+    is a catalog column (-1 where no distance bound applied), ``strict``
+    flags the ordering pairs that held strictly, and ``failures`` lists
+    ``(row, message)`` in trial-then-check order."""
     sizes = min(config.n_max - config.n_min + 1, len(indices))
 
     def stacks():
@@ -168,10 +148,10 @@ def _run_chunk(config: CampaignConfig, indices: range) -> _Chunk:
             )
 
     try:
-        ev = _evaluate_block(len(indices), stacks())
+        st = _evaluate_block(len(indices), stacks())
     except NumericalConsistencyError as exc:
         raise NumericalConsistencyError(f"trial {indices[exc.entry]}: {exc}") from exc
-    st, values = ev.stats, ev.values
+    values = st.values
 
     # (flags, message, operands) per check, in the order a trial reports
     # them; the message shows each operand's value with %r
@@ -179,7 +159,7 @@ def _run_chunk(config: CampaignConfig, indices: range) -> _Chunk:
     strict = np.empty((len(indices), len(ORDERING_PAIRS)), dtype=bool)
     for p, (sharp_id, base_id) in enumerate(ORDERING_PAIRS):
         sharp, base = values[:, _COLUMN[sharp_id]], values[:, _COLUMN[base_id]]
-        present = ev.applicable[:, _COLUMN[sharp_id]] & ev.applicable[:, _COLUMN[base_id]]
+        present = st.applicable[:, _COLUMN[sharp_id]] & st.applicable[:, _COLUMN[base_id]]
         tol = _TOLERANCES["ordering"](base)
         message = f"ordering: {sharp_id}=%r exceeds {base_id}=%r"
         checks.append((present & (sharp > base + tol), message, (sharp, base)))
@@ -189,7 +169,7 @@ def _run_chunk(config: CampaignConfig, indices: range) -> _Chunk:
     checks += [
         (lower > excess + slack, "sandwich: lower estimate %r exceeds excess %r", (lower, excess)),
         (upper < excess - slack, "sandwich: upper estimate %r is below excess %r", (upper, excess)),
-        *_hermitian_checks(ev),
+        *_hermitian_checks(st),
     ]
     failures = []
     for i, c in np.argwhere(np.stack([flags for flags, _, _ in checks], axis=1)).tolist():
@@ -198,30 +178,16 @@ def _run_chunk(config: CampaignConfig, indices: range) -> _Chunk:
 
     # the winner is min((value, id)) over applicable distance bounds:
     # the smallest value, ties to the alphabetically first id
-    ranked = np.where(ev.applicable[:, _WINNER_COLUMNS], values[:, _WINNER_COLUMNS], np.inf)
+    ranked = np.where(st.applicable[:, _WINNER_COLUMNS], values[:, _WINNER_COLUMNS], np.inf)
     winner = np.where(np.isfinite(ranked.min(axis=1)), _WINNER_COLUMNS[np.argmin(ranked, axis=1)], -1)
-    return _Chunk(
-        kind=config.kind,
-        n=st.n,
-        trials=indices,
-        values=values,
-        applicable=ev.applicable,
-        violated=ev.violated,
-        d2=st.d2,
-        d_inf=st.d_inf,
-        e_norm=st.e_norm,
-        excess=st.excess,
-        winner=winner,
-        strict=strict,
-        trace_nonzero=st.e_trace > _TOLERANCES["trace_nonzero"](st.e_norm),
-        failures=failures,
-    )
+    st.trials, st.winner, st.strict, st.failures = indices, winner, strict, failures
+    return st
 
 
-def _hermitian_checks(ev) -> list:
+def _hermitian_checks(st: _Stats) -> list:
     """The comparisons specific to a Hermitian base, flagged only on the
     trials of a chunk whose A is Hermitian."""
-    hermitian, e_norm, excess = ev.stats.hermitian, ev.stats.e_norm, ev.stats.excess
+    hermitian, e_norm, excess = st.hermitian, st.e_norm, st.excess
     tol = _TOLERANCES["hermitian_checks"](e_norm, excess)
 
     def entry(label):
@@ -229,7 +195,7 @@ def _hermitian_checks(ev) -> list:
         if label == "triangle":
             return e_norm + excess, hermitian
         col = _COLUMN[label]
-        return ev.values[:, col], hermitian & ev.applicable[:, col]
+        return st.values[:, col], hermitian & st.applicable[:, col]
 
     checks = []
     for small, large in _HERMITIAN_AT_MOST:
@@ -245,20 +211,20 @@ def _hermitian_checks(ev) -> list:
 
 def run_trial(config: CampaignConfig, index: int) -> TrialRecord:
     """Execute one seeded trial and run every per-trial check."""
-    chunk = _run_chunk(config, range(index, index + 1))
-    columns = (chunk.n, chunk.d2, chunk.d_inf, chunk.e_norm, chunk.excess, chunk.winner)
+    st = _run_chunk(config, range(index, index + 1))
+    columns = (st.n, st.d2, st.d_inf, st.e_norm, st.excess, st.winner)
     n, d2, d_inf, e_norm, excess, winner = (a.item() for a in columns)
     return TrialRecord(
         trial=index,
         n=n,
-        kind=chunk.kind,
+        kind=config.kind,
         d2=d2,
         d_inf=d_inf,
         e_norm=e_norm,
         excess=excess,
-        values=dict(zip(CATALOG_IDS, np.where(chunk.applicable, chunk.values, None)[0].tolist())),
-        violation_ids=tuple(itertools.compress(CATALOG_IDS, chunk.violated[0].tolist())),
-        check_failures=tuple(message for _, message in chunk.failures),
+        values=dict(zip(CATALOG_IDS, np.where(st.applicable, st.values, None)[0].tolist())),
+        violation_ids=tuple(itertools.compress(CATALOG_IDS, st.violated[0].tolist())),
+        check_failures=tuple(message for _, message in st.failures),
         winner=CATALOG_IDS[winner] if winner >= 0 else "",
     )
 
@@ -295,7 +261,7 @@ class CampaignSummary:
         return {k: list(v) if isinstance(v, tuple) else v for k, v in dataclasses.asdict(self).items()}
 
 
-def _add_samples(samples: list, chunk: _Chunk, rows: Iterable[tuple[int, dict]]) -> None:
+def _add_samples(samples: list, chunk: _Stats, rows: Iterable[tuple[int, dict]]) -> None:
     """Append the ``(row, sample)`` pairs of a chunk to ``samples``, each
     tagged with its trial, until there are _SAMPLE_CAP: chunks come in
     trial order, and the pairs of a chunk in row order."""
@@ -304,7 +270,7 @@ def _add_samples(samples: list, chunk: _Chunk, rows: Iterable[tuple[int, dict]])
 
 
 def _fold(
-    config: CampaignConfig, chunks: Iterable[_Chunk], sink: Callable[[_Chunk], None] | None
+    config: CampaignConfig, chunks: Iterable[_Stats], sink: Callable[[_Stats], None] | None
 ) -> CampaignSummary:
     """Fold the chunks, in trial order, into the campaign summary, and
     hand each chunk to ``sink`` unless it is None."""
@@ -329,8 +295,9 @@ def _fold(
         )
         failure_count += len(chunk.failures)
         _add_samples(failure_samples, chunk, ((i, {"message": m}) for i, m in chunk.failures))
-        nonzero_trace += int(chunk.trace_nonzero.sum())
-        strict += chunk.strict[chunk.trace_nonzero].sum(axis=0)
+        trace_nonzero = chunk.e_trace > _TOLERANCES["trace_nonzero"](chunk.e_norm)
+        nonzero_trace += int(trace_nonzero.sum())
+        strict += chunk.strict[trace_nonzero].sum(axis=0)
         if sink is not None:
             sink(chunk)
 
@@ -383,7 +350,7 @@ def run_campaign(config: CampaignConfig) -> CampaignSummary:
     return _run_campaign(config)
 
 
-def _run_campaign(config: CampaignConfig, sink: Callable[[_Chunk], None] | None = None) -> CampaignSummary:
+def _run_campaign(config: CampaignConfig, sink: Callable[[_Stats], None] | None = None) -> CampaignSummary:
     """:func:`run_campaign`, handing each chunk, in trial order, to
     ``sink`` (unless it is None) as the chunk is folded."""
     chunks = _chunks(config)
@@ -397,7 +364,7 @@ def _run_campaign(config: CampaignConfig, sink: Callable[[_Chunk], None] | None 
 # CSV output
 
 
-def _trials_csv(fh) -> Callable[[_Chunk], None]:
+def _trials_csv(fh, kind: str) -> Callable[[_Stats], None]:
     """Write the per-trial CSV header to ``fh`` and return the function
     that writes the rows of a chunk: one row per trial with trial, n,
     kind, d2, each catalog value (empty where not applicable) and a 0/1
@@ -405,11 +372,11 @@ def _trials_csv(fh) -> Callable[[_Chunk], None]:
     writer = csv.writer(fh)
     writer.writerow(["trial", "n", "kind", "d2", *CATALOG_IDS, "violation"])
 
-    def write(chunk: _Chunk) -> None:
+    def write(chunk: _Stats) -> None:
         values = np.where(chunk.applicable, chunk.values, None).tolist()
         rows = zip(chunk.trials, chunk.n.tolist(), chunk.d2.tolist(), values, chunk.violated.any(axis=1).tolist())
         for trial, n, d2, row, flag in rows:
             cells = ("" if v is None else repr(v) for v in row)
-            writer.writerow([trial, n, chunk.kind, repr(d2), *cells, int(flag)])
+            writer.writerow([trial, n, kind, repr(d2), *cells, int(flag)])
 
     return write

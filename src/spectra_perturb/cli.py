@@ -192,7 +192,8 @@ def _cmd_tightness(args) -> int:
     # and copied to --out once the campaign is complete, so memory stays
     # flat and a failed campaign leaves --out as it was.
     with tempfile.TemporaryFile("w+", newline="") as rows:
-        summary = _run_campaign(_campaign_config(args), _trials_csv(rows))
+        config = _campaign_config(args)
+        summary = _run_campaign(config, _trials_csv(rows, config.kind))
         rows.seek(0)
         with open(args.out, "w", newline="") as fh:
             shutil.copyfileobj(rows, fh)

@@ -37,13 +37,14 @@ __all__ = [
 # table of them: each row maps the raw quantities a threshold scales with
 # (norms, sizes, values) to the threshold.  A row's operation order is
 # part of it: a threshold's last bit can decide a borderline case.  The
-# floors max(1, .) and 1 + . make the thresholds of small matrices
-# absolute, not relative.
+# tests of structure ("normal", "hermitian") are relative, so scaling a
+# matrix changes no classification; the floors max(1, .) and 1 + . of
+# the other rows still make the thresholds of small matrices absolute.
 _TOLERANCES = {
     # ||M M* - M* M||_F scales quadratically with M
-    "normal": lambda nrm: 1e-10 * np.maximum(1.0, nrm * nrm),
+    "normal": lambda nrm: 1e-10 * (nrm * nrm),
     # ||M - M*||_F scales linearly with M
-    "hermitian": lambda nrm: 1e-10 * np.maximum(1.0, nrm),
+    "hermitian": lambda nrm: 1e-10 * nrm,
     # an entry of t this small next to ||t||_F ends an eigenvalue block
     "block": lambda nrm: 1e-12 * nrm,
     # larger singular values count toward the numerical rank

@@ -130,16 +130,18 @@ def test_tolerance_factor_must_be_finite_and_positive(tol_factor):
 
 def test_evaluate_all_evaluates_the_stack_make_case_built(monkeypatch):
     seen = []
-    original = bounds_module._evaluate
+    original = bounds_module._evaluate_block
 
-    def spy(cases):
-        seen.append(cases)
-        return original(cases)
+    def spy(k, stacks):
+        stacks = list(stacks)
+        seen.append((k, [cases for _, cases in stacks]))
+        return original(k, stacks)
 
-    monkeypatch.setattr(bounds_module, "_evaluate", spy)
+    monkeypatch.setattr(bounds_module, "_evaluate_block", spy)
     case = fixture("example_4_4")
     evaluate_all(case)
-    assert len(seen) == 1 and seen[0] is case._cases
+    assert len(seen) == 1 and seen[0][0] == 1
+    assert len(seen[0][1]) == 1 and seen[0][1][0] is case._cases
 
 
 def test_case_dimension_property():
@@ -244,7 +246,7 @@ SCALAR_BOUNDS = {
 
 def _scalar_stats(case):
     """The per-case quantities the distance bounds read, as Python scalars."""
-    st = bounds_module._evaluate(case._cases).stats
+    st = bounds_module._evaluate_block(1, [(slice(None), case._cases)])
     fields = ("n", "e_norm", "excess", "delta_e", "delta_a", "w", "s", "mix")
     return SimpleNamespace(**{name: getattr(st, name)[0].item() for name in fields})
 
@@ -272,7 +274,7 @@ def test_henrici_factor_is_the_python_float_power():
     # Python's float power at n = 16 and 68, among others
     for n in (16, 68):
         case = random_case(EnsembleSpec(n=n, seed=n))
-        st = bounds_module._evaluate(case._cases).stats
+        st = bounds_module._evaluate_block(1, [(slice(None), case._cases)])
         expected = ((n**3 - n) / 12.0) ** 0.25 * math.sqrt(st.defect[0].item())
         assert repr(evaluate_all(case).value_of("henrici_3_6")) == repr(expected)
 
@@ -585,7 +587,7 @@ def test_normal_base_mix_uses_the_spectral_norm(rng):
         a = haar_rotated_diagonal(rng, n)
         case = make_case(a, random_complex(rng, (n, n)))
         assert not case.a_is_hermitian
-        st = bounds_module._evaluate(case._cases).stats
+        st = bounds_module._evaluate_block(1, [(slice(None), case._cases)])
         expected = min(frobenius_norm(a), math.sqrt(n - 1) * np.linalg.norm(a, 2))
         assert abs(st.mix - expected) <= 1e-12 * expected
 
@@ -607,31 +609,43 @@ def test_base_hermitian_only_at_tolerance(rng):
 
 
 # ---------------------------------------------------------------------------
-# scale invariance: the tolerances keep an absolute floor of 1, so a small
-# enough matrix passes any test of structure
+# scale invariance: the tests of structure are relative, so scaling a pair
+# changes no hypothesis
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the max(1, ||M||_F^2) floor of the normality test calls the nilpotent A + E normal at scale 1e-8",
-)
 def test_scaled_example_keeps_its_hypotheses():
     # scaling a pair scales d2 and every bound and changes no hypothesis;
-    # at 1e-8 hoffman_wielandt is applicable at 2.6458e-8, below d2 = 3e-8,
-    # and not flagged
+    # the nilpotent A + E must stay non-normal at 1e-8, where
+    # hoffman_wielandt would read 2.6458e-8, below d2 = 3e-8
     case = fixture("intro_2x2")
     scaled = evaluate_all(make_case(1e-8 * case.a, 1e-8 * case.e))
     assert [bv.applicable for bv in scaled.bounds] == [bv.applicable for bv in evaluate_all(case).bounds]
     assert scaled.violations == ()
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the max(1, ||M||_F^2) floor of the normality test accepts a small non-normal A",
-)
 def test_make_case_refuses_a_small_non_normal_base():
     with pytest.raises(ValueError, match="not normal"):
         make_case(1e-6 * np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2)))
+
+
+def test_scaling_a_draw_keeps_its_hypotheses_and_scales_d2():
+    # an absolute floor on a test of structure makes a small enough
+    # matrix pass it: with one, the normal draw at n = 4, seed 1 times
+    # 1e-11 is called Hermitian, and eigvalsh reads half of its A
+    scales = (1e-12, 1e-11, 1e-9, 1e-6, 1e-3, 1e3, 1e6, 1e12)
+    for kind in KINDS:
+        for n in range(2, 9):
+            for seed in range(10):
+                case = random_case(EnsembleSpec(n=n, kind=kind, seed=seed))
+                unit = evaluate_all(case)
+                applicable = [bv.applicable for bv in unit.bounds]
+                for c in scales:
+                    scaled_case = make_case(c * case.a, c * case.e)
+                    scaled = evaluate_all(scaled_case)
+                    where = (kind, n, seed, c)
+                    assert scaled_case.a_is_hermitian == case.a_is_hermitian, where
+                    assert [bv.applicable for bv in scaled.bounds] == applicable, where
+                    assert abs(scaled.d2 - c * unit.d2) <= 1e-12 * c * unit.d2, where
 
 
 # ---------------------------------------------------------------------------

@@ -106,7 +106,7 @@ def _campaign_rows(config) -> tuple:
             record = TrialRecord(
                 trial=trial,
                 n=int(chunk.n[i]),
-                kind=chunk.kind,
+                kind=config.kind,
                 d2=float(chunk.d2[i]),
                 d_inf=float(chunk.d_inf[i]),
                 e_norm=float(chunk.e_norm[i]),
