@@ -62,6 +62,7 @@ from .decomp import (
     _block_structure,
     _excesses,
     _fortran_stack,
+    _full_rank,
     _normal_spectra,
     _ranks,
     _reorder,
@@ -285,8 +286,12 @@ def _matrix_stats(cases: _Cases) -> dict:
     the spectral norm max |lam_a| (``radius``).  The rank of A + E and
     ``||K||_F``, ``|tr K|`` of the skew parts K = M - M* of M = A + E
     and M = E are computed only for the cases with a Hermitian A, whose
-    Hermitian-only entries run, and are 0 elsewhere.  The Henrici factor
-    ((n^3 - n) / 12)^(1/4) is one Python float per size, broadcast."""
+    Hermitian-only entries run, and are 0 elsewhere.  The rank is n where
+    the ordered Schur factor certifies it (:func:`decomp._full_rank`, one
+    triangular inversion); only the cases it leaves open take the SVD of
+    A + E (:func:`decomp._ranks`), so every rank is the SVD count.  The
+    Henrici factor ((n^3 - n) / 12)^(1/4) is one Python float per size,
+    broadcast."""
     n, k = cases.n, len(cases.a)
     hermitian = cases.hermitian
     lam_a = np.empty(cases.eigenvalues.shape, dtype=np.complex128)
@@ -299,7 +304,11 @@ def _matrix_stats(cases: _Cases) -> dict:
     rank = np.zeros(k, dtype=int)
     skew = np.zeros((4, k))  # ||K||_F and |tr K| for M = A + E, then for M = E
     if hermitian.any():
-        rank[hermitian] = _ranks(cases.a_tilde[hermitian])
+        rank[hermitian] = n
+        rows = slice(None) if hermitian.all() else hermitian  # the stack itself, not a copy
+        open_rows = np.flatnonzero(hermitian)[~_full_rank(cases.t[rows])]
+        if open_rows.size:
+            rank[open_rows] = _ranks(cases.a_tilde[open_rows])
         skew[:, hermitian] = [*_skew_parts(cases.a_tilde[hermitian]), *_skew_parts(cases.e[hermitian])]
     return {
         "n": np.full(k, n),
@@ -345,7 +354,8 @@ class _Stats:
     ``radicand_slack``.  :func:`_evaluate_block` sets the catalog's
     ``values`` (k, entries), NaN where not ``applicable``, ``applicable``
     and ``violated``; ``campaigns._run_chunk`` sets ``trials``,
-    ``winner``, ``strict`` and ``failures``."""
+    ``winner``, ``strict`` and ``failures``, and then drops every column
+    but the ``campaigns._CHUNK_COLUMNS`` that its readers use."""
 
     def __init__(self, k: int, stacks):
         columns = self.__dict__

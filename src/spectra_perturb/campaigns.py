@@ -75,6 +75,13 @@ _SAMPLE_CAP = 20
 _CHUNK_CAP = 128
 _CHUNK_ENTRIES = 1 << 16
 
+# The columns of a chunk that _fold, the CSV writer and run_trial read;
+# _run_chunk drops the others, so a worker sends back no more than these.
+_CHUNK_COLUMNS = frozenset({
+    "trials", "n", "d2", "d_inf", "e_norm", "e_trace", "excess",
+    "values", "applicable", "violated", "winner", "strict", "failures",
+})
+
 _COLUMN = {bid: col for col, bid in enumerate(CATALOG_IDS)}
 _D2_COLUMNS = [_COLUMN[bid] for bid in D2_BOUND_IDS]
 # the distance bounds in alphabetical order of id, for the winner's ties
@@ -132,10 +139,11 @@ def _run_chunk(config: CampaignConfig, indices: range) -> _Stats:
     chunk) are drawn and taken through the matrix work as one stack, one
     size after the other; the catalog and the checks then run once on
     the whole chunk.  The chunk's stats come back (row i is trial
-    ``trials[i]``), small enough to send back from a worker: ``winner``
-    is a catalog column (-1 where no distance bound applied), ``strict``
-    flags the ordering pairs that held strictly, and ``failures`` lists
-    ``(row, message)`` in trial-then-check order."""
+    ``trials[i]``) with only the ``_CHUNK_COLUMNS``, small enough to send
+    back from a worker: ``winner`` is a catalog column (-1 where no
+    distance bound applied), ``strict`` flags the ordering pairs that held
+    strictly, and ``failures`` lists ``(row, message)`` in
+    trial-then-check order."""
     sizes = min(config.n_max - config.n_min + 1, len(indices))
 
     def stacks():
@@ -181,6 +189,8 @@ def _run_chunk(config: CampaignConfig, indices: range) -> _Stats:
     ranked = np.where(st.applicable[:, _WINNER_COLUMNS], values[:, _WINNER_COLUMNS], np.inf)
     winner = np.where(np.isfinite(ranked.min(axis=1)), _WINNER_COLUMNS[np.argmin(ranked, axis=1)], -1)
     st.trials, st.winner, st.strict, st.failures = indices, winner, strict, failures
+    for name in vars(st).keys() - _CHUNK_COLUMNS:
+        delattr(st, name)
     return st
 
 

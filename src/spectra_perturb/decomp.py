@@ -24,7 +24,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zgees, ztrexc
+from scipy.linalg.lapack import zgees, zlange, ztrexc, ztrtri
 
 from .matrices import _TOLERANCES, _fro_norms, _strict_upper, as_matrix
 
@@ -216,9 +216,30 @@ def _ranks(m: np.ndarray) -> np.ndarray:
 
     Uses a true SVD: singular values computed through M* M lose half the
     working precision, which misclassifies exact zeros at this threshold.
+    It is the reference count; :func:`_full_rank` only spares it where
+    the count is certainly n.
     """
     sigma = np.linalg.svd(m, compute_uv=False)
     return np.count_nonzero(sigma > _TOLERANCES["rank"](m.shape[-1], sigma[:, :1]), axis=1)
+
+
+def _full_rank(t: np.ndarray) -> np.ndarray:
+    """Whether each upper triangular factor T of a stack certifies that
+    its source M = Q T Q* has :func:`_ranks` n.  LAPACK ``ztrtri``
+    inverts T (n^3/3 operations, far fewer than an SVD's), and the
+    certificate holds when T is invertible and kappa = ||T||_F ||T^-1||_F
+    (``zlange``, which scales its sums of squares) is below the
+    ``"full_rank"`` row of ``_TOLERANCES``.  An exactly zero diagonal
+    entry, an inverse that overflows (kappa inf or NaN) and a larger kappa
+    leave the rank to the SVD."""
+    bound = _TOLERANCES["full_rank"]()
+    certified = np.zeros(len(t), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, ti in enumerate(t):
+            inverse, info = ztrtri(ti)
+            if info == 0:
+                certified[i] = zlange("F", ti) * zlange("F", inverse) < bound
+    return certified
 
 
 def _excesses(t: np.ndarray) -> np.ndarray:

@@ -49,6 +49,15 @@ _TOLERANCES = {
     "block": lambda nrm: 1e-12 * nrm,
     # larger singular values count toward the numerical rank
     "rank": lambda n, sigma_max: 64 * n * float(np.finfo(np.float64).eps) * sigma_max,
+    # kappa = ||T||_F ||T^-1||_F of a Schur factor T of M below this
+    # certifies the SVD count of M above the "rank" row as n: kappa < 1e6
+    # gives sigma_min / sigma_max > 1e-6, at least 700 times the "rank"
+    # row's 64 n eps for any n <= 1e5; the backward errors of the Schur
+    # form and of the SVD, O(n eps ||M||), and the error of the computed
+    # inverse are far smaller than that margin, so no SVD count below n
+    # passes (Higham, Accuracy and Stability of Numerical Algorithms,
+    # 2nd ed., ch. 14)
+    "full_rank": lambda: 1e6,
     # ||A V - V diag(lam)||_F of the pencil eigenbasis V of a normal A,
     # which bounds the error of lam (Hoffman-Wielandt); no floor, so it
     # scales with A and an exact zero stays exact
@@ -222,20 +231,18 @@ def _is_number_type(t: type) -> bool:
 
 def _decode_entries(entries: list) -> np.ndarray | None:
     """The entries as one flat float64 array of [re, im] values, or None
-    when any entry is malformed, not finite or out of float range."""
+    when any entry is malformed, not finite or out of float range.  The
+    pairs are flattened once, into the list whose types are checked and
+    whose values are decoded."""
     if not all(issubclass(t, (list, tuple)) for t in set(map(type, entries))):
         return None
     if set(map(len, entries)) != {2}:
         return None
-    scalar_types = set(map(type, itertools.chain.from_iterable(entries)))
-    if not all(map(_is_number_type, scalar_types)):
+    scalars = list(itertools.chain.from_iterable(entries))
+    if not all(map(_is_number_type, set(map(type, scalars)))):
         return None
     try:
-        flat = np.fromiter(
-            itertools.chain.from_iterable(entries),
-            dtype=np.float64,
-            count=2 * len(entries),
-        )
+        flat = np.fromiter(scalars, dtype=np.float64, count=len(scalars))
     except OverflowError:  # an integer beyond the float range
         return None
     return flat if np.isfinite(flat).all() else None

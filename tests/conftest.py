@@ -37,6 +37,12 @@ def random_complex(rng: np.random.Generator, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def unit_hermitian(rng: np.random.Generator, n: int):
+    """Random Hermitian matrix (G + G*) / (2 sqrt(n)), whose spectrum is O(1)."""
+    g = random_complex(rng, (n, n))
+    return (g + g.conj().T) / (2.0 * np.sqrt(n))
+
+
 def haar_rotated_diagonal(rng: np.random.Generator, n: int, real_spectrum: bool = False):
     """Random normal matrix: Haar-rotated random diagonal."""
     z = random_complex(rng, (n, n))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from spectra_perturb import bounds as bounds_module
+from spectra_perturb.decomp import _ranks
 
 from spectra_perturb import (
     CATALOG_IDS,
@@ -36,7 +37,7 @@ from spectra_perturb import (
     w_lower,
 )
 
-from conftest import haar_rotated_diagonal, random_complex, rng_for
+from conftest import haar_rotated_diagonal, random_complex, rng_for, unit_hermitian
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +356,39 @@ def test_skew_bounds_error_paths():
     assert not applicable["thm_4_3_a"] and not applicable["thm_4_3_b"]
     assert report.value_of("thm_4_3_a") is None and report.value_of("thm_4_3_b") is None
     assert applicable["eq_4_6a"] and applicable["henrici_3_6"]
+
+
+def _hermitian_pair(rng, n, inner=None):
+    """A Hermitian A and E = G1 G2 - A with inner dimension ``inner``
+    (A + E of that rank), or a generic E when it is None."""
+    a = unit_hermitian(rng, n)
+    if inner is None:
+        return a, random_complex(rng, (n, n)) / n
+    return a, random_complex(rng, (n, inner)) @ random_complex(rng, (inner, n)) - a
+
+
+@pytest.mark.parametrize(
+    "name, inner, svd_calls, rank",
+    [("generic", None, [], 64), ("rank_8", 8, [1], 8), ("intro_2x2", None, [1], 1)],
+)
+def test_the_rank_takes_an_svd_only_where_the_schur_factor_leaves_it_open(name, inner, svd_calls, rank, monkeypatch):
+    # the Schur factor certifies a generic pair's rank, so no SVD runs; a
+    # rank-deficient A + E takes one, and every value is that of the SVD
+    # alone (the certificate turned off)
+    case = fixture(name) if name == "intro_2x2" else make_case(*_hermitian_pair(rng_for(64), 64, inner))
+    calls = []
+    monkeypatch.setattr(bounds_module, "_ranks", lambda m: calls.append(len(m)) or _ranks(m))
+    report = evaluate_all(case)
+    assert calls == svd_calls
+    st = bounds_module._evaluate_block(1, [(slice(None), case._cases)])
+    assert st.rank.tolist() == [rank]
+    monkeypatch.setattr(bounds_module, "_full_rank", lambda t: np.zeros(len(t), dtype=bool))
+    assert repr(evaluate_all(case)) == repr(report)
+    if name == "intro_2x2":
+        assert report.value_of("thm_4_3_a") == report.value_of("thm_4_3_b") == 2.0
+    else:
+        # tr K != 0, so thm_4_3_* divide by the rank
+        assert st.skew_tilde_trace[0] > 0.0 and report.value_of("thm_4_3_a") is not None
 
 
 def test_hermitian_entries_gated_by_structure():

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import itertools
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -195,6 +196,27 @@ def test_jobs_give_identical_records_across_chunks():
     assert len(campaigns._chunks(CampaignConfig(**config))) == 3
     assert repr(parallel) == repr(serial)
     _assert_rows_equal_single_trials(CampaignConfig(**config), serial[1])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_chunk_carries_only_the_columns_its_readers_use(kind, monkeypatch):
+    # the block's stats before _run_chunk adds its own columns and drops
+    # the unread ones, pickled as a worker would send them
+    untrimmed = []
+    evaluate_block = campaigns._evaluate_block
+
+    def spy(k, stacks):
+        st = evaluate_block(k, stacks)
+        untrimmed.append(len(pickle.dumps(st)))
+        return st
+
+    monkeypatch.setattr(campaigns, "_evaluate_block", spy)
+    chunk = campaigns._run_chunk(CampaignConfig(trials=220, kind=kind, seed=42), range(220))
+    assert vars(chunk).keys() == {
+        "trials", "n", "d2", "d_inf", "e_norm", "e_trace", "excess",
+        "values", "applicable", "violated", "winner", "strict", "failures",
+    }
+    assert len(pickle.dumps(chunk)) < untrimmed[0]
 
 
 @pytest.mark.parametrize("trials, chunks, workers", [(3, 1, []), (220, 20, [20])])

@@ -10,16 +10,19 @@ from spectra_perturb import (
     SchurForm,
     departure_from_normality,
     eigenvalues,
+    fixture,
     frobenius_norm,
+    make_case,
     optimal_match,
     reorder_schur,
     schur_decompose,
 )
 from spectra_perturb import decomp
 from spectra_perturb.decomp import _block_boundaries, _block_structure, _descending_order, _ranks
+from spectra_perturb.ensembles import _draw_cases
 from spectra_perturb.matrices import _TOLERANCES
 
-from conftest import haar_rotated_diagonal, random_complex, rng_for, schur_residuals
+from conftest import haar_rotated_diagonal, random_complex, rng_for, schur_residuals, unit_hermitian
 from oracles import char_poly_eigenvalues, match_distance
 
 
@@ -420,3 +423,63 @@ def test_normal_spectra_of_zero_are_exact_zeros():
         lam, fallbacks = _spectra_and_fallbacks(np.zeros((3, n, n), dtype=complex))
         assert fallbacks == []
         assert lam.shape == (3, n) and not lam.any()
+
+
+# -- the full-rank certificate of a Schur factor --------------------------
+
+
+def _certificate_corpus():
+    """(label, ordered Schur factor t of A + E, A + E) with a Hermitian A:
+    seeded draws at n = 2..40, A + E of low rank, Jordan blocks,
+    intro_2x2, a generic pair over scales and a swept smallest singular
+    value.  The ``full`` members must be certified; the ``deficient``,
+    ``jordan`` and ``ill`` ones (sigma_min / sigma_max <= 1e-6) must
+    not."""
+
+    def pair(label, cases):
+        return label, cases.t[0], cases.a_tilde[0]
+
+    for trace_mode in ("generic", "zero"):
+        for n in range(2, 41):
+            stack = _draw_cases("hermitian", n, list(range(n, n + 4)), 1.0, trace_mode)
+            yield from (("full", t, a_tilde) for t, a_tilde in zip(stack.t, stack.a_tilde))
+    rng = rng_for(21)
+    for n in (3, 8, 17, 64, 128):
+        a = unit_hermitian(rng, n)
+        for r in sorted({0, 1, 2, n // 2, n - 1}):
+            g = random_complex(rng, (n, r)) @ random_complex(rng, (r, n))
+            yield pair("deficient", make_case(a, -a + g)._cases)
+    yield pair("deficient", fixture("intro_2x2")._cases)
+    for n in range(2, 9):
+        jordan = np.diag(np.ones(n - 1), 1)
+        for a in (np.zeros((n, n)), np.diag(np.arange(1.0, n + 1)), unit_hermitian(rng, n)):
+            yield pair("jordan", make_case(a, jordan - a)._cases)
+    a, e = unit_hermitian(rng, 16), random_complex(rng, (16, 16))
+    for scale in (1e-150, 1e-100, 1e-50, 1e-10, 1.0, 1e10, 1e50, 1e70):
+        yield pair("full", make_case(scale * a, scale * e / np.linalg.norm(e))._cases)
+    u, v = (np.linalg.qr(random_complex(rng, (10, 10)))[0] for _ in range(2))
+    a = unit_hermitian(rng, 10)
+    for exponent in range(2, 17):
+        sigma = np.linspace(1.0, 0.1, 10)
+        sigma[-1] = 10.0**-exponent
+        yield pair("ill" if exponent >= 6 else "full", make_case(a, (u * sigma) @ v.conj().T - a)._cases)
+
+
+def test_the_full_rank_certificate_never_certifies_a_lower_svd_rank():
+    counts = {}
+    for label, t, a_tilde in _certificate_corpus():
+        counts[label] = counts.get(label, 0) + 1
+        flag = bool(decomp._full_rank(t[None])[0])
+        assert not flag or _ranks(a_tilde[None])[0] == t.shape[-1], label
+        assert flag == (label == "full"), label
+    assert counts == {"full": 324, "deficient": 24, "jordan": 21, "ill": 11}
+
+
+def test_the_certificate_falls_back_on_a_zero_diagonal_and_an_overflowing_inverse():
+    # an exact zero on the diagonal is ztrtri's info > 0; 1e-300 on the
+    # diagonal gives an inverse with infinite entries
+    singular = np.array([[1.0, 2.0], [0.0, 0.0]], dtype=complex)
+    overflow = np.array([[1e-300, 1.0], [0.0, 1e-300]], dtype=complex)
+    stack = np.stack([singular, overflow, np.eye(2, dtype=complex)])
+    assert decomp._full_rank(stack).tolist() == [False, False, True]
+    assert _ranks(stack).tolist() == [1, 1, 2]
