@@ -9,21 +9,21 @@ that several of those bounds consume.
 
 The pipeline has one core in two stages.  The matrix stage works on
 stacks of cases of one size (``_Cases``, arrays (k, n, n)):
-:func:`make_case` checks a matrix pair once (a generator's draws are
-valid by construction), :func:`_make_cases` builds the ordered Schur
-forms of trusted stacks, and :func:`_matrix_stats` reduces a stack to
-per-case numbers (norms, traces, excess, band width, blocks, the
-spectrum of A and the matching distances).  The spectrum of A is one
+:func:`_make_cases` builds the ordered Schur forms of pairs scaled to
+their unit scale, :func:`make_case` checks a matrix pair's case (a
+generator's draws are valid by construction), and :func:`_matrix_stats`
+reduces a stack to per-case numbers (norms, traces, excess, band width,
+blocks, the spectrum of A and the matching distances).  The spectrum of A is one
 stacked Hermitian eigensolve: ``eigvalsh`` for a Hermitian A, the pencil eigenbasis of
 ``decomp._normal_spectra`` for any other normal A, with ``eigvals`` for
 the few matrices whose pencil residual is too large.  The scalar stage,
 :func:`_evaluate_block`, runs every catalog formula as one array
 expression over a block of such numbers, which may gather stacks of
-several sizes.  Only the LAPACK calls of the Schur decomposition and
-its reorder, and the assignment solver for ``d2``, run matrix by
-matrix.  Campaigns feed the core blocks of every size; :func:`make_case`
-and :func:`evaluate_all` are a block of one stack of one, and give the
-same bits case by case.
+several sizes, and scales the reported numbers back.  Only the LAPACK
+calls of the Schur decomposition and its reorder, and the assignment
+solver for ``d2``, run matrix by matrix.  Campaigns feed the core blocks
+of every size; :func:`make_case` and :func:`evaluate_all` are a block of
+one stack of one, and give the same bits case by case.
 
 The catalog is written as the paper's table.  Each of the 27 distance
 bounds is a row ``(id, family, requires_hermitian, shape, constant,
@@ -70,13 +70,17 @@ from .decomp import (
 )
 from .matching import optimal_match
 from .matrices import (
+    _ENTRY_EXPONENT_LIMIT,
     _TOLERANCES,
-    _check_range,
     _commutator_defects,
+    _degree_one,
     _fro_norms,
     _is_hermitian,
     _is_normal,
+    _scaled,
+    _unit,
     as_matrix,
+    is_normal,
 )
 from .quantities import _band_widths, _deltas, _square, _trace_moduli
 
@@ -149,10 +153,10 @@ def _safe_sqrt(radicand, slack, context: str, on=True):
 
 @dataclass(eq=False)
 class _Cases:
-    """k cases of one size as stacks (k, n, n).  ``q`` and ``t`` are the
-    ordered Schur factors of ``a_tilde`` (each matrix Fortran ordered),
-    ``boundaries`` (k, n - 1) flags the ends of the eigenvalue blocks of
-    ``t``."""
+    """k cases of one size as stacks (k, n, n), the caller's pair 2^p (a, e)
+    with p the ``exponent`` (k,).  ``q`` and ``t`` are the ordered Schur
+    factors of ``a_tilde`` (each matrix Fortran ordered), ``boundaries``
+    (k, n - 1) flags the ends of the eigenvalue blocks of ``t``."""
 
     a: np.ndarray
     e: np.ndarray
@@ -161,6 +165,7 @@ class _Cases:
     t: np.ndarray
     boundaries: np.ndarray
     hermitian: np.ndarray
+    exponent: np.ndarray
 
     @property
     def n(self) -> int:
@@ -180,7 +185,7 @@ class PerturbationCase:
     and :func:`~spectra_perturb.ensembles.fixture`); every attribute is a
     property of that stack.  ``a_is_normal`` is always true, since
     :func:`make_case` refuses a non-normal ``a``; ``a_is_hermitian`` may
-    be either.
+    be either.  Its matrices are scaled back to the caller's units.
     """
 
     __slots__ = ("_cases",)
@@ -190,12 +195,17 @@ class PerturbationCase:
     def __init__(self, cases: _Cases):
         self._cases = cases
 
-    a = property(lambda self: self._cases.a[0])
-    e = property(lambda self: self._cases.e[0])
-    a_tilde = property(lambda self: self._cases.a_tilde[0])
+    def _unscaled(self, stack: np.ndarray) -> np.ndarray:
+        m = _scaled(stack[:1], self._cases.exponent)[0]
+        m.flags.writeable = False
+        return m
+
+    a = property(lambda self: self._unscaled(self._cases.a))
+    e = property(lambda self: self._unscaled(self._cases.e))
+    a_tilde = property(lambda self: self._unscaled(self._cases.a_tilde))
     n = property(lambda self: self._cases.n)
     a_is_hermitian = property(lambda self: bool(self._cases.hermitian[0]))
-    schur_tilde = property(lambda self: SchurForm(q=self._cases.q[0], t=self._cases.t[0]))
+    schur_tilde = property(lambda self: SchurForm(q=self._cases.q[0], t=self._unscaled(self._cases.t)))
     block = property(lambda self: _block_structure(self._cases.boundaries[0]))
 
 
@@ -203,42 +213,39 @@ def make_case(a, e) -> PerturbationCase:
     """Assemble a :class:`PerturbationCase` from a matrix pair.
 
     The only check of a matrix pair, in this order: ``a`` and ``e`` are
-    finite, non-empty square matrices of one shape, ``a`` is Hermitian or
-    normal (the ``"hermitian"``, ``"normal"`` rows of
-    ``matrices._TOLERANCES``), ``a + e`` is finite, and ||A||_F + ||E||_F
-    keeps to ``matrices._check_range``; else ValueError.  The Schur form
-    of ``a + e`` is computed and reordered into the canonical eigenvalue
-    order, and eigenvalue blocks are detected on the ordered factor.
+    finite, non-empty square matrices of one shape, ``a`` at its own unit
+    scale is Hermitian or normal (the ``"hermitian"``, ``"normal"`` rows of
+    ``matrices._TOLERANCES``), and the pair's largest entry is below 2^990
+    (``matrices._ENTRY_EXPONENT_LIMIT``);
+    else ValueError.  The Schur form of ``a + e`` is reordered into the
+    canonical eigenvalue order, and blocks are detected on its factor.
     """
-    a = np.array(as_matrix(a, "a"), order="C")
-    e = np.array(as_matrix(e, "e"), order="C")
+    a = as_matrix(a, "a")
+    e = as_matrix(e, "e")
     if a.shape != e.shape:
         raise ValueError(f"shape mismatch: a is {a.shape}, e is {e.shape}")
-    a, e = a[None], e[None]
-    # an overflow in a check is its failure (a NaN defect, an infinite norm)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # Hermitian implies normal: a Hermitian A passes even where the
-        # commutator test's tighter tolerance would reject it.
-        hermitian = _is_hermitian(a)
-        if not (hermitian[0] or _is_normal(_commutator_defects(a), _fro_norms(a))[0]):
-            raise ValueError("matrix A is not normal at tolerance; the catalog does not apply")
-        if not np.isfinite(a + e).all():
-            raise ValueError("a + e contains non-finite entries")
-        _check_range((_fro_norms(a) + _fro_norms(e))[0], "||A||_F + ||E||_F")
-    return PerturbationCase(_make_cases(a, e, hermitian=hermitian))
+    cases = _make_cases(a[None], e[None])
+    # Hermitian implies normal: a Hermitian A passes even where the
+    # commutator test's tighter tolerance would reject it.
+    if not (cases.hermitian[0] or is_normal(a)):
+        raise ValueError("matrix A is not normal at tolerance; the catalog does not apply")
+    if cases.exponent[0] >= _ENTRY_EXPONENT_LIMIT:
+        raise ValueError(f"the largest real or imaginary entry of A and E is not below 2^{_ENTRY_EXPONENT_LIMIT}")
+    return PerturbationCase(cases)
 
 
-def _make_cases(a, e, q=None, t=None, hermitian=None) -> _Cases:
-    """The cases of stacks (k, n, n) of C-ordered matrix pairs that pass
-    :func:`make_case`'s checks, which are not made again.  The Schur forms
-    of ``a + e`` and the Hermitian flags of ``a`` are computed unless
-    given, the forms as exactly triangular (q, t)."""
-    hermitian = _is_hermitian(a) if hermitian is None else hermitian
+def _make_cases(a, e, q=None, t=None) -> _Cases:
+    """The unchecked cases of stacks (k, n, n) of matrix pairs, each scaled
+    exactly to its unit scale, with the Schur forms of ``a + e`` unless given
+    as exactly triangular (q, t), and the Hermitian flags of ``a`` tested at
+    its own unit scale, where a tiny ``a``'s squares cannot underflow."""
+    hermitian = _is_hermitian(_unit(a)[0])
+    a, e, exponent = _unit(a, e)
     a_tilde = a + e
     if q is None:
         q, t = _schur_factors(a_tilde)
     else:
-        q, t = _fortran_stack(q), _fortran_stack(t)
+        q, t = _fortran_stack(q), _fortran_stack(_scaled(t, -exponent))
     _reorder(q, t)
     # a case's arrays are never written again; an in-place write by a
     # caller would leave what was derived from them stale
@@ -252,6 +259,7 @@ def _make_cases(a, e, q=None, t=None, hermitian=None) -> _Cases:
         t=t,
         boundaries=_block_boundaries(t),
         hermitian=hermitian,
+        exponent=exponent,
     )
 
 
@@ -312,6 +320,7 @@ def _matrix_stats(cases: _Cases) -> dict:
         skew[:, hermitian] = [*_skew_parts(cases.a_tilde[hermitian]), *_skew_parts(cases.e[hermitian])]
     return {
         "n": np.full(k, n),
+        "exponent": cases.exponent,
         "hermitian": hermitian,
         "d2": match.d2,
         "d_inf": match.d_inf,
@@ -347,15 +356,19 @@ class _Stats:
     memory does not grow with its largest size.  ``_Stats(k, stacks)``
     runs the matrix work of each ``(rows, cases)`` stack as it arrives
     and sets the columns of :func:`_matrix_stats` at ``rows``: ``n``,
-    ``hermitian``, ``d2``, ``d_inf``, ``e_norm``, ``e_trace``, ``a_norm``,
-    ``a_trace``, ``tilde_norm``, ``excess``, ``w``, ``s``, ``radius``,
-    ``defect``, ``henrici``, ``rank`` and the four ``skew_*``; then
-    ``e2``, ``delta_e``, ``delta_a``, ``mix``, ``tilde_is_normal`` and
-    ``radicand_slack``.  :func:`_evaluate_block` sets the catalog's
-    ``values`` (k, entries), NaN where not ``applicable``, ``applicable``
-    and ``violated``; ``campaigns._run_chunk`` sets ``trials``,
+    ``exponent``, ``hermitian``, ``d2``, ``d_inf``, ``e_norm``, ``e_trace``,
+    ``a_norm``, ``a_trace``, ``tilde_norm``, ``excess``, ``w``, ``s``,
+    ``radius``, ``defect``, ``henrici``, ``rank`` and the four ``skew_*``;
+    then ``e2``, ``delta_e``, ``delta_a``, ``mix``, ``tilde_is_normal`` and
+    ``radicand_slack``, all at unit scale.  :func:`_evaluate_block` sets
+    the catalog's ``values`` (k, entries), NaN where not ``applicable``,
+    ``applicable`` and ``violated``, and scales the ``CALLER_UNITS`` back
+    to caller units; ``campaigns._run_chunk`` sets ``trials``,
     ``winner``, ``strict`` and ``failures``, and then drops every column
     but the ``campaigns._CHUNK_COLUMNS`` that its readers use."""
+
+    # the columns read outside the core, the only ones in caller units
+    CALLER_UNITS = ("d2", "d_inf", "values", "e_norm", "e_trace", "excess", "tilde_norm")
 
     def __init__(self, k: int, stacks):
         columns = self.__dict__
@@ -523,15 +536,13 @@ def family_of(bound_id: str) -> str:
 def henrici_delta_upper(m) -> float:
     """((n^3 - n) / 12)^(1/4) * sqrt(||M M* - M* M||_F): an upper bound
     on the triangular excess of any Schur form of M."""
-    m = as_matrix(m)[None]
-    return float(_henrici_factor(m.shape[-1]) * np.sqrt(_commutator_defects(m))[0])
+    return _degree_one(m, lambda unit: _henrici_factor(unit.shape[-1]) * np.sqrt(_commutator_defects(unit)))
 
 
 def sun_delta_lower(m) -> float:
     """sqrt(||M||_F^2 - sqrt(||M||_F^4 - ||M M* - M* M||_F^2 / 2)): a
     lower bound on the triangular excess of any Schur form of M."""
-    m = as_matrix(m)[None]
-    return float(_sun(_fro_norms(m), _commutator_defects(m))[0])
+    return _degree_one(m, lambda unit: _sun(_fro_norms(unit), _commutator_defects(unit)))
 
 
 def _henrici_factor(n: int) -> float:
@@ -615,6 +626,8 @@ def _evaluate_block(k: int, stacks) -> _Stats:
             st.applicable[:, col] = on
     tol = _TOLERANCES["violation"](st.a_norm, st.e_norm)
     st.violated = st.applicable & _IS_D2_BOUND & (st.values < (st.d2 - tol)[:, None])
+    for name in _Stats.CALLER_UNITS:
+        setattr(st, name, _scaled(getattr(st, name), st.exponent))
     return st
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import zgees, zlange, ztrexc, ztrtri
 
-from .matrices import _TOLERANCES, _fro_norms, _strict_upper, as_matrix
+from .matrices import _TOLERANCES, _degree_one, _fro_norms, _scaled, _strict_upper, _unit, as_matrix
 
 __all__ = [
     "SchurForm",
@@ -140,20 +140,17 @@ def _normal_spectra(a: np.ndarray) -> np.ndarray:
     ``"normal"`` tolerance), the matrix's spectrum comes from
     ``np.linalg.eigvals`` instead.  The result depends on A alone.
 
-    Each matrix is first scaled exactly by 2^-e, e the exponent of its
-    largest real or imaginary part, so that the squares of the residual
-    check neither underflow nor overflow at any scale of A; lam is
-    scaled back by 2^e, again exactly."""
-    a = np.ascontiguousarray(a, dtype=np.complex128)
-    exponent = np.frexp(np.abs(a.view(np.float64)).max(axis=(1, 2)))[1]
-    unit = np.ldexp(a.view(np.float64), -exponent[:, None, None]).view(np.complex128)
+    Each matrix is first scaled exactly to its own unit scale (a case's A
+    may be far smaller than its E), so that the squares of the residual
+    check neither underflow nor overflow; lam is scaled back exactly."""
+    unit, exponent = _unit(a)
     wa = ((1.0 - 1j * _PENCIL_C) / 2) * unit
     v = np.linalg.eigh(wa + wa.conj().transpose(0, 2, 1))[1]
     av = unit @ v
     lam = (v.conj() * av).sum(axis=1)
     residual = _fro_norms(av - v * lam[:, None, :])
     fallback = residual > _TOLERANCES["spectrum"](a.shape[-1], _fro_norms(unit))
-    lam = np.ldexp(lam.view(np.float64), exponent[:, None]).view(np.complex128)
+    lam = _scaled(lam, exponent)
     if fallback.any():
         lam[fallback] = np.linalg.eigvals(a[fallback])
     return lam
@@ -251,7 +248,7 @@ def _excesses(t: np.ndarray) -> np.ndarray:
 def departure_from_normality(m) -> float:
     """||strict_upper(T)||_F of the Schur factor T of M: the same for
     every Schur form of M, and zero exactly when M is normal."""
-    return float(_excesses(schur_decompose(m).t[None])[0])
+    return _degree_one(m, lambda unit: _excesses(_schur_factors(unit)[1]))
 
 
 def _block_boundaries(t: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bounds import PerturbationCase, _Cases, _make_cases, make_case
 from .decomp import _descending_order
-from .matrices import _check_range, _fro_norms, _strict_upper
+from .matrices import _ENTRY_EXPONENT_LIMIT, _fro_norms, _strict_upper
 
 __all__ = [
     "KINDS",
@@ -43,10 +43,10 @@ def _check_draw(kind: str, scale, trace_mode: str, seed) -> None:
     ``CampaignConfig``; ValueError names the first one out of range."""
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    if not (math.isfinite(scale) and scale > 0.0):
-        raise ValueError(f"perturbation_scale must be finite and positive, got {scale!r}")
-    # a drawn ||A||_F is O(sqrt(n)), negligible next to a scale this rule refuses
-    _check_range(scale, "perturbation_scale")
+    # make_case's limit: a drawn entry is at most about ||A||_2 + scale, ||A||_2 = O(sqrt(n))
+    if not 0.0 < scale < math.ldexp(1.0, _ENTRY_EXPONENT_LIMIT):
+        limit = f"2^{_ENTRY_EXPONENT_LIMIT}"
+        raise ValueError(f"perturbation_scale must be finite and positive, below {limit}, got {scale!r}")
     if trace_mode not in TRACE_MODES:
         raise ValueError(f"trace_mode must be one of {TRACE_MODES}, got {trace_mode!r}")
     _check_integer("seed", seed)

@@ -3,9 +3,11 @@
 Matrices are plain numpy ``complex128`` arrays.  Inputs are checked at
 the boundary: each public function here validates its argument through
 :func:`as_matrix` (or :func:`as_spectrum`), ``make_case`` validates a
-matrix pair once and a draw's parameters once, both to the overflow
-rule :func:`_check_range`, and JSON loading validates every entry.
-Inside the package, arrays (drawn ones too) are trusted, not checked.
+matrix pair once and a draw's parameters once, and JSON loading
+validates every entry.  Inside the package, arrays (drawn ones too) are
+trusted, not checked.  A matrix, or a case's pair, is worked on at its
+unit scale, where its largest real or imaginary entry is in [1, 4), and
+a result of degree 1 is scaled back exactly (:func:`_unit`, :func:`_scaled`).
 """
 
 from __future__ import annotations
@@ -37,9 +39,9 @@ __all__ = [
 # table of them: each row maps the raw quantities a threshold scales with
 # (norms, sizes, values) to the threshold.  A row's operation order is
 # part of it: a threshold's last bit can decide a borderline case.  The
-# tests of structure ("normal", "hermitian") are relative, so scaling a
-# matrix changes no classification; the floors max(1, .) and 1 + . of
-# the other rows still make the thresholds of small matrices absolute.
+# rows up to "violation" run at a case's unit scale, so scaling a pair
+# moves no verdict; the campaign checks after it run in caller units,
+# where their floors max(1, .) and 1 + . are absolute.
 _TOLERANCES = {
     # ||M M* - M* M||_F scales quadratically with M
     "normal": lambda nrm: 1e-10 * (nrm * nrm),
@@ -64,11 +66,12 @@ _TOLERANCES = {
     "spectrum": lambda n, nrm: 64 * n * float(np.finfo(np.float64).eps) * nrm,
     # Q* E Q has no exact zeros; smaller entries do not widen the band
     "band": lambda nrm: 1e-13 * nrm,
-    # a radicand ||.||^2 - y clamps to 0 within this of its leading square
+    # a radicand ||.||^2 - y clamps to 0 within this of its leading square;
+    # at unit scale, as the next two rows, so the floor 1 is relative
     "radicand": lambda lead: 1e-9 * (1.0 + lead),
     # the same for a distance bound, (1 + ||E||_F^2) + Delta^2 in this order
     "distance_radicand": lambda e2, excess2: 1e-9 * (1.0 + e2 + excess2),
-    # a bound below d2 by more than this is a violation
+    # a bound below d2 by more than this is a violation, at every scale
     "violation": lambda a_norm, e_norm: 1e-8 * (1.0 + a_norm + e_norm),
     # d_inf <= d2
     "metric": lambda d2: 1e-12 * (1.0 + d2),
@@ -83,14 +86,11 @@ _TOLERANCES = {
 }
 
 
-def _check_range(nrm: float, name: str) -> None:
-    """The overflow rule of a case's inputs: ValueError unless (2 nrm)^4
-    is finite, nrm = ||A||_F + ||E||_F.  It bounds the largest powers
-    taken: ||A + E||_F^4 and the squared commutator defect of A + E in
-    ``sun_3_7``, and the squared eigenvalue distances of the matching."""
-    x = 2.0 * float(nrm)
-    if not math.isfinite(x * x * x * x):
-        raise ValueError(f"{name} = {nrm:.3e} is too large: (2 ({name}))^4 overflows")
+# A reported number must be finite.  For n <= 2^16 and a pair's largest
+# entry m, S = ||A||_F + ||E||_F <= 2^17.5 m; d2, the norms and excesses are
+# at most 2 S, the distance bounds 2 sqrt(n) S and henrici_3_6 2^29.1 m, so
+# each is at most 2^30 m, and entries below 2^990 keep every one finite.
+_ENTRY_EXPONENT_LIMIT = 990
 
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -120,7 +120,7 @@ def as_spectrum(v, name: str = "spectrum") -> np.ndarray:
 
 
 def frobenius_norm(m) -> float:
-    return float(np.linalg.norm(as_matrix(m), "fro"))
+    return _degree_one(m, _fro_norms)
 
 
 def strict_lower(m) -> np.ndarray:
@@ -138,6 +138,30 @@ def strict_upper(m) -> np.ndarray:
 # The case pipeline works on stacks (k, n, n) of trusted matrices of one
 # size.  These helpers give, matrix by matrix, the very bits of the
 # single-matrix computations above.
+
+def _unit(*stacks: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Stacks (k, n, n) of complex cases (case i is entry i of each) times
+    the power of 4, 2^-p, that puts a case's largest real or imaginary entry
+    in [1, 4); then p (k,), which scales a result of degree 1 back."""
+    floats = [np.ascontiguousarray(m).view(np.float64) for m in stacks]
+    largest = functools.reduce(np.maximum, [np.abs(x).max(axis=(1, 2)) for x in floats])
+    exponent = (np.frexp(largest)[1] - 1) & -2  # 2 floor((e - 1) / 2) for largest = f 2^e, f in [1/2, 1)
+    return (*(_scaled(m, -exponent) for m in stacks), exponent)
+
+
+def _scaled(m: np.ndarray, exponent: np.ndarray) -> np.ndarray:
+    """2^p m for a stack m (k, ...) and integers p (k,), exact where the
+    result is normal.  ``np.ldexp`` with int32 p (as :func:`_unit` gives it)
+    is as cheap as a product; its int64 loop is several times slower."""
+    x = np.ascontiguousarray(m).view(np.float64)
+    return np.ldexp(x, np.reshape(exponent, (-1,) + (1,) * (x.ndim - 1))).view(m.dtype)
+
+
+def _degree_one(m, f) -> float:
+    """f(M) for a function f of degree 1 on stacks, run at M's unit scale."""
+    unit, exponent = _unit(as_matrix(m)[None])
+    return float(_scaled(f(unit), exponent)[0])
+
 
 def _fro_norms(m: np.ndarray) -> np.ndarray:
     """Frobenius norm of each matrix of a stack, bit for bit
@@ -175,13 +199,13 @@ def _is_hermitian(m: np.ndarray) -> np.ndarray:
 
 def is_normal(m) -> bool:
     """Whether M M* = M* M within the ``"normal"`` row of ``_TOLERANCES``."""
-    m = as_matrix(m)[None]
-    return bool(_is_normal(_commutator_defects(m), _fro_norms(m))[0])
+    unit, _ = _unit(as_matrix(m)[None])
+    return bool(_is_normal(_commutator_defects(unit), _fro_norms(unit))[0])
 
 
 def is_hermitian(m) -> bool:
     """Whether M = M* within the ``"hermitian"`` row of ``_TOLERANCES``."""
-    return bool(_is_hermitian(as_matrix(m)[None])[0])
+    return bool(_is_hermitian(_unit(as_matrix(m)[None])[0])[0])
 
 
 # -- JSON wire format ---------------------------------------------------

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .matrices import _fro_norms, _strict_upper, as_matrix, as_spectrum
+from .matrices import _degree_one, _fro_norms, _strict_upper, as_matrix, as_spectrum
 
 __all__ = [
     "delta",
@@ -32,8 +32,7 @@ def delta(m) -> float:
     is clamped at zero: for near-scalar matrices round-off can push
     |tr|^2/n marginally above the squared norm.
     """
-    m = as_matrix(m)[None]
-    return float(_deltas(_fro_norms(m), _trace_moduli(m), m.shape[-1])[0])
+    return _degree_one(m, lambda unit: _deltas(_fro_norms(unit), _trace_moduli(unit), unit.shape[-1]))
 
 
 def _square(x):

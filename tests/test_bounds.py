@@ -21,13 +21,17 @@ from spectra_perturb import (
     SchurForm,
     catalog_entries,
     delta,
+    departure_from_normality,
     eigenvalues,
     evaluate_all,
     family_of,
     fixture,
     fixture_expectations,
+    fixture_matrices,
     frobenius_norm,
     henrici_delta_upper,
+    is_hermitian,
+    is_normal,
     make_case,
     optimal_match,
     random_case,
@@ -246,9 +250,11 @@ SCALAR_BOUNDS = {
 
 
 def _scalar_stats(case):
-    """The per-case quantities the distance bounds read, as Python scalars."""
-    st = bounds_module._evaluate_block(1, [(slice(None), case._cases)])
-    fields = ("n", "e_norm", "excess", "delta_e", "delta_a", "w", "s", "mix")
+    """The per-case quantities the distance bounds read, at the case's
+    unit scale, as Python scalars, with the exponent p that scales a bound
+    back (2^p)."""
+    st = bounds_module._Stats(1, [(slice(None), case._cases)])
+    fields = ("n", "exponent", "e_norm", "excess", "delta_e", "delta_a", "w", "s", "mix")
     return SimpleNamespace(**{name: getattr(st, name)[0].item() for name in fields})
 
 
@@ -261,13 +267,18 @@ def test_distance_bounds_equal_their_scalar_formulas():
                 spec = EnsembleSpec(n=n, kind=kind, trace_mode=trace_mode, seed=100 + n)
                 cases.append(random_case(spec))
     checked = set()
+    exponents = set()
     for case in cases:
         st = _scalar_stats(case)
+        exponents.add(st.exponent)
         for bv in evaluate_all(case).bounds:
             if bv.applicable and bv.id in SCALAR_BOUNDS:
-                assert repr(bv.value) == repr(SCALAR_BOUNDS[bv.id](st)), (bv.id, case.n)
+                # the catalog runs at unit scale and scales back exactly
+                expected = math.ldexp(SCALAR_BOUNDS[bv.id](st), st.exponent)
+                assert repr(bv.value) == repr(expected), (bv.id, case.n)
                 checked.add(bv.id)
     assert checked == set(D2_BOUND_IDS)
+    assert {0, -2} <= exponents
 
 
 def test_henrici_factor_is_the_python_float_power():
@@ -276,7 +287,9 @@ def test_henrici_factor_is_the_python_float_power():
     for n in (16, 68):
         case = random_case(EnsembleSpec(n=n, seed=n))
         st = bounds_module._evaluate_block(1, [(slice(None), case._cases)])
-        expected = ((n**3 - n) / 12.0) ** 0.25 * math.sqrt(st.defect[0].item())
+        # the defect is at the case's unit scale, the value scaled back
+        at_unit_scale = ((n**3 - n) / 12.0) ** 0.25 * math.sqrt(st.defect[0].item())
+        expected = math.ldexp(at_unit_scale, st.exponent[0].item())
         assert repr(evaluate_all(case).value_of("henrici_3_6")) == repr(expected)
 
 
@@ -658,8 +671,23 @@ def test_scaled_example_keeps_its_hypotheses():
 
 
 def test_make_case_refuses_a_small_non_normal_base():
+    # at 1e-170 the squares of the commutator test underflowed to 0 before
+    # the pair was scaled, and the Jordan block passed as a Hermitian A
+    for s in (1e-6, 1e-170):
+        with pytest.raises(ValueError, match="not normal"):
+            make_case(s * np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2)))
+
+
+def test_a_base_far_smaller_than_its_perturbation_keeps_its_structure():
+    # at the pair's unit scale the squares of such an A underflow to 0, and
+    # its structure tests read 0 <= 0: every A passed as Hermitian
+    for kind in KINDS:
+        unit = random_case(EnsembleSpec(n=4, kind=kind, seed=1))
+        drawn = random_case(EnsembleSpec(n=4, kind=kind, seed=1, perturbation_scale=1e200))
+        assert drawn.a_is_hermitian == unit.a_is_hermitian, kind
+    assert not random_case(EnsembleSpec(n=4, kind="normal", seed=1, perturbation_scale=1e200)).a_is_hermitian
     with pytest.raises(ValueError, match="not normal"):
-        make_case(1e-6 * np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2)))
+        make_case(1e-170 * np.array([[0.0, 1.0], [0.0, 0.0]]), np.ones((2, 2)))
 
 
 def test_scaling_a_draw_keeps_its_hypotheses_and_scales_d2():
@@ -683,8 +711,8 @@ def test_scaling_a_draw_keeps_its_hypotheses_and_scales_d2():
 
 
 # ---------------------------------------------------------------------------
-# extreme scales: (2 (||A||_F + ||E||_F))^4 must be finite, so that no
-# power the catalog or the matching takes overflows
+# extreme scales: every case runs at its unit scale, so the only limit is
+# that a reported number be finite (largest entry below 2^990)
 
 
 def _scaled_pair(s: float):
@@ -693,13 +721,37 @@ def _scaled_pair(s: float):
     return np.diag([1.0, 3.0]) * s, np.array([[0.0, 1.0], [1.0, 0.0]]) * (s / 10)
 
 
+def _assert_scaled_report(report, unit, s: float, rel: float):
+    assert report.violations == unit.violations
+    assert abs(report.d2 / s - unit.d2) <= rel * unit.d2
+    assert abs(report.d_inf / s - unit.d_inf) <= rel * unit.d_inf
+    for bv, ref in zip(report.bounds, unit.bounds):
+        assert bv.applicable == ref.applicable, bv.id
+        if bv.applicable:
+            assert abs(bv.value / s - ref.value) <= rel * ref.value, bv.id
+
+
 @pytest.mark.parametrize("s", [1e80, 1e160])
-def test_make_case_refuses_a_pair_whose_fourth_powers_overflow(s):
-    # at 1e80 ||A + E||_F^4 overflowed and sun_3_7 raised a false
-    # NumericalConsistencyError; at 1e160 the squared distances did, and
-    # the assignment solver called its cost matrix infeasible
-    with pytest.raises(ValueError, match=r"\|\|A\|\|_F \+ \|\|E\|\|_F = .* is too large"):
-        make_case(*_scaled_pair(s))
+def test_make_case_accepts_a_pair_whose_fourth_powers_overflow(s):
+    # before pairs were scaled, 1e80 overflowed ||A + E||_F^4 and sun_3_7
+    # raised a false NumericalConsistencyError, 1e160 overflowed the
+    # squared distances, and an overflow rule refused both
+    unit = evaluate_all(make_case(*_scaled_pair(1.0)))
+    _assert_scaled_report(evaluate_all(make_case(*_scaled_pair(s))), unit, s, 1e-12)
+
+
+def test_make_case_refuses_a_pair_at_the_entry_limit():
+    limit = math.ldexp(1.0, 990)
+    a, e = np.diag([0.5, 1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]) / 10
+    with pytest.raises(ValueError, match=r"entry of A and E is not below 2\^990"):
+        make_case(limit * a, limit * e)
+    with pytest.raises(ValueError, match=r"entry of A and E is not below 2\^990"):
+        make_case(a, limit * np.array([[0.0, 1.0j], [1.0j, 0.0]]))
+    below = np.nextafter(limit, 0.0)
+    report = evaluate_all(make_case(below * a, below * e))
+    values = [report.d2, report.d_inf, *(bv.value for bv in report.bounds if bv.applicable)]
+    assert all(map(math.isfinite, values))
+    _assert_scaled_report(report, evaluate_all(make_case(a, e)), below, 1e-12)
 
 
 def test_make_case_accepts_a_pair_just_inside_the_range():
@@ -715,12 +767,78 @@ def test_make_case_accepts_a_pair_just_inside_the_range():
             assert abs(bv.value / s - ref.value) <= 1e-9 * ref.value
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the matching and the norms square entries without scaling, so d2 underflows "
-    "at s = 1e-170; scaling is ROADMAP direction 1, since small inputs are legitimate",
-)
 def test_a_tiny_pair_keeps_its_distance():
     d2 = evaluate_all(make_case(*_scaled_pair(1.0))).d2
     tiny = evaluate_all(make_case(*_scaled_pair(1e-170))).d2
     assert abs(tiny - 1e-170 * d2) <= 1e-9 * 1e-170 * d2
+
+
+def test_a_scaled_pair_keeps_its_distance_from_1e_minus_300_to_1e290():
+    unit = evaluate_all(make_case(*_scaled_pair(1.0)))
+    for k in range(-300, 291, 10):
+        s = 10.0**k
+        report = evaluate_all(make_case(*_scaled_pair(s)))
+        assert abs(report.d2 / s - unit.d2) <= 1e-13 * unit.d2, s
+        _assert_scaled_report(report, unit, s, 1e-12)
+
+
+@pytest.mark.parametrize("j", [-200, -1, 1, 200])
+def test_a_power_of_4_scales_every_output_exactly(j):
+    # a pair times 4^j has the same unit-scale pair, so every number comes
+    # out as the unscaled one times 4^j, bit for bit
+    f = 4.0**j
+    pairs = [fixture_matrices(name) for name in FIXTURE_NAMES]
+    for kind in KINDS:
+        for seed in range(7):
+            drawn = random_case(EnsembleSpec(n=2 + seed % 7, kind=kind, seed=seed))
+            pairs.append((drawn.a, drawn.e))
+    for a, e in pairs:
+        case, scaled = make_case(a, e), make_case(f * a, f * e)
+        report, unit = evaluate_all(scaled), evaluate_all(case)
+        assert repr(report.d2) == repr(f * unit.d2)
+        assert repr(report.d_inf) == repr(f * unit.d_inf)
+        assert [repr(bv.value) for bv in report.bounds] == [
+            repr(None if bv.value is None else f * bv.value) for bv in unit.bounds
+        ]
+        assert report.violations == unit.violations
+        assert scaled.a_is_hermitian == case.a_is_hermitian
+        assert np.array_equal(scaled.schur_tilde.t, f * case.schur_tilde.t)
+        assert np.array_equal(scaled.schur_tilde.q, case.schur_tilde.q)
+
+
+# 22 of the 220 pairs per kind behind the planted-defect table of the
+# scale direction: n = 2 + i mod 11, seed i
+_PLANTED_PAIRS = [(kind, 2 + i % 11, i) for kind in KINDS for i in range(22)]
+
+
+def test_a_planted_defect_is_found_at_every_scale(monkeypatch):
+    # d2 / 0.9 puts some distance bounds below d2; the violation slack is
+    # relative to the largest entry, so the same cases report a violation
+    # at every scale (before, none below about 1e-8, and 1e100 was refused)
+    original = bounds_module.optimal_match
+
+    def planted(*args, **kwargs):
+        match = original(*args, **kwargs)
+        return dataclasses.replace(match, d2=match.d2 / 0.9)
+
+    monkeypatch.setattr(bounds_module, "optimal_match", planted)
+    pairs = [random_case(EnsembleSpec(n=n, kind=kind, seed=seed)) for kind, n, seed in _PLANTED_PAIRS]
+    counts = {}
+    for c in (1.0, 1e-8, 1e-12, 4.0**-200, 1e100):
+        counts[c] = sum(bool(evaluate_all(make_case(c * case.a, c * case.e)).violations) for case in pairs)
+    assert len(set(counts.values())) == 1 and counts[1.0] > 0, counts
+
+
+# ---------------------------------------------------------------------------
+# the public single-matrix functions run at the matrix's unit scale
+
+
+@pytest.mark.parametrize("s", [1e-170, 1e160])
+def test_single_matrix_functions_scale_with_their_matrix(s):
+    jordan = np.array([[0.0, 1.0], [0.0, 0.0]])
+    assert not is_normal(s * jordan) and not is_hermitian(s * jordan)
+    assert is_normal(s * np.diag([1.0j, 2.0])) and is_hermitian(s * np.diag([1.0, 2.0]))
+    m = random_complex(rng_for(5), (4, 4))
+    for fn in (frobenius_norm, delta, departure_from_normality, henrici_delta_upper, sun_delta_lower):
+        unit = fn(m)
+        assert abs(fn(s * m) / s - unit) <= 1e-12 * unit, fn.__name__

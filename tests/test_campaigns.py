@@ -48,18 +48,37 @@ def test_perturbation_scale_must_be_finite_and_positive(scale):
         EnsembleSpec(n=3, perturbation_scale=scale)
 
 
-def test_perturbation_scale_must_keep_fourth_powers_finite():
-    # at 1e80 henrici_3_6 and sun_3_7 were non-finite in every trial, and
-    # the campaign reported ok, since NaN passes the sandwich check
+@pytest.mark.parametrize("s", [1e80, 1e160])
+def test_perturbation_scale_may_overflow_fourth_powers(s):
+    # before pairs were scaled, at 1e80 henrici_3_6 and sun_3_7 were
+    # non-finite in every trial (the campaign reported ok, since NaN passes
+    # the sandwich check) and an overflow rule refused the scale; now each
+    # value is s times that of the drawn pair divided by s
+    config = CampaignConfig(trials=11, perturbation_scale=s)
+    assert run_campaign(config).ok
+    for i in range(config.trials):
+        record = run_trial(config, i)
+        spec = EnsembleSpec(n=config.trial_size(i), perturbation_scale=s, seed=derive_trial_seed(config.seed, i))
+        drawn = random_case(spec)
+        unit = evaluate_all(make_case(drawn.a / s, drawn.e / s))
+        assert abs(record.d2 / s - unit.d2) <= 1e-12 * unit.d2
+        for bv in unit.bounds:
+            value = record.values[bv.id]
+            assert (value is None) == (bv.value is None), bv.id
+            if value is not None:
+                assert abs(value / s - bv.value) <= 1e-12 * bv.value, bv.id
+
+
+def test_perturbation_scale_is_refused_at_the_entry_limit():
+    limit = math.ldexp(1.0, 990)
     for make in (
         lambda scale: CampaignConfig(trials=11, perturbation_scale=scale),
         lambda scale: EnsembleSpec(n=3, perturbation_scale=scale),
     ):
-        with pytest.raises(ValueError, match=r"^perturbation_scale = 1\.000e\+80 is too large"):
-            make(1e80)
-    # just inside the rule, (2 * 5.7e76)^4 is about 1.7e308: a clean run
-    # with every value finite
-    config = CampaignConfig(trials=11, perturbation_scale=5.7e76)
+        with pytest.raises(ValueError, match=r"^perturbation_scale must be finite and positive, below 2\^990, got "):
+            make(limit)
+    # just below it, a clean run with every value finite
+    config = CampaignConfig(trials=11, perturbation_scale=math.nextafter(limit, 0.0))
     assert run_campaign(config).ok
     for i in range(config.trials):
         record = run_trial(config, i)
@@ -286,7 +305,9 @@ def test_numerical_consistency_error_names_its_trial(monkeypatch):
     config = CampaignConfig(trials=300, n_min=2, n_max=3, kind="normal", seed=9)
     target = 270
     spec = EnsembleSpec(n=config.trial_size(target), seed=derive_trial_seed(config.seed, target))
-    target_norm = frobenius_norm(random_case(spec).a_tilde)
+    case = random_case(spec)
+    # _sun takes ||A + E||_F at the case's unit scale
+    target_norm = math.ldexp(frobenius_norm(case.a_tilde), -int(case._cases.exponent[0]))
     original = bounds._sun
 
     def failing(nrm, defect):

@@ -219,18 +219,40 @@ def test_bounds_rejects_nonnormal_base(tmp_path, capsys):
     assert "not normal" in err
 
 
-@pytest.mark.parametrize("s", [1e80, 1e160])
-def test_bounds_refuses_a_pair_whose_fourth_powers_overflow(tmp_path, capsys, s):
-    # before the overflow rule, 1e80 exited 3 with a false "radicand -inf"
-    # of sun_3_7 and 1e160 exited 2 with the assignment solver's
-    # "cost matrix is infeasible"
-    a_path, e_path = tmp_path / "A.json", tmp_path / "E.json"
-    save_matrix(a_path, np.diag([1.0, 3.0]) * s)
-    save_matrix(e_path, np.array([[0.0, 1.0], [1.0, 0.0]]) * (s / 10))
-    target = tmp_path / "report.json"
+def _bounds_report(tmp_path, capsys, a, e, name):
+    a_path, e_path = tmp_path / f"A-{name}.json", tmp_path / f"E-{name}.json"
+    save_matrix(a_path, a)
+    save_matrix(e_path, e)
+    target = tmp_path / f"report-{name}.json"
     code, out, err = run(["bounds", "--a", str(a_path), "--e", str(e_path), "--out", str(target)], capsys)
+    return code, out, err, target
+
+
+@pytest.mark.parametrize("s", [1e80, 1e160])
+def test_bounds_accepts_a_pair_whose_fourth_powers_overflow(tmp_path, capsys, s):
+    # before pairs were scaled, 1e80 exited 3 with a false "radicand -inf"
+    # of sun_3_7 and 1e160 exited 2 with the assignment solver's "cost
+    # matrix is infeasible"; then an overflow rule refused both
+    a, e = np.diag([1.0, 3.0]), np.array([[0.0, 1.0], [1.0, 0.0]]) / 10
+    reports = []
+    for factor, name in ((1.0, "unit"), (s, "scaled")):
+        code, out, err, target = _bounds_report(tmp_path, capsys, factor * a, factor * e, name)
+        assert (code, out, err) == (0, "", "")
+        reports.append(json.loads(target.read_text()))
+    unit, scaled = reports
+    for key in ("d2", "d_inf"):
+        assert abs(scaled[key] / s - unit[key]) <= 1e-12 * unit[key]
+    for bv, ref in zip(scaled["bounds"], unit["bounds"]):
+        assert bv["applicable"] == ref["applicable"]
+        if ref["applicable"]:
+            assert abs(bv["value"] / s - ref["value"]) <= 1e-12 * ref["value"], bv["id"]
+
+
+def test_bounds_refuses_a_pair_at_the_entry_limit(tmp_path, capsys):
+    limit = math.ldexp(1.0, 990)
+    code, out, err, target = _bounds_report(tmp_path, capsys, np.diag([1.0, limit]), np.zeros((2, 2)), "limit")
     assert code == 2 and out == ""
-    assert err.startswith("error: ||A||_F + ||E||_F = ") and "is too large" in err
+    assert err.startswith("error: the largest real or imaginary entry of A and E is not below 2^990")
     assert not target.exists()
 
 
