@@ -13,17 +13,22 @@ stacks of cases of one size (``_Cases``, arrays (k, n, n)):
 their unit scale, :func:`make_case` checks a matrix pair's case (a
 generator's draws are valid by construction), and :func:`_matrix_stats`
 reduces a stack to per-case numbers (norms, traces, excess, band width,
-blocks, the spectrum of A and the matching distances).  The spectrum of A is one
-stacked Hermitian eigensolve: ``eigvalsh`` for a Hermitian A, the pencil eigenbasis of
-``decomp._normal_spectra`` for any other normal A, with ``eigvals`` for
-the few matrices whose pencil residual is too large.  The scalar stage,
-:func:`_evaluate_block`, runs every catalog formula as one array
-expression over a block of such numbers, which may gather stacks of
-several sizes, and scales the reported numbers back.  Only the LAPACK
-calls of the Schur decomposition and its reorder, and the assignment
-solver for ``d2``, run matrix by matrix.  Campaigns feed the core blocks
-of every size; :func:`make_case` and :func:`evaluate_all` are a block of
-one stack of one, and give the same bits case by case.
+blocks, the spectrum of A and the matching distances).  The spectrum of
+A is the one a generator planted where it built A from it
+(``normal-blocked``, whose Schur form of A + E is planted too), and
+otherwise one stacked Hermitian eigensolve: ``eigvalsh`` for a Hermitian
+A, the pencil eigenbasis of ``decomp._normal_spectra`` for any other
+normal A, with ``eigvals`` for the few matrices whose pencil residual is
+too large.  The scalar stage, :func:`_evaluate_block`, runs every
+catalog formula as one array expression over a block of such numbers,
+which may gather stacks of several sizes, and scales the reported
+numbers back.  Only the LAPACK calls of the Schur decomposition and its
+reorder, and the assignment solver for ``d2``, run matrix by matrix.
+Campaigns feed the core blocks of every size; :func:`evaluate_all` on a
+case of :func:`~spectra_perturb.ensembles.random_case` is a block of one
+stack of one and gives the campaign trial's bits.  :func:`make_case`
+never carries a planted spectrum, so on a ``normal-blocked`` draw's
+matrices it computes the spectrum of A and agrees to rounding.
 
 The catalog is written as the paper's table.  Each of the 27 distance
 bounds is a row ``(id, family, requires_hermitian, shape, constant,
@@ -156,7 +161,9 @@ class _Cases:
     """k cases of one size as stacks (k, n, n), the caller's pair 2^p (a, e)
     with p the ``exponent`` (k,).  ``q`` and ``t`` are the ordered Schur
     factors of ``a_tilde`` (each matrix Fortran ordered), ``boundaries``
-    (k, n - 1) flags the ends of the eigenvalue blocks of ``t``."""
+    (k, n - 1) flags the ends of the eigenvalue blocks of ``t``.
+    ``spectrum`` (k, n), at the same unit scale, is the spectrum of ``a``
+    that a generator planted, or None where it is to be computed."""
 
     a: np.ndarray
     e: np.ndarray
@@ -166,6 +173,7 @@ class _Cases:
     boundaries: np.ndarray
     hermitian: np.ndarray
     exponent: np.ndarray
+    spectrum: np.ndarray | None
 
     @property
     def n(self) -> int:
@@ -234,11 +242,12 @@ def make_case(a, e) -> PerturbationCase:
     return PerturbationCase(cases)
 
 
-def _make_cases(a, e, q=None, t=None) -> _Cases:
+def _make_cases(a, e, q=None, t=None, spectrum=None) -> _Cases:
     """The unchecked cases of stacks (k, n, n) of matrix pairs, each scaled
     exactly to its unit scale, with the Schur forms of ``a + e`` unless given
-    as exactly triangular (q, t), and the Hermitian flags of ``a`` tested at
-    its own unit scale, where a tiny ``a``'s squares cannot underflow."""
+    as exactly triangular (q, t), the spectra (k, n) of ``a`` where a
+    generator planted them, and the Hermitian flags of ``a`` tested at its
+    own unit scale, where a tiny ``a``'s squares cannot underflow."""
     hermitian = _is_hermitian(_unit(a)[0])
     a, e, exponent = _unit(a, e)
     a_tilde = a + e
@@ -247,10 +256,13 @@ def _make_cases(a, e, q=None, t=None) -> _Cases:
     else:
         q, t = _fortran_stack(q), _fortran_stack(_scaled(t, -exponent))
     _reorder(q, t)
+    if spectrum is not None:
+        spectrum = _scaled(spectrum, -exponent)
     # a case's arrays are never written again; an in-place write by a
     # caller would leave what was derived from them stale
-    for m in (a, e, a_tilde, q, t):
-        m.flags.writeable = False
+    for m in (a, e, a_tilde, q, t, spectrum):
+        if m is not None:
+            m.flags.writeable = False
     return _Cases(
         a=a,
         e=e,
@@ -260,6 +272,7 @@ def _make_cases(a, e, q=None, t=None) -> _Cases:
         boundaries=_block_boundaries(t),
         hermitian=hermitian,
         exponent=exponent,
+        spectrum=spectrum,
     )
 
 
@@ -287,11 +300,12 @@ def _matrix_stats(cases: _Cases) -> dict:
     """The matrix work on one stack: every per-case number that the
     catalog and the campaign checks read, one array entry per case.
 
-    ``lam_a``, the spectrum of A, comes from one Hermitian eigensolve
+    ``lam_a``, the spectrum of A, is the stack's planted ``spectrum``
+    where it carries one; else it comes from one Hermitian eigensolve
     (``eigvalsh`` for a Hermitian A, :func:`_normal_spectra` otherwise,
-    which falls back to ``eigvals`` matrix by matrix); it is a function
-    of A alone, and gives the matching distances and, since A is normal,
-    the spectral norm max |lam_a| (``radius``).  The rank of A + E and
+    which falls back to ``eigvals`` matrix by matrix), a function of A
+    alone.  It gives the matching distances and, since A is normal, the
+    spectral norm max |lam_a| (``radius``).  The rank of A + E and
     ``||K||_F``, ``|tr K|`` of the skew parts K = M - M* of M = A + E
     and M = E are computed only for the cases with a Hermitian A, whose
     Hermitian-only entries run, and are 0 elsewhere.  The rank is n where
@@ -302,11 +316,13 @@ def _matrix_stats(cases: _Cases) -> dict:
     broadcast."""
     n, k = cases.n, len(cases.a)
     hermitian = cases.hermitian
-    lam_a = np.empty(cases.eigenvalues.shape, dtype=np.complex128)
-    for rows, eigensolve in ((hermitian, np.linalg.eigvalsh), (~hermitian, _normal_spectra)):
-        if rows.any():
-            rows = slice(None) if rows.all() else rows  # the stack itself, not a copy
-            lam_a[rows] = eigensolve(cases.a[rows])
+    lam_a = cases.spectrum
+    if lam_a is None:
+        lam_a = np.empty(cases.eigenvalues.shape, dtype=np.complex128)
+        for rows, eigensolve in ((hermitian, np.linalg.eigvalsh), (~hermitian, _normal_spectra)):
+            if rows.any():
+                rows = slice(None) if rows.all() else rows  # the stack itself, not a copy
+                lam_a[rows] = eigensolve(cases.a[rows])
     match = optimal_match(lam_a, cases.eigenvalues)
     rotated = _rotated(cases.q, cases.e)
     rank = np.zeros(k, dtype=int)

@@ -163,7 +163,9 @@ def _draw_cases(kind: str, n: int, seeds, scale: float, trace_mode: str) -> _Cas
 def _blocked_cases(n: int, seeds, scale: float, trace_mode: str) -> _Cases:
     # Build A + E = U T U* with T genuinely block upper triangular, then
     # recover A as U diag(mu) U* so that E = U (T - diag(mu)) U* has
-    # Frobenius norm exactly perturbation_scale.  Only the stream calls run
+    # Frobenius norm exactly perturbation_scale.  The case carries the
+    # planted pair: (u, t) as the Schur form of A + E and mu as the spectrum
+    # of A, which no eigensolve then recomputes.  Only the stream calls run
     # seed by seed, in stream order: the Haar matrix, Re lambda and Im lambda
     # in one call (Philox is sequential); the block count s; s - 1 cuts; nu
     # and the noise, c real then c imaginary values for the c = sum b (b - 1) / 2
@@ -209,9 +211,10 @@ def _blocked_cases(n: int, seeds, scale: float, trace_mode: str) -> _Cases:
     diagonal = np.arange(n)
     t[:, diagonal, diagonal] = lam
     u = _haar_unitaries((head[:, :m] + 1j * head[:, m : 2 * m]).reshape(-1, n, n))
-    a = _normal_matrices(u, lam - nu)
+    mu = lam - nu
+    a = _normal_matrices(u, mu)
     a_tilde = u @ t @ u.conj().transpose(0, 2, 1)
-    return _make_cases(a, a_tilde - a, u, t)
+    return _make_cases(a, a_tilde - a, u, t, mu)
 
 
 def random_case(spec: EnsembleSpec) -> PerturbationCase:

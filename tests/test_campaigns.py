@@ -350,25 +350,73 @@ def test_campaign_counts_match_golden_values(kind):
     assert summary.check_failure_count == 0
 
 
-@pytest.mark.parametrize("kind", ["normal", "hermitian"])
+def _reported(d2, d_inf, values) -> tuple:
+    """A trial's d2, d_inf and catalog values as their bits."""
+    return repr(d2), repr(d_inf), {bid: repr(v) for bid, v in values.items()}
+
+
+@pytest.mark.parametrize("kind", KINDS)
 def test_a_replayed_pair_gives_the_campaign_values(kind, monkeypatch):
-    # the spectrum of A is a function of A alone, so bounds on a drawn
-    # pair, through a case of its own, equals the campaign's trial bit
-    # for bit; seed 42's 220 normal trials include one whose pencil
-    # falls back to eigvals
+    # a drawn case carries what the campaign's draw carries, a planted
+    # spectrum of A included, so evaluate_all on it equals the trial bit
+    # for bit for every kind.  The spectrum of a normal or hermitian A is
+    # a function of A alone, so bounds on such a drawn pair, through a
+    # case of its own, equals the trial bit for bit too; seed 42's 220
+    # normal trials include one whose pencil falls back to eigvals.  A
+    # normal-blocked trial takes the planted spectrum, which make_case
+    # computes instead (a few of these 440 replays by eigvals): they
+    # agree within 1e-13 (1 + ||A||_F + ||E||_F), about 6e-15 here
     fallbacks = []
     eigvals = np.linalg.eigvals
     monkeypatch.setattr(np.linalg, "eigvals", lambda m: fallbacks.append(len(m)) or eigvals(m))
-    config = CampaignConfig(trials=220, kind=kind, seed=42)
+    blocked = kind == "normal-blocked"
+    config = CampaignConfig(trials=440 if blocked else 220, kind=kind, seed=42)
     for i in range(config.trials):
         drawn = random_case(EnsembleSpec(n=config.trial_size(i), kind=kind, seed=derive_trial_seed(config.seed, i)))
-        report = evaluate_all(make_case(drawn.a, drawn.e))
         record = run_trial(config, i)
-        assert (repr(report.d2), repr(report.d_inf)) == (repr(record.d2), repr(record.d_inf))
-        assert {bv.id: repr(bv.value) for bv in report.bounds} == {
-            bid: repr(v) for bid, v in record.values.items()
-        }
-    assert bool(fallbacks) == (kind == "normal")
+        trial = _reported(record.d2, record.d_inf, record.values)
+        report = evaluate_all(drawn)
+        assert _reported(report.d2, report.d_inf, {bv.id: bv.value for bv in report.bounds}) == trial
+        replayed = evaluate_all(make_case(drawn.a, drawn.e))
+        replayed_values = {bv.id: bv.value for bv in replayed.bounds}
+        if not blocked:
+            assert _reported(replayed.d2, replayed.d_inf, replayed_values) == trial
+            continue
+        tol = 1e-13 * (1.0 + frobenius_norm(drawn.a) + frobenius_norm(drawn.e))
+        assert abs(replayed.d2 - record.d2) <= tol
+        assert abs(replayed.d_inf - record.d_inf) <= tol
+        for bid, value in record.values.items():
+            assert (replayed_values[bid] is None) == (value is None), bid
+            assert value is None or abs(replayed_values[bid] - value) <= tol, bid
+    assert bool(fallbacks) == (kind != "hermitian")
+
+
+def test_only_a_blocked_campaign_makes_no_eigensolve_of_a(monkeypatch):
+    # a normal-blocked case carries the spectrum of A it was built from;
+    # the normal and hermitian campaigns solve for it, and make_case never
+    # carries one, not even on a blocked draw's matrices
+    calls = dict.fromkeys(("pencil", "eigvalsh"), 0)
+
+    def counted(name, f):
+        def spy(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return spy
+
+    monkeypatch.setattr(bounds, "_normal_spectra", counted("pencil", bounds._normal_spectra))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    seen = {}
+    for kind in KINDS:
+        calls.update(pencil=0, eigvalsh=0)
+        run_campaign(CampaignConfig(trials=220, kind=kind, seed=42))
+        seen[kind] = dict(calls)
+    assert seen["normal-blocked"] == {"pencil": 0, "eigvalsh": 0}
+    assert seen["normal"]["pencil"] > 0
+    assert seen["hermitian"]["eigvalsh"] > 0
+    drawn = random_case(EnsembleSpec(n=5, kind="normal-blocked", seed=42))
+    assert drawn._cases.spectrum is not None
+    assert make_case(drawn.a, drawn.e)._cases.spectrum is None
 
 
 def _fold_records(records) -> dict:

@@ -20,11 +20,13 @@ from spectra_perturb import (
     frobenius_norm,
     is_hermitian,
     is_normal,
+    optimal_match,
     random_case,
 )
 
 from spectra_perturb import ensembles
 from spectra_perturb.bounds import _make_cases
+from spectra_perturb.matrices import _scaled
 
 from conftest import haar_rotated_diagonal, random_complex, rng_for, schur_residuals
 
@@ -132,19 +134,27 @@ def test_generated_cases_are_valid_inputs(kind):
     # a draw goes into the case pipeline unchecked, so every kind must
     # give what make_case would accept: a finite, normal (for hermitian,
     # Hermitian) A; normal-blocked's planted Schur form must be exactly
-    # triangular, unitary and reconstruct A + E within 1e-10 n max(1, ||.||_F)
+    # triangular, unitary and reconstruct A + E within 1e-10 n max(1, ||.||_F),
+    # and its planted spectrum, read-only, must match eigvals(A) within
+    # 1e-10 n max(1, ||A||_F); the other kinds plant no spectrum
     check = is_hermitian if kind == "hermitian" else is_normal
     for n in range(2, 13):
         for seed in range(8):
             case = random_case(EnsembleSpec(n=n, kind=kind, seed=seed))
             assert np.isfinite(case.a).all() and check(case.a)
+            planted = case._cases.spectrum
             if kind != "normal-blocked":
+                assert planted is None
                 continue
             form = case.schur_tilde
             assert not np.tril(form.t, -1).any()
             unitarity, _, reconstruction = schur_residuals(case.a_tilde, form)
             assert unitarity <= 1e-10 * n
             assert reconstruction <= 1e-10 * n * max(1.0, frobenius_norm(case.a_tilde))
+            assert not planted.flags.writeable
+            spectrum = _scaled(planted, case._cases.exponent)[0]
+            distance = optimal_match(spectrum, np.linalg.eigvals(case.a)).d2
+            assert distance <= 1e-10 * n * max(1.0, frobenius_norm(case.a))
 
 
 def test_blocked_zero_trace_mode():
@@ -196,7 +206,7 @@ def _blocked_cases_seed_by_seed(n, seeds, scale, trace_mode):
     u = ensembles._haar_unitaries((z[:, :m] + 1j * z[:, m:]).reshape(-1, n, n))
     a = ensembles._normal_matrices(u, mu)
     a_tilde = u @ t @ u.conj().transpose(0, 2, 1)
-    return _make_cases(a, a_tilde - a, u, t), counts
+    return _make_cases(a, a_tilde - a, u, t, mu), counts
 
 
 @pytest.mark.parametrize("trace_mode", TRACE_MODES)
@@ -206,7 +216,7 @@ def test_blocked_generator_equals_the_seed_by_seed_reference(trace_mode):
         seeds = [derive_trial_seed(1000 * n + 7, trial) for trial in range(29)] + [(1 << 64) - 1]
         stacked = ensembles._blocked_cases(n, seeds, 0.7, trace_mode)
         reference, counts[n] = _blocked_cases_seed_by_seed(n, seeds, 0.7, trace_mode)
-        for name in ("a", "e", "q", "t", "eigenvalues"):
+        for name in ("a", "e", "q", "t", "eigenvalues", "spectrum"):
             assert np.array_equal(getattr(stacked, name), getattr(reference, name)), (n, name)
     # the seeds reach the noise sums the stacked generator groups by
     # length: empty ones, equal lengths, and one longer than numpy's
