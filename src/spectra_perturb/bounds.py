@@ -21,7 +21,8 @@ A, the pencil eigenbasis of ``decomp._normal_spectra`` for any other
 normal A, with ``eigvals`` for the few matrices whose pencil residual is
 too large.  The scalar stage, :func:`_evaluate_block`, runs every
 catalog formula as one array expression over a block of such numbers,
-which may gather stacks of several sizes, and scales the reported
+which may gather stacks of several sizes, at unit scale, verdicts
+included; :meth:`_Stats.to_caller_units` then scales the reported
 numbers back.  Only the LAPACK calls of the Schur decomposition and its
 reorder, and the assignment solver for ``d2``, run matrix by matrix.
 Campaigns feed the core blocks of every size; :func:`evaluate_all` on a
@@ -122,7 +123,8 @@ class NumericalConsistencyError(ArithmeticError):
     """A radicand that is nonnegative in exact arithmetic came out
     negative beyond round-off slack, so the case data is inconsistent.
     ``entry`` is the index of the offending case in its stack (0 for one
-    case)."""
+    case).  The message gives the radicand and the slack at the case's
+    unit scale, where they were computed."""
 
     def __init__(self, message: str, entry: int = 0):
         super().__init__(message)
@@ -144,8 +146,8 @@ def _safe_sqrt(radicand, slack, context: str, on=True):
             i = int(bad[0])
             where = f" (entry {i})" if radicand.ndim else ""
             raise NumericalConsistencyError(
-                f"{context}{where}: radicand {radicand.flat[i]:.3e} is negative "
-                f"beyond round-off slack {slack.flat[i]:.3e}",
+                f"{context}{where}: radicand {radicand.flat[i]:.3e} is negative beyond round-off "
+                f"slack {slack.flat[i]:.3e}, both at the case's unit scale (largest entry in [1, 4))",
                 entry=i,
             )
         radicand = np.where(negative, 0.0, radicand)
@@ -376,15 +378,16 @@ class _Stats:
     ``a_norm``, ``a_trace``, ``tilde_norm``, ``excess``, ``w``, ``s``,
     ``radius``, ``defect``, ``henrici``, ``rank`` and the four ``skew_*``;
     then ``e2``, ``delta_e``, ``delta_a``, ``mix``, ``tilde_is_normal`` and
-    ``radicand_slack``, all at unit scale.  :func:`_evaluate_block` sets
-    the catalog's ``values`` (k, entries), NaN where not ``applicable``,
-    ``applicable`` and ``violated``, and scales the ``CALLER_UNITS`` back
-    to caller units; ``campaigns._run_chunk`` sets ``trials``,
-    ``winner``, ``strict`` and ``failures``, and then drops every column
-    but the ``campaigns._CHUNK_COLUMNS`` that its readers use."""
+    ``radicand_slack``.  :func:`_evaluate_block` sets the catalog's
+    ``values`` (k, entries), NaN where not ``applicable``, ``applicable``
+    and ``violated``; ``campaigns._run_chunk`` sets ``trials``,
+    ``winner``, ``strict``, ``trace_nonzero`` and ``failures``.  Every
+    column and verdict is computed at the cases' unit scale; only
+    :meth:`to_caller_units`, called once the verdicts are made, scales the
+    ``CALLER_UNITS`` back."""
 
-    # the columns read outside the core, the only ones in caller units
-    CALLER_UNITS = ("d2", "d_inf", "values", "e_norm", "e_trace", "excess", "tilde_norm")
+    # the numbers reported outside the core, the only ones scaled back
+    CALLER_UNITS = ("d2", "d_inf", "values", "e_norm", "excess")
 
     def __init__(self, k: int, stacks):
         columns = self.__dict__
@@ -399,6 +402,11 @@ class _Stats:
         self.mix = np.minimum(self.a_norm, np.sqrt(self.n - 1) * self.radius)
         self.tilde_is_normal = _is_normal(self.defect, self.tilde_norm)
         self.radicand_slack = _TOLERANCES["distance_radicand"](self.e2, _square(self.excess))
+
+    def to_caller_units(self) -> None:
+        """Scale the ``CALLER_UNITS`` back exactly to each caller's units."""
+        for name in self.CALLER_UNITS:
+            setattr(self, name, _scaled(getattr(self, name), self.exponent))
 
 
 # ---------------------------------------------------------------------------
@@ -625,9 +633,10 @@ class BoundReport:
 
 def _evaluate_block(k: int, stacks) -> _Stats:
     """The stats of a block of k cases given as ``(rows, cases)`` stacks
-    (see :class:`_Stats`), with the full catalog evaluated on them: the
-    matrix work runs stack by stack, the catalog once on the block.  The
-    Hermitian-only entries run on the cases with a Hermitian A; a
+    (see :class:`_Stats`), with the full catalog and the violation verdict
+    evaluated on them, all at the cases' unit scale: the matrix work runs
+    stack by stack, the catalog once on the block.  The Hermitian-only
+    entries run on the cases with a Hermitian A; a
     NumericalConsistencyError names its case by block row."""
     st = _Stats(k, stacks)
     st.values = np.full((k, len(_CATALOG)), np.nan)
@@ -642,8 +651,6 @@ def _evaluate_block(k: int, stacks) -> _Stats:
             st.applicable[:, col] = on
     tol = _TOLERANCES["violation"](st.a_norm, st.e_norm)
     st.violated = st.applicable & _IS_D2_BOUND & (st.values < (st.d2 - tol)[:, None])
-    for name in _Stats.CALLER_UNITS:
-        setattr(st, name, _scaled(getattr(st, name), st.exponent))
     return st
 
 
@@ -657,6 +664,7 @@ def evaluate_all(case: PerturbationCase) -> BoundReport:
     ``matrices._TOLERANCES``.
     """
     st = _evaluate_block(1, [(slice(None), case._cases)])
+    st.to_caller_units()
     bounds = tuple(
         BoundValue(**dataclasses.asdict(entry), value=value if applicable else None, applicable=applicable)
         for entry, value, applicable in zip(_CATALOG, st.values[0].tolist(), st.applicable[0].tolist())

@@ -78,8 +78,8 @@ _CHUNK_ENTRIES = 1 << 16
 # The columns of a chunk that _fold, the CSV writer and run_trial read;
 # _run_chunk drops the others, so a worker sends back no more than these.
 _CHUNK_COLUMNS = frozenset({
-    "trials", "n", "d2", "d_inf", "e_norm", "e_trace", "excess",
-    "values", "applicable", "violated", "winner", "strict", "failures",
+    "trials", "n", "d2", "d_inf", "e_norm", "excess", "values",
+    "applicable", "violated", "winner", "strict", "trace_nonzero", "failures",
 })
 
 _COLUMN = {bid: col for col, bid in enumerate(CATALOG_IDS)}
@@ -138,12 +138,14 @@ def _run_chunk(config: CampaignConfig, indices: range) -> _Stats:
     check on it.  The trials of one size (every ``sizes``-th trial of the
     chunk) are drawn and taken through the matrix work as one stack, one
     size after the other; the catalog and the checks then run once on
-    the whole chunk.  The chunk's stats come back (row i is trial
+    the whole chunk, at each trial's unit scale, before the reported
+    columns are scaled back.  The chunk's stats come back (row i is trial
     ``trials[i]``) with only the ``_CHUNK_COLUMNS``, small enough to send
     back from a worker: ``winner`` is a catalog column (-1 where no
     distance bound applied), ``strict`` flags the ordering pairs that held
-    strictly, and ``failures`` lists ``(row, message)`` in
-    trial-then-check order."""
+    strictly, ``trace_nonzero`` the trials with tr(E) nonzero, and
+    ``failures`` lists ``(row, message)`` in trial-then-check order, with
+    operands in caller units."""
     sizes = min(config.n_max - config.n_min + 1, len(indices))
 
     def stacks():
@@ -182,13 +184,15 @@ def _run_chunk(config: CampaignConfig, indices: range) -> _Stats:
     failures = []
     for i, c in np.argwhere(np.stack([flags for flags, _, _ in checks], axis=1)).tolist():
         _, message, operands = checks[c]
-        failures.append((i, message % tuple(float(x[i]) for x in operands)))
+        failures.append((i, message % tuple(float(np.ldexp(x[i], st.exponent[i])) for x in operands)))
 
     # the winner is min((value, id)) over applicable distance bounds:
     # the smallest value, ties to the alphabetically first id
     ranked = np.where(st.applicable[:, _WINNER_COLUMNS], values[:, _WINNER_COLUMNS], np.inf)
     winner = np.where(np.isfinite(ranked.min(axis=1)), _WINNER_COLUMNS[np.argmin(ranked, axis=1)], -1)
     st.trials, st.winner, st.strict, st.failures = indices, winner, strict, failures
+    st.trace_nonzero = st.e_trace > _TOLERANCES["trace_nonzero"](st.e_norm)
+    st.to_caller_units()
     for name in vars(st).keys() - _CHUNK_COLUMNS:
         delattr(st, name)
     return st
@@ -283,7 +287,8 @@ def _fold(
     config: CampaignConfig, chunks: Iterable[_Stats], sink: Callable[[_Stats], None] | None
 ) -> CampaignSummary:
     """Fold the chunks, in trial order, into the campaign summary, and
-    hand each chunk to ``sink`` unless it is None."""
+    hand each chunk to ``sink`` unless it is None.  Every verdict is
+    already in the chunks; the fold only counts."""
     trials = 0
     wins = np.zeros(len(CATALOG_IDS), dtype=np.int64)
     max_slack = np.full(len(_D2_COLUMNS), -np.inf)
@@ -305,9 +310,8 @@ def _fold(
         )
         failure_count += len(chunk.failures)
         _add_samples(failure_samples, chunk, ((i, {"message": m}) for i, m in chunk.failures))
-        trace_nonzero = chunk.e_trace > _TOLERANCES["trace_nonzero"](chunk.e_norm)
-        nonzero_trace += int(trace_nonzero.sum())
-        strict += chunk.strict[trace_nonzero].sum(axis=0)
+        nonzero_trace += int(chunk.trace_nonzero.sum())
+        strict += chunk.strict[chunk.trace_nonzero].sum(axis=0)
         if sink is not None:
             sink(chunk)
 

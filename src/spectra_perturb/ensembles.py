@@ -10,6 +10,7 @@ therefore need no shared state.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from dataclasses import dataclass
 
@@ -44,7 +45,8 @@ def _check_draw(kind: str, scale, trace_mode: str, seed) -> None:
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     # make_case's limit: a drawn entry is at most about ||A||_2 + scale, ||A||_2 = O(sqrt(n))
-    if not 0.0 < scale < math.ldexp(1.0, _ENTRY_EXPONENT_LIMIT):
+    real = isinstance(scale, numbers.Real) and not isinstance(scale, bool)
+    if not (real and 0.0 < scale < math.ldexp(1.0, _ENTRY_EXPONENT_LIMIT)):
         limit = f"2^{_ENTRY_EXPONENT_LIMIT}"
         raise ValueError(f"perturbation_scale must be finite and positive, below {limit}, got {scale!r}")
     if trace_mode not in TRACE_MODES:

@@ -38,10 +38,10 @@ __all__ = [
 # of one in floating point carries a round-off slack.  This is the one
 # table of them: each row maps the raw quantities a threshold scales with
 # (norms, sizes, values) to the threshold.  A row's operation order is
-# part of it: a threshold's last bit can decide a borderline case.  The
-# rows up to "violation" run at a case's unit scale, so scaling a pair
-# moves no verdict; the campaign checks after it run in caller units,
-# where their floors max(1, .) and 1 + . are absolute.
+# part of it: a threshold's last bit can decide a borderline case.  Every
+# row runs at a case's unit scale (the tests of A at A's own), where a
+# floor of 1 (max(1, .), 1 + .) is the pair's largest entry, so scaling a
+# pair (A, E) moves no verdict.
 _TOLERANCES = {
     # ||M M* - M* M||_F scales quadratically with M
     "normal": lambda nrm: 1e-10 * (nrm * nrm),
@@ -66,8 +66,7 @@ _TOLERANCES = {
     "spectrum": lambda n, nrm: 64 * n * float(np.finfo(np.float64).eps) * nrm,
     # Q* E Q has no exact zeros; smaller entries do not widen the band
     "band": lambda nrm: 1e-13 * nrm,
-    # a radicand ||.||^2 - y clamps to 0 within this of its leading square;
-    # at unit scale, as the next two rows, so the floor 1 is relative
+    # a radicand ||.||^2 - y clamps to 0 within this of its leading square
     "radicand": lambda lead: 1e-9 * (1.0 + lead),
     # the same for a distance bound, (1 + ||E||_F^2) + Delta^2 in this order
     "distance_radicand": lambda e2, excess2: 1e-9 * (1.0 + e2 + excess2),

@@ -602,6 +602,8 @@ def test_inconsistent_radicand_raises():
     with pytest.raises(NumericalConsistencyError, match=r"test \(entry 3\)") as info:
         _safe_sqrt(radicands, np.full(4, 1e-9), "test")
     assert info.value.entry == 3
+    # the core computes a radicand and its slack at the case's unit scale
+    assert "negative beyond round-off slack 1.000e-09, both at the case's unit scale" in str(info.value)
     # an entry whose value is not reported is not checked; the others
     # clamp within the slack
     on = np.array([True, True, True, False])

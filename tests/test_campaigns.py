@@ -4,6 +4,7 @@ import io
 import itertools
 import math
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -27,6 +28,7 @@ from spectra_perturb import (
 from spectra_perturb import bounds, campaigns
 from spectra_perturb.bounds import D2_BOUND_IDS
 from spectra_perturb.cli import main
+from spectra_perturb.matrices import _scaled
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -39,9 +41,10 @@ def test_jobs_give_identical_summaries(kind):
     assert parallel.as_dict() == serial.as_dict()
 
 
-@pytest.mark.parametrize("scale", [-1.0, 0.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("scale", [-1.0, 0.0, float("nan"), float("inf"), "2", None, True, 1j])
 def test_perturbation_scale_must_be_finite_and_positive(scale):
-    # a campaign accepts exactly the scales random_case can reproduce
+    # a campaign accepts exactly the scales random_case can reproduce; a
+    # bool or a value that is not a real number is refused like a bad one
     with pytest.raises(ValueError, match="perturbation_scale must be finite and positive"):
         CampaignConfig(trials=1, n_min=3, n_max=3, perturbation_scale=scale)
     with pytest.raises(ValueError, match="perturbation_scale must be finite and positive"):
@@ -232,9 +235,10 @@ def test_a_chunk_carries_only_the_columns_its_readers_use(kind, monkeypatch):
     monkeypatch.setattr(campaigns, "_evaluate_block", spy)
     chunk = campaigns._run_chunk(CampaignConfig(trials=220, kind=kind, seed=42), range(220))
     assert vars(chunk).keys() == {
-        "trials", "n", "d2", "d_inf", "e_norm", "e_trace", "excess",
-        "values", "applicable", "violated", "winner", "strict", "failures",
+        "trials", "n", "d2", "d_inf", "e_norm", "excess", "values",
+        "applicable", "violated", "winner", "strict", "trace_nonzero", "failures",
     }
+    assert chunk.trace_nonzero.dtype == bool
     assert len(pickle.dumps(chunk)) < untrimmed[0]
 
 
@@ -348,6 +352,75 @@ def test_campaign_counts_match_golden_values(kind):
     assert summary.ordering == {"nonzero_trace_trials": 220, **ordering}
     assert summary.violation_count == 0
     assert summary.check_failure_count == 0
+
+
+# Joint scales (A, E) -> 2^p (A, E): powers of 4, so a scaled pair has the
+# bits of the drawn one at its unit scale, and every reported number of a
+# trial is exactly 2^p times the drawn pair's
+JOINT_SCALE_EXPONENTS = (-600, -40, 0, 600)
+# check failures of 220-trial campaigns at seed 42 with d2 planted at half
+# its value: d_inf then exceeds d2 (the metric check)
+FAILURES_AT_HALF_D2 = {"normal": 188, "hermitian": 180, "normal-blocked": 183}
+# a float as repr writes it, not a digit of a catalog id such as eq_3_5a
+_REPR_FLOAT = r"(?<![\w.])-?\d+(?:\.\d+)?(?:e[-+]\d+)?(?![\w.])"
+
+
+def _draw_jointly_scaled(monkeypatch, draw, p: int) -> None:
+    """Have campaigns draw every stack through ``draw`` and rebuild it
+    from its pair in caller units times 2^p, a planted Schur form and
+    spectrum of A included."""
+
+    def scaled(*args):
+        cases = draw(*args)
+        exponent = cases.exponent + p
+        planted = {}
+        if cases.spectrum is not None:
+            planted = dict(q=cases.q, t=_scaled(cases.t, exponent), spectrum=_scaled(cases.spectrum, exponent))
+        rebuilt = bounds._make_cases(_scaled(cases.a, exponent), _scaled(cases.e, exponent), **planted)
+        assert np.array_equal(rebuilt.exponent, exponent)
+        for name in ("a", "e", "t", "hermitian"):
+            assert np.array_equal(getattr(rebuilt, name), getattr(cases, name)), name
+        return rebuilt
+
+    monkeypatch.setattr(campaigns, "_draw_cases", scaled)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_campaign_verdict_is_the_same_at_every_joint_scale(kind, monkeypatch):
+    # the violation verdict and the campaign checks run at each trial's unit
+    # scale, so scaling every pair by 2^p moves no count, and max_slack and
+    # every number of a failure message scale by exactly 2^p; with d2
+    # planted at half its value, the metric check fails at every scale
+    draw, match = campaigns._draw_cases, bounds.optimal_match
+
+    def halved(*args):
+        found = match(*args)
+        return dataclasses.replace(found, d2=found.d2 / 2)
+
+    config = CampaignConfig(trials=220, kind=kind, seed=42)
+    summaries, messages = {}, {}
+    for p in JOINT_SCALE_EXPONENTS:
+        _draw_jointly_scaled(monkeypatch, draw, p)
+        monkeypatch.setattr(bounds, "optimal_match", match)
+        summaries[p] = run_campaign(config)
+        monkeypatch.setattr(bounds, "optimal_match", halved)
+        found = []
+        planted = campaigns._run_campaign(config, lambda chunk: found.extend(m for _, m in chunk.failures))
+        assert planted.check_failure_count == len(found) == FAILURES_AT_HALF_D2[kind], p
+        messages[p] = found
+    unit = summaries[0]
+    assert unit.ordering["nonzero_trace_trials"] == 220
+    for p, summary in summaries.items():
+        assert summary.wins == unit.wins, p
+        assert summary.ordering == unit.ordering, p
+        assert summary.violation_count == unit.violation_count == 0, p
+        assert summary.check_failure_count == unit.check_failure_count == 0, p
+        for bid, slack in unit.max_slack.items():
+            expected = None if slack is None else math.ldexp(slack, p)
+            assert summary.max_slack[bid] == expected, (p, bid)
+        for scaled, message in zip(messages[p], messages[0], strict=True):
+            assert re.search(_REPR_FLOAT, message), message
+            assert re.sub(_REPR_FLOAT, lambda x: repr(math.ldexp(float(x[0]), p)), message) == scaled, p
 
 
 def _reported(d2, d_inf, values) -> tuple:
