@@ -66,25 +66,27 @@ from .decomp import (
     SchurForm,
     _block_boundaries,
     _block_structure,
-    _excesses,
     _fortran_stack,
     _full_rank,
     _normal_spectra,
     _ranks,
     _reorder,
     _schur_factors,
+    _strict_upper_parts,
 )
 from .matching import optimal_match
 from .matrices import (
     _ENTRY_EXPONENT_LIMIT,
     _TOLERANCES,
     _commutator_defects,
+    _commutators,
     _degree_one,
     _fro_norms,
     _is_hermitian,
     _is_normal,
+    _largest,
     _scaled,
-    _unit,
+    _unit_exponents,
     as_matrix,
     is_normal,
 )
@@ -161,15 +163,19 @@ def _safe_sqrt(radicand, slack, context: str, on=True):
 @dataclass(eq=False)
 class _Cases:
     """k cases of one size as stacks (k, n, n), the caller's pair 2^p (a, e)
-    with p the ``exponent`` (k,).  ``q`` and ``t`` are the ordered Schur
-    factors of ``a_tilde`` (each matrix Fortran ordered), ``boundaries``
-    (k, n - 1) flags the ends of the eigenvalue blocks of ``t``.
-    ``spectrum`` (k, n), at the same unit scale, is the spectrum of ``a``
-    that a generator planted, or None where it is to be computed."""
+    with p the ``exponent`` (k,), and their Frobenius norms (k,) each.
+    ``q`` and ``t`` are the ordered Schur factors of ``a_tilde`` (each
+    matrix Fortran ordered), ``boundaries`` (k, n - 1) flags the ends of
+    the eigenvalue blocks of ``t``.  ``spectrum`` (k, n), at the same unit
+    scale, is the spectrum of ``a`` that a generator planted, or None where
+    it is to be computed."""
 
     a: np.ndarray
     e: np.ndarray
     a_tilde: np.ndarray
+    a_norm: np.ndarray
+    e_norm: np.ndarray
+    tilde_norm: np.ndarray
     q: np.ndarray
     t: np.ndarray
     boundaries: np.ndarray
@@ -246,18 +252,32 @@ def make_case(a, e) -> PerturbationCase:
 
 def _make_cases(a, e, q=None, t=None, spectrum=None) -> _Cases:
     """The unchecked cases of stacks (k, n, n) of matrix pairs, each scaled
-    exactly to its unit scale, with the Schur forms of ``a + e`` unless given
-    as exactly triangular (q, t), the spectra (k, n) of ``a`` where a
-    generator planted them, and the Hermitian flags of ``a`` tested at its
-    own unit scale, where a tiny ``a``'s squares cannot underflow."""
-    hermitian = _is_hermitian(_unit(a)[0])
-    a, e, exponent = _unit(a, e)
-    a_tilde = a + e
+    exactly to its unit scale, with the Schur forms of ``a + e`` in the
+    canonical order unless given as exactly triangular (q, t) in that order
+    (a generator's planted forms, not re-sorted: the exact power-of-4 scale
+    keeps their order), the spectra (k, n) of ``a`` where a generator
+    planted them, and the Hermitian flags of ``a`` tested at its own unit
+    scale, where a tiny ``a``'s squares cannot underflow.  ``a``'s own
+    exponent and the pair's come from one maximum per matrix, and the norms
+    of A, E and A + E from one buffer."""
+    largest_a = _largest(a)
+    own, exponent = _unit_exponents(largest_a), _unit_exponents(np.maximum(largest_a, _largest(e)))
+    pair = np.empty((3, *a.shape), dtype=np.complex128)  # A, E and A + E at the pair's unit scale
+    a_own = _scaled(a, -exponent, pair[0])
+    redo = own != exponent  # the cases whose E has the larger entries
+    if redo.any():
+        a_own = a_own.copy()
+        a_own[redo] = _scaled(a[redo], -own[redo])
+    hermitian = _is_hermitian(a_own)
+    _scaled(e, -exponent, pair[1])
+    a, e, a_tilde = pair
+    np.add(a, e, out=a_tilde)
+    a_norm, e_norm, tilde_norm = _fro_norms(pair.reshape(-1, *a.shape[1:])).reshape(3, -1)
     if q is None:
         q, t = _schur_factors(a_tilde)
+        _reorder(q, t)
     else:
         q, t = _fortran_stack(q), _fortran_stack(_scaled(t, -exponent))
-    _reorder(q, t)
     if spectrum is not None:
         spectrum = _scaled(spectrum, -exponent)
     # a case's arrays are never written again; an in-place write by a
@@ -269,6 +289,9 @@ def _make_cases(a, e, q=None, t=None, spectrum=None) -> _Cases:
         a=a,
         e=e,
         a_tilde=a_tilde,
+        a_norm=a_norm,
+        e_norm=e_norm,
+        tilde_norm=tilde_norm,
         q=q,
         t=t,
         boundaries=_block_boundaries(t),
@@ -278,8 +301,10 @@ def _make_cases(a, e, q=None, t=None, spectrum=None) -> _Cases:
     )
 
 
-def _rotated(q: np.ndarray, e: np.ndarray) -> np.ndarray:
-    return q.conj().transpose(0, 2, 1) @ e @ q
+def _rotated(q: np.ndarray, e: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    """Q* E Q of each pair of a stack, into ``out`` if given, with Q* E
+    taken into ``scratch`` if given."""
+    return np.matmul(np.matmul(q.conj().transpose(0, 2, 1), e, out=scratch), q, out=out)
 
 
 def rotated_perturbation(case: PerturbationCase) -> np.ndarray:
@@ -315,7 +340,13 @@ def _matrix_stats(cases: _Cases) -> dict:
     triangular inversion); only the cases it leaves open take the SVD of
     A + E (:func:`decomp._ranks`), so every rank is the SVD count.  The
     Henrici factor ((n^3 - n) / 12)^(1/4) is one Python float per size,
-    broadcast."""
+    broadcast.
+
+    The norms of A, E and A + E come with the stack (:func:`_make_cases`
+    takes them in one pass); Q* E Q (whose norm sets the band width's
+    threshold), strict_upper(T) (the excess) and the commutator of A + E
+    (the defect) are written into one buffer here, and one
+    :func:`_fro_norms` call on it gives their norms."""
     n, k = cases.n, len(cases.a)
     hermitian = cases.hermitian
     lam_a = cases.spectrum
@@ -326,7 +357,15 @@ def _matrix_stats(cases: _Cases) -> dict:
                 rows = slice(None) if rows.all() else rows  # the stack itself, not a copy
                 lam_a[rows] = eigensolve(cases.a[rows])
     match = optimal_match(lam_a, cases.eigenvalues)
-    rotated = _rotated(cases.q, cases.e)
+    rotated, upper, commutator = work = np.empty((3, k, n, n), dtype=np.complex128)
+    # a slot not yet filled takes each inner product, so that the stage
+    # holds no more than the buffer and one conjugate stack
+    _rotated(cases.q, cases.e, out=rotated, scratch=commutator)
+    _commutators(cases.a_tilde, out=commutator, scratch=upper)
+    _strict_upper_parts(cases.t, out=upper)
+    rotated_norm, excess, defect = _fro_norms(work.reshape(-1, n, n)).reshape(3, k)
+    w = _band_widths(rotated, _TOLERANCES["band"](rotated_norm), lower=True)
+    del rotated, upper, commutator, work  # before the rank and skew work, whose temporaries are as large
     rank = np.zeros(k, dtype=int)
     skew = np.zeros((4, k))  # ||K||_F and |tr K| for M = A + E, then for M = E
     if hermitian.any():
@@ -342,16 +381,16 @@ def _matrix_stats(cases: _Cases) -> dict:
         "hermitian": hermitian,
         "d2": match.d2,
         "d_inf": match.d_inf,
-        "e_norm": _fro_norms(cases.e),
+        "e_norm": cases.e_norm,
         "e_trace": _trace_moduli(cases.e),
-        "a_norm": _fro_norms(cases.a),
+        "a_norm": cases.a_norm,
         "a_trace": _trace_moduli(cases.a),
-        "tilde_norm": _fro_norms(cases.a_tilde),
-        "excess": _excesses(cases.t),
-        "w": _band_widths(rotated, _TOLERANCES["band"](_fro_norms(rotated)), lower=True),
+        "tilde_norm": cases.tilde_norm,
+        "excess": excess,
+        "w": w,
         "s": 1 + np.count_nonzero(cases.boundaries, axis=1),
         "radius": np.abs(lam_a).max(axis=1),
-        "defect": _commutator_defects(cases.a_tilde),
+        "defect": defect,
         "henrici": np.full(k, _henrici_factor(n)),
         "rank": rank,
         "skew_tilde_norm": skew[0],
@@ -372,8 +411,9 @@ class _Stats:
     """The per-case results of a block of k cases, which may differ in
     size, one array entry per case; no matrix is held, so a block's
     memory does not grow with its largest size.  ``_Stats(k, stacks)``
-    runs the matrix work of each ``(rows, cases)`` stack as it arrives
-    and sets the columns of :func:`_matrix_stats` at ``rows``: ``n``,
+    runs the matrix work of each ``(rows, cases)`` stack as it arrives,
+    then sets each column of :func:`_matrix_stats` from one concatenation
+    of the stacks' entries, permuted to block row order: ``n``,
     ``exponent``, ``hermitian``, ``d2``, ``d_inf``, ``e_norm``, ``e_trace``,
     ``a_norm``, ``a_trace``, ``tilde_norm``, ``excess``, ``w``, ``s``,
     ``radius``, ``defect``, ``henrici``, ``rank`` and the four ``skew_*``;
@@ -390,12 +430,13 @@ class _Stats:
     CALLER_UNITS = ("d2", "d_inf", "values", "e_norm", "excess")
 
     def __init__(self, k: int, stacks):
-        columns = self.__dict__
-        for rows, cases in stacks:
-            for name, column in _matrix_stats(cases).items():
-                if name not in columns:
-                    columns[name] = np.empty(k, dtype=column.dtype)
-                columns[name][rows] = column
+        rows, parts = [], []
+        for where, cases in stacks:
+            rows.append(np.arange(k)[where])
+            parts.append(_matrix_stats(cases))
+        order = np.argsort(np.concatenate(rows))  # the stacked entry of each block row
+        for name in parts[0]:
+            setattr(self, name, np.concatenate([part[name] for part in parts])[order])
         self.e2 = _square(self.e_norm)
         self.delta_e = _deltas(self.e_norm, self.e_trace, self.n)
         self.delta_a = _deltas(self.a_norm, self.a_trace, self.n)

@@ -110,13 +110,14 @@ def _schur_factors(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = m.shape[-1]
     t = _fortran_stack(m)
     q = _fortran_stack(np.broadcast_to(np.eye(n), m.shape))
-    for i in np.flatnonzero(np.tril(m, -1).any(axis=(1, 2))):
+    lower = _strict_upper(n).T
+    for i in np.flatnonzero((m[:, lower] != 0).any(axis=1)):
         ti, _, _, vs, _, info = zgees(_no_sort, t[i], lwork=_zgees_lwork(n), overwrite_a=1)
         if info > 0:
             raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
         t[i] = ti
         q[i] = vs
-    t[:, _strict_upper(n).T] = 0.0
+    t[:, lower] = 0.0
     return q, t
 
 
@@ -143,13 +144,15 @@ def _normal_spectra(a: np.ndarray) -> np.ndarray:
     Each matrix is first scaled exactly to its own unit scale (a case's A
     may be far smaller than its E), so that the squares of the residual
     check neither underflow nor overflow; lam is scaled back exactly."""
-    unit, exponent = _unit(a)
+    residual, unit = pair = np.empty((2, *a.shape), dtype=np.complex128)
+    exponent = _unit(a, out=unit)[1]
     wa = ((1.0 - 1j * _PENCIL_C) / 2) * unit
     v = np.linalg.eigh(wa + wa.conj().transpose(0, 2, 1))[1]
     av = unit @ v
     lam = (v.conj() * av).sum(axis=1)
-    residual = _fro_norms(av - v * lam[:, None, :])
-    fallback = residual > _TOLERANCES["spectrum"](a.shape[-1], _fro_norms(unit))
+    np.subtract(av, v * lam[:, None, :], out=residual)
+    residual_norm, unit_norm = _fro_norms(pair.reshape(-1, *a.shape[1:])).reshape(2, -1)
+    fallback = residual_norm > _TOLERANCES["spectrum"](a.shape[-1], unit_norm)
     lam = _scaled(lam, exponent)
     if fallback.any():
         lam[fallback] = np.linalg.eigvals(a[fallback])
@@ -239,16 +242,18 @@ def _full_rank(t: np.ndarray) -> np.ndarray:
     return certified
 
 
-def _excesses(t: np.ndarray) -> np.ndarray:
-    """||strict_upper(t)||_F of each triangular factor of a stack: the
-    triangular excess, the departure from normality of its source."""
-    return _fro_norms(np.where(_strict_upper(t.shape[-1]), t, 0.0))
+def _strict_upper_parts(t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """strict_upper(t) of each matrix of a stack, into ``out`` if given:
+    t times the 0/1 mask, whose factors are exact.  Of a triangular factor
+    t, its norm is the triangular excess, the departure from normality of
+    its source."""
+    return np.multiply(t, _strict_upper(t.shape[-1]), out=out)
 
 
 def departure_from_normality(m) -> float:
     """||strict_upper(T)||_F of the Schur factor T of M: the same for
     every Schur form of M, and zero exactly when M is normal."""
-    return _degree_one(m, lambda unit: _excesses(_schur_factors(unit)[1]))
+    return _degree_one(m, lambda unit: _fro_norms(_strict_upper_parts(_schur_factors(unit)[1])))
 
 
 def _block_boundaries(t: np.ndarray) -> np.ndarray:

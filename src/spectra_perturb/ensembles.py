@@ -46,7 +46,9 @@ def _check_draw(kind: str, scale, trace_mode: str, seed) -> None:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     # make_case's limit: a drawn entry is at most about ||A||_2 + scale, ||A||_2 = O(sqrt(n))
     real = isinstance(scale, numbers.Real) and not isinstance(scale, bool)
-    if not (real and 0.0 < scale < math.ldexp(1.0, _ENTRY_EXPONENT_LIMIT)):
+    # a numpy scalar compares as a Python number: in float32 or float16, 2^990 overflows
+    value = scale.item() if isinstance(scale, np.generic) else scale
+    if not (real and 0.0 < value < math.ldexp(1.0, _ENTRY_EXPONENT_LIMIT)):
         limit = f"2^{_ENTRY_EXPONENT_LIMIT}"
         raise ValueError(f"perturbation_scale must be finite and positive, below {limit}, got {scale!r}")
     if trace_mode not in TRACE_MODES:

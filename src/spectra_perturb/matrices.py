@@ -138,22 +138,34 @@ def strict_upper(m) -> np.ndarray:
 # size.  These helpers give, matrix by matrix, the very bits of the
 # single-matrix computations above.
 
-def _unit(*stacks: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Stacks (k, n, n) of complex cases (case i is entry i of each) times
-    the power of 4, 2^-p, that puts a case's largest real or imaginary entry
-    in [1, 4); then p (k,), which scales a result of degree 1 back."""
-    floats = [np.ascontiguousarray(m).view(np.float64) for m in stacks]
-    largest = functools.reduce(np.maximum, [np.abs(x).max(axis=(1, 2)) for x in floats])
-    exponent = (np.frexp(largest)[1] - 1) & -2  # 2 floor((e - 1) / 2) for largest = f 2^e, f in [1/2, 1)
-    return (*(_scaled(m, -exponent) for m in stacks), exponent)
+def _largest(m: np.ndarray) -> np.ndarray:
+    """The largest modulus of a real or imaginary entry of each matrix of a
+    stack (k, n, n)."""
+    return np.abs(np.ascontiguousarray(m).view(np.float64)).max(axis=(1, 2))
 
 
-def _scaled(m: np.ndarray, exponent: np.ndarray) -> np.ndarray:
+def _unit_exponents(largest: np.ndarray) -> np.ndarray:
+    """The even p (k,), int32, for which each of the ``largest`` entries
+    times 2^-p is in [1, 4): 2 floor((e - 1) / 2) for largest = f 2^e, f in [1/2, 1)."""
+    return (np.frexp(largest)[1] - 1) & -2
+
+
+def _unit(m: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """A stack (k, n, n) times the power of 4, 2^-p, that puts each
+    matrix's largest real or imaginary entry in [1, 4), into ``out`` if
+    given; then p (k,), which scales a result of degree 1 back."""
+    exponent = _unit_exponents(_largest(m))
+    return _scaled(m, -exponent, out), exponent
+
+
+def _scaled(m: np.ndarray, exponent: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """2^p m for a stack m (k, ...) and integers p (k,), exact where the
-    result is normal.  ``np.ldexp`` with int32 p (as :func:`_unit` gives it)
-    is as cheap as a product; its int64 loop is several times slower."""
+    result is normal, into ``out`` (C-ordered, of m's shape) if given.
+    ``np.ldexp`` with int32 p (as :func:`_unit_exponents` gives it) is as
+    cheap as a product; its int64 loop is several times slower."""
     x = np.ascontiguousarray(m).view(np.float64)
-    return np.ldexp(x, np.reshape(exponent, (-1,) + (1,) * (x.ndim - 1))).view(m.dtype)
+    p = np.reshape(exponent, (-1,) + (1,) * (x.ndim - 1))
+    return np.ldexp(x, p, out=None if out is None else out.view(np.float64)).view(m.dtype)
 
 
 def _degree_one(m, f) -> float:
@@ -165,7 +177,10 @@ def _degree_one(m, f) -> float:
 def _fro_norms(m: np.ndarray) -> np.ndarray:
     """Frobenius norm of each matrix of a stack, bit for bit
     ``np.linalg.norm(m[i], "fro")`` of a C-ordered matrix: the same two
-    BLAS dot products (real and imaginary parts) in row-major order."""
+    BLAS dot products (real and imaginary parts) in row-major order, in
+    whatever layout m is.  A matrix's norm depends on its entries alone,
+    so a stage writes every stack it needs norms of into one C-ordered
+    buffer (s, k, n, n) and takes them in one call on its (s k, n, n) view."""
     flat = m.reshape(m.shape[0], 1, -1)
     re, im = flat.real, flat.imag
     squares = re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)
@@ -181,10 +196,18 @@ def _strict_upper(n: int) -> np.ndarray:
     return mask
 
 
+def _commutators(m: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    """M M* - M* M of each matrix M of a stack, into ``out`` if given, with
+    M* M taken into ``scratch`` if given."""
+    h = m.conj().transpose(0, 2, 1)
+    out = np.matmul(m, h, out=out)
+    out -= np.matmul(h, m, out=scratch)
+    return out
+
+
 def _commutator_defects(m: np.ndarray) -> np.ndarray:
     """||M M* - M* M||_F of each matrix M of a stack."""
-    h = m.conj().transpose(0, 2, 1)
-    return _fro_norms(m @ h - h @ m)
+    return _fro_norms(_commutators(m))
 
 
 def _is_normal(defect, nrm):
@@ -192,8 +215,13 @@ def _is_normal(defect, nrm):
 
 
 def _is_hermitian(m: np.ndarray) -> np.ndarray:
-    defect = _fro_norms(m - m.conj().transpose(0, 2, 1))
-    return defect <= _TOLERANCES["hermitian"](_fro_norms(m))
+    """Whether M = M* within the ``"hermitian"`` row of ``_TOLERANCES``, for
+    each matrix M of a stack; ||M - M*||_F and ||M||_F come from one buffer."""
+    pair = np.empty((2, *m.shape), dtype=np.complex128)
+    np.subtract(m, m.conj().transpose(0, 2, 1), out=pair[0])
+    pair[1] = m
+    defect, nrm = _fro_norms(pair.reshape(-1, *m.shape[1:])).reshape(2, -1)
+    return defect <= _TOLERANCES["hermitian"](nrm)
 
 
 def is_normal(m) -> bool:

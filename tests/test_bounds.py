@@ -4,9 +4,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectra_perturb import bounds as bounds_module
+from spectra_perturb import decomp, matrices
 from spectra_perturb.decomp import _ranks
+from spectra_perturb.ensembles import _draw_cases
 
 from spectra_perturb import (
     CATALOG_IDS,
@@ -72,6 +76,68 @@ def test_make_case_computes_the_hermitian_flags_once(monkeypatch):
         calls.clear()
         assert make_case(a, np.ones((2, 2))).a_is_hermitian is hermitian
         assert calls == [(1, 2, 2)]
+
+
+def _fro(m):
+    return np.linalg.norm(m, "fro")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_stage_norm_is_the_numpy_norm_of_its_matrix(kind, monkeypatch):
+    # each stage writes the stacks it needs norms of into one buffer and
+    # takes them in one _fro_norms call; every norm must keep the bits of
+    # np.linalg.norm of its matrix alone, in row-major order (np.triu of
+    # the Fortran-ordered t is C-ordered)
+    fro_norms, calls = matrices._fro_norms, []
+
+    def checked(m):
+        norms = fro_norms(m)
+        calls.append(len(m))
+        assert norms.tolist() == [_fro(np.ascontiguousarray(x)) for x in m]
+        return norms
+
+    for module in (matrices, decomp, bounds_module):
+        monkeypatch.setattr(module, "_fro_norms", checked)
+    for n in (2, 3, 7, 12, 40):
+        cases = _draw_cases(kind, n, range(6), 1.0, "generic")
+        stats = bounds_module._matrix_stats(cases)
+        for i, (a, e, a_tilde, t) in enumerate(zip(cases.a, cases.e, cases.a_tilde, cases.t)):
+            assert (cases.a_norm[i], cases.e_norm[i], cases.tilde_norm[i]) == (_fro(a), _fro(e), _fro(a_tilde))
+            h = a_tilde.conj().T
+            assert stats["excess"][i] == _fro(np.triu(t, 1))
+            assert stats["defect"][i] == _fro(a_tilde @ h - h @ a_tilde)
+    assert calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    # per case: the binary exponents of A and E, and whether A is Hermitian
+    exponents=st.lists(
+        st.tuples(st.integers(-1074, 989), st.integers(-1074, 989), st.booleans()), min_size=1, max_size=5
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_make_cases_takes_the_exponents_and_flags_of_unit(n, exponents, seed):
+    # _make_cases takes each matrix's largest entry once for both A's own
+    # exponent and the pair's; its exponents, scaled pairs and Hermitian
+    # flags (tested at A's own unit scale) must be those of matrices._unit,
+    # with the largest entries anywhere from 2^-1074 to 2^989
+    rng = rng_for(seed)
+    a, e = random_complex(rng, (2, len(exponents), n, n))
+    for i, (pa, pe, hermitian) in enumerate(exponents):
+        if hermitian:
+            a[i] = (a[i] + a[i].conj().T) / 2
+        a[i] = np.ldexp(a[i].view(float), pa).view(complex)
+        e[i] = np.ldexp(e[i].view(float), pe).view(complex)
+    cases = bounds_module._make_cases(a, e)
+    own_unit, _ = matrices._unit(a)
+    _, exponent = matrices._unit(np.concatenate([a, e], axis=2))
+    assert np.array_equal(cases.exponent, exponent)
+    assert np.array_equal(cases.a, matrices._scaled(a, -exponent))
+    assert np.array_equal(cases.e, matrices._scaled(e, -exponent))
+    flags = [_fro(m - m.conj().T) <= matrices._TOLERANCES["hermitian"](_fro(m)) for m in own_unit]
+    assert cases.hermitian.tolist() == flags
 
 
 def test_make_case_reorders_the_computed_schur_form():

@@ -41,14 +41,30 @@ def test_jobs_give_identical_summaries(kind):
     assert parallel.as_dict() == serial.as_dict()
 
 
-@pytest.mark.parametrize("scale", [-1.0, 0.0, float("nan"), float("inf"), "2", None, True, 1j])
+@pytest.mark.parametrize(
+    "scale",
+    [-1.0, 0.0, float("nan"), float("inf"), "2", None, True, 1j]
+    + [pytest.param(t(np.inf), id=f"{t.__name__}-inf") for t in (np.float16, np.float32)],
+)
 def test_perturbation_scale_must_be_finite_and_positive(scale):
     # a campaign accepts exactly the scales random_case can reproduce; a
-    # bool or a value that is not a real number is refused like a bad one
+    # bool or a value that is not a real number is refused like a bad one,
+    # and a numpy scalar is compared without casting 2^990 to its precision
     with pytest.raises(ValueError, match="perturbation_scale must be finite and positive"):
         CampaignConfig(trials=1, n_min=3, n_max=3, perturbation_scale=scale)
     with pytest.raises(ValueError, match="perturbation_scale must be finite and positive"):
         EnsembleSpec(n=3, perturbation_scale=scale)
+
+
+@pytest.mark.parametrize("scale", [np.float32(2), np.float16(2)], ids=["float32", "float16"])
+def test_a_narrow_numpy_scale_is_accepted_as_its_value(scale):
+    # 2^990 overflows float32 and float16: compared in the scalar's own
+    # precision it raised an overflow RuntimeWarning, which the suite's
+    # warning filter turns into an error
+    EnsembleSpec(n=3, perturbation_scale=scale)
+    config = dict(trials=66, seed=42)
+    summary = run_campaign(CampaignConfig(**config, perturbation_scale=scale)).as_dict()
+    assert summary == run_campaign(CampaignConfig(**config, perturbation_scale=2.0)).as_dict()
 
 
 @pytest.mark.parametrize("s", [1e80, 1e160])

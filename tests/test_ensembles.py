@@ -24,7 +24,7 @@ from spectra_perturb import (
     random_case,
 )
 
-from spectra_perturb import ensembles
+from spectra_perturb import decomp, ensembles
 from spectra_perturb.bounds import _make_cases
 from spectra_perturb.matrices import _scaled
 
@@ -155,6 +155,21 @@ def test_generated_cases_are_valid_inputs(kind):
             spectrum = _scaled(planted, case._cases.exponent)[0]
             distance = optimal_match(spectrum, np.linalg.eigvals(case.a)).d2
             assert distance <= 1e-10 * n * max(1.0, frobenius_norm(case.a))
+
+
+@pytest.mark.parametrize("scale", [2.0**-1000, 1e-12, 1.0, 2.0**980])
+@pytest.mark.parametrize("trace_mode", TRACE_MODES)
+def test_a_planted_schur_form_is_in_order_at_its_unit_scale(scale, trace_mode):
+    # _make_cases does not reorder a planted form: the generator sorts its
+    # diagonal, and the exact power-of-4 scale must keep that order, so the
+    # reorder would move nothing
+    for n in range(2, 13):
+        cases = ensembles._draw_cases("normal-blocked", n, range(40), scale, trace_mode)
+        diagonal = np.diagonal(cases.t, axis1=1, axis2=2)
+        assert np.array_equal(decomp._descending_order(diagonal), np.broadcast_to(np.arange(n), diagonal.shape))
+        q, t = decomp._fortran_stack(cases.q), decomp._fortran_stack(cases.t)
+        decomp._reorder(q, t)
+        assert np.array_equal(q, cases.q) and np.array_equal(t, cases.t)
 
 
 def test_blocked_zero_trace_mode():
