@@ -346,7 +346,9 @@ def _matrix_stats(cases: _Cases) -> dict:
     takes them in one pass); Q* E Q (whose norm sets the band width's
     threshold), strict_upper(T) (the excess) and the commutator of A + E
     (the defect) are written into one buffer here, and one
-    :func:`_fro_norms` call on it gives their norms."""
+    :func:`_fro_norms` call on it gives their norms.  The two skew parts
+    go into another (:func:`_skew_parts`), from the stacks themselves
+    when every case is Hermitian, and one call gives both norms."""
     n, k = cases.n, len(cases.a)
     hermitian = cases.hermitian
     lam_a = cases.spectrum
@@ -367,14 +369,15 @@ def _matrix_stats(cases: _Cases) -> dict:
     w = _band_widths(rotated, _TOLERANCES["band"](rotated_norm), lower=True)
     del rotated, upper, commutator, work  # before the rank and skew work, whose temporaries are as large
     rank = np.zeros(k, dtype=int)
-    skew = np.zeros((4, k))  # ||K||_F and |tr K| for M = A + E, then for M = E
+    skew = np.zeros((2, 2, k))  # ||K||_F, then |tr K|, for M = A + E and for M = E
     if hermitian.any():
         rank[hermitian] = n
         rows = slice(None) if hermitian.all() else hermitian  # the stack itself, not a copy
         open_rows = np.flatnonzero(hermitian)[~_full_rank(cases.t[rows])]
         if open_rows.size:
             rank[open_rows] = _ranks(cases.a_tilde[open_rows])
-        skew[:, hermitian] = [*_skew_parts(cases.a_tilde[hermitian]), *_skew_parts(cases.e[hermitian])]
+        parts = _skew_parts(cases.a_tilde[rows], cases.e[rows])
+        skew[:, :, hermitian] = _fro_norms(parts).reshape(2, -1), _trace_moduli(parts).reshape(2, -1)
     return {
         "n": np.full(k, n),
         "exponent": cases.exponent,
@@ -393,18 +396,22 @@ def _matrix_stats(cases: _Cases) -> dict:
         "defect": defect,
         "henrici": np.full(k, _henrici_factor(n)),
         "rank": rank,
-        "skew_tilde_norm": skew[0],
-        "skew_tilde_trace": skew[1],
-        "skew_e_norm": skew[2],
-        "skew_e_trace": skew[3],
+        "skew_tilde_norm": skew[0, 0],
+        "skew_tilde_trace": skew[1, 0],
+        "skew_e_norm": skew[0, 1],
+        "skew_e_trace": skew[1, 1],
     }
 
 
-def _skew_parts(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """||K||_F and |tr K| of the skew part K = M - M* of each matrix of a
-    stack."""
-    skew = m - m.conj().transpose(0, 2, 1)
-    return _fro_norms(skew), _trace_moduli(skew)
+def _skew_parts(*stacks: np.ndarray) -> np.ndarray:
+    """The skew parts K = M - M* of each matrix M of each of s stacks
+    (k, n, n), in one C-ordered buffer (s k, n, n)."""
+    k, n, _ = stacks[0].shape
+    skew = np.empty((len(stacks), k, n, n), dtype=np.complex128)
+    for m, part in zip(stacks, skew):
+        np.conjugate(m.transpose(0, 2, 1), out=part)
+        np.subtract(m, part, out=part)
+    return skew.reshape(-1, n, n)
 
 
 class _Stats:

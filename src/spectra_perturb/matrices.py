@@ -19,6 +19,7 @@ import json
 import math
 
 import numpy as np
+import orjson
 
 __all__ = [
     "as_matrix",
@@ -326,22 +327,37 @@ def save_matrix(path, m) -> None:
 def load_matrix(path) -> np.ndarray:
     """Read a matrix file in the wire format.
 
-    Raises OSError when the file cannot be read, and ValueError when it
+    The file's bytes are decoded by ``orjson``.  Only text that orjson
+    refuses (``NaN`` and ``Infinity`` literals, an integer beyond the
+    float range, a lone surrogate, a BOM, bytes that are not UTF-8, or
+    invalid JSON) is decoded again by the stdlib ``json``, from the text
+    a text-mode read gives, so that :func:`matrix_from_json` judges every
+    value the stdlib accepts and every error message is the stdlib's.
+    orjson 3.8 reads an integer above 2^64 as a float and nests without
+    a depth limit.  Raises OSError when the file cannot be read, and ValueError when it
     is not valid JSON or not a valid matrix (see :func:`matrix_from_json`);
     every ValueError message starts with the path.  The cyclic garbage
-    collector is paused while the text is decoded: its n*n [re, im]
-    lists hold no cycles, yet their allocation set off hundreds of
-    collections at large n.  Its previous state is then restored.
+    collector is paused while the bytes are decoded: the n*n [re, im]
+    lists hold no cycles, yet their allocation set off collections that
+    took most of the decode time at n = 256.  Its previous state is then
+    restored.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            gc_was_enabled = gc.isenabled()
-            gc.disable()
+        with open(path, "rb") as fh:
+            data = fh.read()
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
             try:
-                obj = json.load(fh)
-            finally:
-                if gc_was_enabled:
-                    gc.enable()
+                obj = orjson.loads(data)
+            except orjson.JSONDecodeError:
+                # the text a text-mode read gives (universal newlines):
+                # an error's position counts each line end as one character
+                text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+                obj = json.loads(text)
+        finally:
+            if gc_was_enabled:
+                gc.enable()
         return matrix_from_json(obj)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc

@@ -1,10 +1,13 @@
 import contextlib
+import decimal
 import gc
 import json
 import math
+import random
 import re
 
 import numpy as np
+import orjson
 import pytest
 
 from spectra_perturb import (
@@ -294,16 +297,142 @@ def test_load_matrix_leaves_the_collector_as_it_found_it(tmp_path, gc_state, tex
 
 
 def test_load_matrix_decodes_with_the_collector_paused(tmp_path, monkeypatch, gc_state):
-    states = []
-    decode = json.load
+    calls = []
+    for module in (orjson, json):
+        decode = module.loads
 
-    def watched(fh):
-        states.append(gc.isenabled())
-        return decode(fh)
+        def watched(data, _decode=decode, _name=module.__name__):
+            calls.append((_name, gc.isenabled()))
+            return _decode(data)
 
-    monkeypatch.setattr(json, "load", watched)
+        monkeypatch.setattr(module, "loads", watched)
     path = tmp_path / "m.json"
-    save_matrix(path, np.eye(2))
-    load_matrix(path)
-    assert states == [False]
-    assert gc.isenabled() is gc_state
+    for text, decoders in [
+        ('{"n": 1, "entries": [[1, 2]]}', ["orjson"]),
+        ('{"n": 1, "entries": [[1, 2]], "note": NaN}', ["orjson", "json"]),  # orjson refuses NaN
+    ]:
+        calls.clear()
+        path.write_text(text)
+        assert np.array_equal(load_matrix(path), [[1 + 2j]])
+        assert calls == [(name, False) for name in decoders]
+        assert gc.isenabled() is gc_state
+
+
+# The stdlib reference of load_matrix: the text a text-mode read gives,
+# decoded by json, with load_matrix's error prefixes.  load_matrix decodes
+# with orjson and must give the same array, bit for bit, or the same message.
+def _stdlib_load(path):
+    try:
+        return matrix_from_json(json.loads(path.read_text(encoding="utf-8")))
+    except json.JSONDecodeError as exc:
+        return f"{path}: not valid JSON ({exc})"
+    except ValueError as exc:
+        return f"{path}: {exc}"
+
+
+def _load(path):
+    try:
+        return load_matrix(path)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _assert_same_load(path):
+    got, want = _load(path), _stdlib_load(path)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert isinstance(got, np.ndarray) and got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+    return got
+
+
+def _random_doubles(count: int) -> list:
+    """Finite float64 values of uniformly random bit patterns (every
+    exponent, subnormals included), after the edge values."""
+    x = np.random.default_rng(26).integers(0, 2**64, size=count, dtype=np.uint64).view(np.float64)
+    edges = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, -2.2250738585072014e-308, 1e308, -1e308]
+    return edges + [float(v) for v in x[np.isfinite(x)]]
+
+
+def _midpoint(v: float) -> str:
+    """The exact decimal halfway between |v| and the next double up: a
+    correctly rounding decoder must round it to even."""
+    v = abs(v)
+    return format((decimal.Decimal(v) + decimal.Decimal(math.nextafter(v, math.inf))) / 2, "e")
+
+
+def _large_integers(count: int) -> list:
+    """Integers from 2^64 to just below where they round to infinity,
+    random and exactly halfway between two doubles."""
+    r = random.Random(26)
+    found = [2**64, 2**64 + 2**11, 2**64 + 3 * 2**11, 2**1024 - 2**970 - 1]
+    while len(found) < count:
+        e = r.randrange(64, 1023)
+        found.append(r.getrandbits(e) | 1 << e)
+        found.append(-(((r.getrandbits(52) | 1 << 52) * 2 + 1) << (e - 53)))
+    return [str(x) for x in found]
+
+
+_NUMBER_TEXTS = {
+    "repr": lambda: [repr(v) for v in _random_doubles(32768)],
+    "%.17g": lambda: ["%.17g" % v for v in _random_doubles(32768)],
+    "%.25e": lambda: ["%.25e" % v for v in _random_doubles(32768)],
+    "%.40g": lambda: ["%.40g" % v for v in _random_doubles(32768)],
+    "midpoints": lambda: [_midpoint(v) for v in _random_doubles(4096) if math.nextafter(abs(v), math.inf) < math.inf],
+    "integers-above-2^64": lambda: _large_integers(16384),
+}
+
+
+@pytest.mark.parametrize("kind", _NUMBER_TEXTS)
+def test_load_matrix_decodes_every_number_as_the_stdlib(tmp_path, kind):
+    with decimal.localcontext(decimal.Context(prec=1200)):
+        texts = _NUMBER_TEXTS[kind]()
+    n = math.isqrt(len(texts) // 2)
+    entries = ", ".join(f"[{texts[2 * k]}, {texts[2 * k + 1]}]" for k in range(n * n))
+    path = tmp_path / "m.json"
+    path.write_text(f'{{"n": {n}, "entries": [{entries}]}}')
+    assert _assert_same_load(path).shape == (n, n)
+
+
+# Text that orjson refuses and the stdlib decodes or judges, and a
+# duplicate key, which both decoders resolve to the last value: each
+# gives the array or the exact message it gave when the stdlib was the
+# one decoder.
+_ONE = b'"n": 1, "entries": [[1, 2]]'
+
+
+@pytest.mark.parametrize(
+    "data, expected",
+    [
+        (b'{"n": 1, "entries": [[NaN, 0]]}', "entry 0 is not finite"),
+        (b"{" + _ONE + b', "note": NaN}', [[1 + 2j]]),
+        (b'{"n": 1, "entries": [[0, Infinity]]}', "entry 0 is not finite"),
+        (b'{"n": 1, "entries": [[-Infinity, 0]]}', "entry 0 is not finite"),
+        (b'{"n": 1, "entries": [[1' + b"0" * 400 + b", 0]]}", "entry 0 is not finite"),
+        (b'{"\\ud800": 0, ' + _ONE + b"}", [[1 + 2j]]),
+        (
+            b"\xef\xbb\xbf{" + _ONE + b"}",
+            "not valid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0))",
+        ),
+        (
+            b"{" + _ONE + b', "note": "\xff"}',
+            "'utf-8' codec can't decode byte 0xff in position 39: invalid start byte",
+        ),
+        (b'{"n": 2, "entries": [[1, 2]], "n": 1}', [[1 + 2j]]),
+        (
+            b'{\r\n "n": 1,\r\n "entries": [[1, 2]\r\n}\r\n',
+            "not valid JSON (Expecting ',' delimiter: line 4 column 1 (char 31))",
+        ),
+    ],
+    ids=["nan", "nan-elsewhere", "infinity", "-infinity", "integer-beyond-float", "lone-surrogate-key",
+         "bom", "invalid-utf8", "duplicate-key", "crlf-error"],
+)
+def test_load_matrix_judges_what_orjson_refuses_as_the_stdlib(tmp_path, data, expected):
+    path = tmp_path / "m.json"
+    path.write_bytes(data)
+    got = _assert_same_load(path)
+    if isinstance(expected, str):
+        assert got == f"{path}: {expected}"
+    else:
+        assert np.array_equal(got, expected)
+

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.metadata
 import os
 import pkgutil
 import re
@@ -78,3 +79,45 @@ def test_readme_lists_every_tolerance():
 
     section = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## Tolerances\n", 1)[1].split("\n## ", 1)[0]
     assert re.findall(r"^\| `(\w+)` \|", section, flags=re.M) == list(_TOLERANCES)
+
+
+
+def _normalised(distribution: str) -> str:
+    """A distribution name as PEP 503 compares it."""
+    return re.sub(r"[-_.]+", "-", distribution).lower()
+
+
+def _declared_dependencies() -> set:
+    """The distribution names in ``[project] dependencies`` of pyproject.toml,
+    read as text (Python 3.10 has no tomllib)."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    project = text.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+    block = re.search(r"^dependencies\s*=\s*\[(.*?)\]", project, flags=re.M | re.S).group(1)
+    return {_normalised(re.match(r"[A-Za-z0-9_.-]+", req).group()) for req in re.findall(r'"([^"]+)"', block)}
+
+
+def _imported_top_level_modules() -> set:
+    """The top-level modules the package's sources import, relative imports excluded."""
+    found = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                found.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.split(".")[0])
+    return found
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    third_party = _imported_top_level_modules() - set(sys.stdlib_module_names) - {"spectra_perturb"}
+    assert {"numpy", "scipy", "orjson"} <= third_party
+    declared = _declared_dependencies()
+    distributions = importlib.metadata.packages_distributions()  # import name -> distribution names
+    undeclared = [
+        module
+        for module in sorted(third_party)
+        if not declared & {_normalised(d) for d in distributions.get(module, [module])}
+    ]
+    assert not undeclared, f"imported but not in pyproject.toml dependencies: {undeclared}"
+    # CI installs the declared dependencies with the package itself
+    assert 'pip install -e ".[test]"' in (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
