@@ -253,13 +253,12 @@ def make_case(a, e) -> PerturbationCase:
 def _make_cases(a, e, q=None, t=None, spectrum=None) -> _Cases:
     """The unchecked cases of stacks (k, n, n) of matrix pairs, each scaled
     exactly to its unit scale, with the Schur forms of ``a + e`` in the
-    canonical order unless given as exactly triangular (q, t) in that order
-    (a generator's planted forms, not re-sorted: the exact power-of-4 scale
-    keeps their order), the spectra (k, n) of ``a`` where a generator
-    planted them, and the Hermitian flags of ``a`` tested at its own unit
-    scale, where a tiny ``a``'s squares cannot underflow.  ``a``'s own
-    exponent and the pair's come from one maximum per matrix, and the norms
-    of A, E and A + E from one buffer."""
+    canonical order.  Forms given as exactly triangular ``(q, t)`` must be
+    in that order already and are not re-sorted: they are a generator's
+    planted forms, whose order the exact power-of-4 scale keeps.
+    ``spectrum`` (k, n) is the spectrum of ``a`` where a generator planted
+    it.  The Hermitian flags are tested at ``a``'s own unit scale, where a
+    tiny ``a``'s squares cannot underflow."""
     largest_a = _largest(a)
     own, exponent = _unit_exponents(largest_a), _unit_exponents(np.maximum(largest_a, _largest(e)))
     pair = np.empty((3, *a.shape), dtype=np.complex128)  # A, E and A + E at the pair's unit scale
@@ -328,27 +327,14 @@ def _matrix_stats(cases: _Cases) -> dict:
     catalog and the campaign checks read, one array entry per case.
 
     ``lam_a``, the spectrum of A, is the stack's planted ``spectrum``
-    where it carries one; else it comes from one Hermitian eigensolve
-    (``eigvalsh`` for a Hermitian A, :func:`_normal_spectra` otherwise,
-    which falls back to ``eigvals`` matrix by matrix), a function of A
-    alone.  It gives the matching distances and, since A is normal, the
-    spectral norm max |lam_a| (``radius``).  The rank of A + E and
+    where it carries one; else it is computed from A alone, so that a
+    pair evaluated on its own gets the same spectrum.  Since A is normal,
+    ``radius`` = max |lam_a| is its spectral norm.  The rank of A + E and
     ``||K||_F``, ``|tr K|`` of the skew parts K = M - M* of M = A + E
     and M = E are computed only for the cases with a Hermitian A, whose
-    Hermitian-only entries run, and are 0 elsewhere.  The rank is n where
-    the ordered Schur factor certifies it (:func:`decomp._full_rank`, one
-    triangular inversion); only the cases it leaves open take the SVD of
-    A + E (:func:`decomp._ranks`), so every rank is the SVD count.  The
-    Henrici factor ((n^3 - n) / 12)^(1/4) is one Python float per size,
-    broadcast.
-
-    The norms of A, E and A + E come with the stack (:func:`_make_cases`
-    takes them in one pass); Q* E Q (whose norm sets the band width's
-    threshold), strict_upper(T) (the excess) and the commutator of A + E
-    (the defect) are written into one buffer here, and one
-    :func:`_fro_norms` call on it gives their norms.  The two skew parts
-    go into another (:func:`_skew_parts`), from the stacks themselves
-    when every case is Hermitian, and one call gives both norms."""
+    Hermitian-only entries read them, and are 0 elsewhere.  Every rank is
+    the SVD count; the SVD runs only where the ordered Schur factor does
+    not certify rank n (:func:`decomp._full_rank`)."""
     n, k = cases.n, len(cases.a)
     hermitian = cases.hermitian
     lam_a = cases.spectrum
@@ -418,18 +404,12 @@ class _Stats:
     """The per-case results of a block of k cases, which may differ in
     size, one array entry per case; no matrix is held, so a block's
     memory does not grow with its largest size.  ``_Stats(k, stacks)``
-    runs the matrix work of each ``(rows, cases)`` stack as it arrives,
-    then sets each column of :func:`_matrix_stats` from one concatenation
-    of the stacks' entries, permuted to block row order: ``n``,
-    ``exponent``, ``hermitian``, ``d2``, ``d_inf``, ``e_norm``, ``e_trace``,
-    ``a_norm``, ``a_trace``, ``tilde_norm``, ``excess``, ``w``, ``s``,
-    ``radius``, ``defect``, ``henrici``, ``rank`` and the four ``skew_*``;
-    then ``e2``, ``delta_e``, ``delta_a``, ``mix``, ``tilde_is_normal`` and
-    ``radicand_slack``.  :func:`_evaluate_block` sets the catalog's
-    ``values`` (k, entries), NaN where not ``applicable``, ``applicable``
-    and ``violated``; ``campaigns._run_chunk`` sets ``trials``,
-    ``winner``, ``strict``, ``trace_nonzero`` and ``failures``.  Every
-    column and verdict is computed at the cases' unit scale; only
+    holds the columns of :func:`_matrix_stats` for each ``(rows, cases)``
+    stack, in block row order, and the quantities derived from them.
+    :func:`_evaluate_block` adds the catalog's ``values`` (k, entries),
+    NaN where not ``applicable``, ``applicable`` and ``violated``, and
+    ``campaigns._run_chunk`` the campaign's columns.  Every column and
+    verdict is computed at the cases' unit scale; only
     :meth:`to_caller_units`, called once the verdicts are made, scales the
     ``CALLER_UNITS`` back."""
 

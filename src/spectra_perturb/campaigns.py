@@ -135,17 +135,13 @@ class TrialRecord:
 
 def _run_chunk(config: CampaignConfig, indices: range) -> _Stats:
     """Execute a chunk of consecutive trials and run every per-trial
-    check on it.  The trials of one size (every ``sizes``-th trial of the
-    chunk) are drawn and taken through the matrix work as one stack, one
-    size after the other; the catalog and the checks then run once on
-    the whole chunk, at each trial's unit scale, before the reported
-    columns are scaled back.  The chunk's stats come back (row i is trial
-    ``trials[i]``) with only the ``_CHUNK_COLUMNS``, small enough to send
-    back from a worker: ``winner`` is a catalog column (-1 where no
-    distance bound applied), ``strict`` flags the ordering pairs that held
-    strictly, ``trace_nonzero`` the trials with tr(E) nonzero, and
-    ``failures`` lists ``(row, message)`` in trial-then-check order, with
-    operands in caller units."""
+    check on it, at each trial's unit scale.  The chunk's stats come back
+    in caller units (row i is trial ``trials[i]``) with only the
+    ``_CHUNK_COLUMNS``, small enough to send back from a worker:
+    ``winner`` is a catalog column (-1 where no distance bound applied),
+    ``strict`` flags the ordering pairs that held strictly,
+    ``trace_nonzero`` the trials with tr(E) nonzero, and ``failures``
+    lists ``(row, message)`` in trial-then-check order."""
     sizes = min(config.n_max - config.n_min + 1, len(indices))
 
     def stacks():

@@ -334,13 +334,14 @@ def load_matrix(path) -> np.ndarray:
     a text-mode read gives, so that :func:`matrix_from_json` judges every
     value the stdlib accepts and every error message is the stdlib's.
     orjson 3.8 reads an integer above 2^64 as a float and nests without
-    a depth limit.  Raises OSError when the file cannot be read, and ValueError when it
-    is not valid JSON or not a valid matrix (see :func:`matrix_from_json`);
-    every ValueError message starts with the path.  The cyclic garbage
-    collector is paused while the bytes are decoded: the n*n [re, im]
-    lists hold no cycles, yet their allocation set off collections that
-    took most of the decode time at n = 256.  Its previous state is then
-    restored.
+    a depth limit.  Raises OSError when the file cannot be read, and
+    ValueError when it is not valid JSON (text nested deeper than the
+    stdlib decoder's recursion limit included) or not a valid matrix (see
+    :func:`matrix_from_json`); every ValueError message starts with the
+    path.  The cyclic garbage collector is paused while the bytes are
+    decoded: the n*n [re, im] lists hold no cycles, yet their allocation
+    set off collections that took most of the decode time at n = 256.
+    Its previous state is then restored.
     """
     try:
         with open(path, "rb") as fh:
@@ -359,7 +360,7 @@ def load_matrix(path) -> np.ndarray:
             if gc_was_enabled:
                 gc.enable()
         return matrix_from_json(obj)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

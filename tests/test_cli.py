@@ -194,6 +194,16 @@ def test_bounds_oversized_integer_literal_names_its_file(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_bounds_file_nested_past_the_recursion_limit_is_an_input_error(tmp_path, capsys):
+    a_path, e_path = tmp_path / "A.json", tmp_path / "E.json"
+    a_path.write_text('{"n": 1, "entries": [[1, 0]], "note": NaN, "deep": ' + "[" * 3000 + "]" * 3000 + "}")
+    save_matrix(e_path, np.zeros((1, 1)))
+    code, _, err = run(["bounds", "--a", str(a_path), "--e", str(e_path)], capsys)
+    assert code == 2
+    assert f"error: cannot load matrices: {a_path}: not valid JSON" in err
+    assert "Traceback" not in err
+
+
 def test_bounds_missing_file(tmp_path, capsys):
     e_path = tmp_path / "E.json"
     save_matrix(e_path, np.zeros((2, 2)))

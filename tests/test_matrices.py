@@ -436,3 +436,11 @@ def test_load_matrix_judges_what_orjson_refuses_as_the_stdlib(tmp_path, data, ex
     else:
         assert np.array_equal(got, expected)
 
+
+def test_load_matrix_refuses_text_nested_past_the_recursion_limit(tmp_path, gc_state):
+    # orjson refuses the NaN, and the stdlib decoder then runs out of depth
+    path = tmp_path / "m.json"
+    path.write_bytes(b"{" + _ONE + b', "note": NaN, "deep": ' + b"[" * 3000 + b"]" * 3000 + b"}")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}: not valid JSON (maximum recursion depth")):
+        load_matrix(path)
+    assert gc.isenabled() is gc_state
