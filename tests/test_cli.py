@@ -9,6 +9,7 @@ from pathlib import Path
 
 import jsonschema
 import numpy as np
+import orjson
 import pytest
 
 from spectra_perturb import CATALOG_IDS, bounds, campaigns, cli, matrix_from_json, save_matrix
@@ -202,6 +203,36 @@ def test_bounds_file_nested_past_the_recursion_limit_is_an_input_error(tmp_path,
     assert code == 2
     assert f"error: cannot load matrices: {a_path}: not valid JSON" in err
     assert "Traceback" not in err
+
+
+def _orjson_nests_without_limit():
+    # orjson 3.8 decodes any depth (and crashes far down); later releases refuse past 1024 levels
+    try:
+        orjson.loads(b"[" * 2000 + b"]" * 2000)
+    except orjson.JSONDecodeError:
+        return False
+    return True
+
+
+@pytest.mark.xfail(
+    _orjson_nests_without_limit(),
+    strict=True,
+    reason="FOUND (CHANGES.md): orjson 3.8.3 nests without a depth limit, and a 300,000-deep value in an "
+    "ignored key ends the process with a segmentation fault instead of an input error",
+)
+def test_bounds_file_nested_past_orjson_stack_is_an_input_error(tmp_path):
+    a_path, e_path = tmp_path / "A.json", tmp_path / "E.json"
+    a_path.write_text('{"n": 1, "entries": [[1, 0]], "deep": ' + "[" * 300_000 + "]" * 300_000 + "}")
+    save_matrix(e_path, np.zeros((1, 1)))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    argv = [sys.executable, "-m", "spectra_perturb", "bounds", "--a", str(a_path), "--e", str(e_path)]
+    # a shell that sets the child's core file limit to 0, so the crash leaves no core file
+    done = subprocess.run(
+        ["sh", "-c", 'ulimit -c 0 && exec "$@"', "sh", *argv],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 2, done.returncode
+    assert f"error: cannot load matrices: {a_path}: " in done.stderr
 
 
 def test_bounds_missing_file(tmp_path, capsys):

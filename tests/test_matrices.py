@@ -17,6 +17,7 @@ from spectra_perturb import (
     is_hermitian,
     is_normal,
     load_matrix,
+    matrices,
     matrix_from_json,
     matrix_to_json,
     save_matrix,
@@ -296,26 +297,64 @@ def test_load_matrix_leaves_the_collector_as_it_found_it(tmp_path, gc_state, tex
     assert gc.isenabled() is gc_state
 
 
+class _Decoded(dict):
+    """A decoded object that records, when it is freed, whether the collector ran."""
+
+    def __init__(self, obj, calls):
+        super().__init__(obj)
+        self.calls = calls
+
+    def __del__(self):
+        self.calls.append(("freed", gc.isenabled()))
+
+
 def test_load_matrix_decodes_with_the_collector_paused(tmp_path, monkeypatch, gc_state):
+    # the decode, the validation and the release of the decoded object
     calls = []
-    for module in (orjson, json):
-        decode = module.loads
+    for module, name in [(orjson, "loads"), (json, "loads"), (matrices, "matrix_from_json")]:
+        original = getattr(module, name)
 
-        def watched(data, _decode=decode, _name=module.__name__):
+        def watched(arg, _original=original, _name=f"{module.__name__}.{name}"):
             calls.append((_name, gc.isenabled()))
-            return _decode(data)
+            result = _original(arg)
+            return result if _original is matrix_from_json else _Decoded(result, calls)
 
-        monkeypatch.setattr(module, "loads", watched)
+        monkeypatch.setattr(module, name, watched)
     path = tmp_path / "m.json"
-    for text, decoders in [
-        ('{"n": 1, "entries": [[1, 2]]}', ["orjson"]),
-        ('{"n": 1, "entries": [[1, 2]], "note": NaN}', ["orjson", "json"]),  # orjson refuses NaN
+    for text, steps in [
+        ('{"n": 1, "entries": [[1, 2]]}', ["orjson.loads"]),
+        ('{"n": 1, "entries": [[1, 2]], "note": NaN}', ["orjson.loads", "json.loads"]),  # orjson refuses NaN
     ]:
         calls.clear()
         path.write_text(text)
         assert np.array_equal(load_matrix(path), [[1 + 2j]])
-        assert calls == [(name, False) for name in decoders]
+        steps = [*steps, "spectra_perturb.matrices.matrix_from_json", "freed"]
+        assert calls == [(step, False) for step in steps]
         assert gc.isenabled() is gc_state
+
+
+def test_load_matrix_sets_off_no_collection(tmp_path, rng):
+    # 16,384 entry lists, far past the threshold of a young collection
+    m = random_complex(rng, (128, 128))
+    path = tmp_path / "m.json"
+    save_matrix(path, m)
+    collections = []
+
+    def watch(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    was_enabled = gc.isenabled()
+    gc.enable()
+    gc.collect()  # so that no collection is due before the file is decoded
+    gc.callbacks.append(watch)
+    try:
+        loaded = load_matrix(path)
+    finally:
+        gc.callbacks.remove(watch)
+        (gc.enable if was_enabled else gc.disable)()
+    assert collections == []
+    assert np.array_equal(loaded, m)
 
 
 # The stdlib reference of load_matrix: the text a text-mode read gives,
