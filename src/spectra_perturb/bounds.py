@@ -167,8 +167,8 @@ class _Cases:
     ``q`` and ``t`` are the ordered Schur factors of ``a_tilde`` (each
     matrix Fortran ordered), ``boundaries`` (k, n - 1) flags the ends of
     the eigenvalue blocks of ``t``.  ``spectrum`` (k, n), at the same unit
-    scale, is the spectrum of ``a`` that a generator planted, or None where
-    it is to be computed."""
+    scale, is the spectrum of ``a`` = q diag(spectrum) q* that a generator
+    planted with ``q`` and ``t``, or None where it is to be computed."""
 
     a: np.ndarray
     e: np.ndarray
@@ -329,7 +329,8 @@ def _matrix_stats(cases: _Cases) -> dict:
     ``lam_a``, the spectrum of A, is the stack's planted ``spectrum``
     where it carries one; else it is computed from A alone, so that a
     pair evaluated on its own gets the same spectrum.  Since A is normal,
-    ``radius`` = max |lam_a| is its spectral norm.  The rank of A + E and
+    ``radius`` = max |lam_a| is its spectral norm.  ``w`` is 0 where Q*EQ =
+    T - diag(spectrum) is planted upper triangular.  The rank of A + E and
     ``||K||_F``, ``|tr K|`` of the skew parts K = M - M* of M = A + E
     and M = E are computed only for the cases with a Hermitian A, whose
     Hermitian-only entries read them, and are 0 elsewhere.  Every rank is
@@ -345,14 +346,16 @@ def _matrix_stats(cases: _Cases) -> dict:
                 rows = slice(None) if rows.all() else rows  # the stack itself, not a copy
                 lam_a[rows] = eigensolve(cases.a[rows])
     match = optimal_match(lam_a, cases.eigenvalues)
-    rotated, upper, commutator = work = np.empty((3, k, n, n), dtype=np.complex128)
+    upper, commutator, *rotated = work = np.empty((3 if cases.spectrum is None else 2, k, n, n), dtype=np.complex128)
     # a slot not yet filled takes each inner product, so that the stage
     # holds no more than the buffer and one conjugate stack
-    _rotated(cases.q, cases.e, out=rotated, scratch=commutator)
+    if rotated:
+        _rotated(cases.q, cases.e, out=rotated[0], scratch=commutator)
     _commutators(cases.a_tilde, out=commutator, scratch=upper)
     _strict_upper_parts(cases.t, out=upper)
-    rotated_norm, excess, defect = _fro_norms(work.reshape(-1, n, n)).reshape(3, k)
-    w = _band_widths(rotated, _TOLERANCES["band"](rotated_norm), lower=True)
+    excess, defect, *rotated_norm = _fro_norms(work.reshape(-1, n, n)).reshape(len(work), k)
+    w = (_band_widths(rotated[0], _TOLERANCES["band"](rotated_norm[0]), lower=True) if rotated
+         else np.zeros(k, dtype=int))
     del rotated, upper, commutator, work  # before the rank and skew work, whose temporaries are as large
     rank = np.zeros(k, dtype=int)
     skew = np.zeros((2, 2, k))  # ||K||_F, then |tr K|, for M = A + E and for M = E

@@ -165,11 +165,12 @@ def _draw_cases(kind: str, n: int, seeds, scale: float, trace_mode: str) -> _Cas
 
 
 def _blocked_cases(n: int, seeds, scale: float, trace_mode: str) -> _Cases:
-    # Build A + E = U T U* with T genuinely block upper triangular, then
-    # recover A as U diag(mu) U* so that E = U (T - diag(mu)) U* has
-    # Frobenius norm exactly perturbation_scale.  The case carries the
-    # planted pair: (u, t) as the Schur form of A + E and mu as the spectrum
-    # of A, which no eigensolve then recomputes.  Only the stream calls run
+    # Plant A = U diag(mu) U* and E = U F U*, F = T - diag(mu) upper triangular:
+    # nu and the in-block noise, scaled to Frobenius norm perturbation_scale, so
+    # ||E||_F is that scale to rounding at every scale.  T, genuinely block upper
+    # triangular, is F with lambda = mu + nu on its diagonal.  The case carries
+    # (u, t) as the Schur form of A + E and mu as the spectrum of A, which no
+    # eigensolve then recomputes.  Only the stream calls run
     # seed by seed, in stream order: the Haar matrix, Re lambda and Im lambda
     # in one call (Philox is sequential); the block count s; s - 1 cuts; nu
     # and the noise, c real then c imaginary values for the c = sum b (b - 1) / 2
@@ -187,9 +188,6 @@ def _blocked_cases(n: int, seeds, scale: float, trace_mode: str) -> _Cases:
         rng.standard_normal(out=tail[i])
     lam = head[:, 2 * m : 2 * m + n] + 1j * head[:, 2 * m + n :]
     lam = np.take_along_axis(lam, _descending_order(lam), axis=1)
-    nu = tail[:, :n] + 1j * tail[:, n : 2 * n]
-    if trace_mode == "zero":
-        nu -= nu.mean(axis=1)[:, None]
     cut = np.zeros((k, n), dtype=int)
     cut[np.repeat(np.arange(k), [p.size for p in picks]), np.concatenate(picks) + 1] = 1
     block_of = np.cumsum(cut, axis=1)
@@ -199,26 +197,23 @@ def _blocked_cases(n: int, seeds, scale: float, trace_mode: str) -> _Cases:
     first = np.cumsum(counts) - counts
     owner = np.nonzero(inside)[0]
     real_col = 2 * n + np.arange(owner.size) - first[owner]
-    noise = tail[owner, real_col] + 1j * tail[owner, real_col + counts[owner]]
-    # row sums of equal-length segments keep np.sum's pairwise bits per segment
-    noise_total = np.empty(k)
-    for count in set(counts.tolist()):
-        rows = np.flatnonzero(counts == count)
-        noise_total[rows] = (np.abs(noise[first[rows, None] + np.arange(count)]) ** 2).sum(axis=1)
-    total = np.sqrt(np.sum(np.abs(nu) ** 2, axis=1) + noise_total)
+    f = np.zeros((k, n, n), dtype=np.complex128)
+    f[inside] = tail[owner, real_col] + 1j * tail[owner, real_col + counts[owner]]
+    nu = tail[:, :n] + 1j * tail[:, n : 2 * n]
+    if trace_mode == "zero":
+        nu -= nu.mean(axis=1)[:, None]
+    diagonal = np.arange(n)
+    f[:, diagonal, diagonal] = nu
+    total = _fro_norms(f)
     if not total.all():
         raise ArithmeticError("degenerate zero draw")
-    factor = scale / total
-    nu *= factor[:, None]
-    t = np.zeros((k, n, n), dtype=np.complex128)
-    t[inside] = noise * factor[owner]
-    diagonal = np.arange(n)
+    f *= (scale / total)[:, None, None]
+    mu = lam - f[:, diagonal, diagonal]
+    t = f.copy()
     t[:, diagonal, diagonal] = lam
     u = _haar_unitaries((head[:, :m] + 1j * head[:, m : 2 * m]).reshape(-1, n, n))
-    mu = lam - nu
-    a = _normal_matrices(u, mu)
-    a_tilde = u @ t @ u.conj().transpose(0, 2, 1)
-    return _make_cases(a, a_tilde - a, u, t, mu)
+    e = u @ f @ u.conj().transpose(0, 2, 1)
+    return _make_cases(_normal_matrices(u, mu), e, u, t, mu)
 
 
 def random_case(spec: EnsembleSpec) -> PerturbationCase:

@@ -318,6 +318,34 @@ def _first_bad_entry(entries: list) -> ValueError:
     return ValueError("matrix JSON entries could not be decoded")
 
 
+# orjson 3.8 nests on the C stack without a limit.  In a main thread with
+# the default 8 MiB stack 130,000 levels decode and 140,000 crash the
+# process; a thread with a 512 KiB stack crashes at 9,000, which this
+# limit does not guard against
+_ORJSON_DEPTH_LIMIT = 100_000
+_NOT_NESTING = bytes(sorted(set(range(256)).difference(b'[]{}"\\')))
+
+
+def _too_deep_for_orjson(data: bytes) -> bool:
+    """Whether ``data`` may nest arrays and objects ``_ORJSON_DEPTH_LIMIT``
+    levels deep.  Fewer ``[`` and ``{`` bytes than that settle it in one
+    pass; else the depth is counted outside strings, over the bracket,
+    quote and backslash bytes alone.  In text with no backslash strings
+    start and end at each quote; text with a backslash and that many
+    brackets counts as too deep."""
+    b = np.frombuffer(data, dtype=np.uint8)
+    # OR 0x20 folds "[" onto "{" and no other byte onto it
+    if np.count_nonzero((b | np.uint8(0x20)) == ord("{")) < _ORJSON_DEPTH_LIMIT:
+        return False
+    marks = data.translate(None, _NOT_NESTING)
+    if b"\\" in marks:
+        return True
+    outside = np.frombuffer(b"".join(marks.split(b'"')[::2]), dtype=np.uint8)
+    # "[" and "{" have bit 0x02 set, "]" and "}" do not
+    steps = (outside & np.uint8(2)).astype(np.int32) - 1
+    return bool(np.cumsum(steps).max(initial=0) >= _ORJSON_DEPTH_LIMIT)
+
+
 def save_matrix(path, m) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(matrix_to_json(m), fh)
@@ -330,11 +358,12 @@ def load_matrix(path) -> np.ndarray:
     The file's bytes are decoded by ``orjson``.  Only text that orjson
     refuses (``NaN`` and ``Infinity`` literals, an integer beyond the
     float range, a lone surrogate, a BOM, bytes that are not UTF-8, or
-    invalid JSON) is decoded again by the stdlib ``json``, from the text
-    a text-mode read gives, so that :func:`matrix_from_json` judges every
-    value the stdlib accepts and every error message is the stdlib's.
-    orjson 3.8 reads an integer above 2^64 as a float and nests without
-    a depth limit.  Raises OSError when the file cannot be read, and
+    invalid JSON), and text that may nest 100,000 levels deep, which
+    orjson 3.8 decodes on the C stack with no depth limit, are decoded by
+    the stdlib ``json`` instead, from the text a text-mode read gives, so
+    that :func:`matrix_from_json` judges every value the stdlib accepts
+    and every error message is the stdlib's.  orjson 3.8 reads an integer
+    above 2^64 as a float.  Raises OSError when the file cannot be read, and
     ValueError when it is not valid JSON (text nested deeper than the
     stdlib decoder's recursion limit included) or not a valid matrix (see
     :func:`matrix_from_json`); every ValueError message starts with the
@@ -351,6 +380,8 @@ def load_matrix(path) -> np.ndarray:
         gc.disable()
         try:
             try:
+                if _too_deep_for_orjson(data):
+                    raise orjson.JSONDecodeError("nested too deep for orjson", "", 0)
                 obj = orjson.loads(data)
             except orjson.JSONDecodeError:
                 # the text a text-mode read gives (universal newlines):

@@ -370,6 +370,18 @@ def test_campaign_counts_match_golden_values(kind):
     assert summary.check_failure_count == 0
 
 
+def test_a_blocked_campaign_wins_alike_at_every_perturbation_scale():
+    # a blocked draw's E keeps the rounding of ||E|| and its planted band
+    # width 0, so the seed-42 win table does not move with the scale of E
+    wins = {
+        scale: run_campaign(CampaignConfig(trials=2200, kind="normal-blocked", seed=42, perturbation_scale=scale)).wins
+        for scale in (1.0, 1e-3, 1e-6, 1e-9)
+    }
+    assert {bid: c for bid, c in wins[1.0].items() if c} == {"eq_1_5": 595, "eq_3_3d": 1605}
+    for scale, table in wins.items():
+        assert table == wins[1.0], scale
+
+
 # Joint scales (A, E) -> 2^p (A, E): powers of 4, so a scaled pair has the
 # bits of the drawn one at its unit scale, and every reported number of a
 # trial is exactly 2^p times the drawn pair's
@@ -454,7 +466,7 @@ def test_a_replayed_pair_gives_the_campaign_values(kind, monkeypatch):
     # normal trials include one whose pencil falls back to eigvals.  A
     # normal-blocked trial takes the planted spectrum, which make_case
     # computes instead (a few of these 440 replays by eigvals): they
-    # agree within 1e-13 (1 + ||A||_F + ||E||_F), about 6e-15 here
+    # agree within 1e-13 (1 + ||A||_F + ||E||_F), about 4e-15 here
     fallbacks = []
     eigvals = np.linalg.eigvals
     monkeypatch.setattr(np.linalg, "eigvals", lambda m: fallbacks.append(len(m)) or eigvals(m))

@@ -9,7 +9,6 @@ from pathlib import Path
 
 import jsonschema
 import numpy as np
-import orjson
 import pytest
 
 from spectra_perturb import CATALOG_IDS, bounds, campaigns, cli, matrix_from_json, save_matrix
@@ -205,21 +204,6 @@ def test_bounds_file_nested_past_the_recursion_limit_is_an_input_error(tmp_path,
     assert "Traceback" not in err
 
 
-def _orjson_nests_without_limit():
-    # orjson 3.8 decodes any depth (and crashes far down); later releases refuse past 1024 levels
-    try:
-        orjson.loads(b"[" * 2000 + b"]" * 2000)
-    except orjson.JSONDecodeError:
-        return False
-    return True
-
-
-@pytest.mark.xfail(
-    _orjson_nests_without_limit(),
-    strict=True,
-    reason="FOUND (CHANGES.md): orjson 3.8.3 nests without a depth limit, and a 300,000-deep value in an "
-    "ignored key ends the process with a segmentation fault instead of an input error",
-)
 def test_bounds_file_nested_past_orjson_stack_is_an_input_error(tmp_path):
     a_path, e_path = tmp_path / "A.json", tmp_path / "E.json"
     a_path.write_text('{"n": 1, "entries": [[1, 0]], "deep": ' + "[" * 300_000 + "]" * 300_000 + "}")

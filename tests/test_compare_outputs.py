@@ -11,7 +11,7 @@ _SPEC = importlib.util.spec_from_file_location("compare_outputs", _SCRIPT)
 compare_outputs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(compare_outputs)
 
-# the files the merge-base comparison has always written, in the order of its report
+# the files the merge-base comparison writes, in the order of its report
 OUTPUTS = [
     "bounds-example_4_4.csv", "bounds-intro_2x2.csv", "bounds-intro_2x2_1e-170.csv", "bounds-intro_2x2_1e-8.csv",
     "bounds-intro_2x2_1e160.csv", "bounds-large_128.csv", "bounds-normal_4_1e-11.csv", "bounds-phi_example.csv",
@@ -19,20 +19,21 @@ OUTPUTS = [
     "tightness-hermitian-jobs2.csv", "tightness-hermitian-n40.csv", "tightness-hermitian.csv",
     "tightness-normal-blocked-jobs2.csv", "tightness-normal-blocked-n40.csv", "tightness-normal-blocked-zero.csv",
     "tightness-normal-blocked.csv", "tightness-normal-jobs2.csv", "tightness-normal-n40.csv", "tightness-normal.csv",
-    "verify-hermitian-n40.json", "verify-hermitian-scale-1e-12.json", "verify-hermitian-zero.json",
-    "verify-hermitian.json", "verify-normal-blocked-n40.json", "verify-normal-blocked-scale-1e-12.json",
-    "verify-normal-blocked-zero.json", "verify-normal-blocked.json", "verify-normal-n40.json",
-    "verify-normal-scale-1e-12.json", "verify-normal-zero.json", "verify-normal.json",
+    "verify-hermitian-n40.json", "verify-hermitian-scale-1e-12.json", "verify-hermitian-scale-1e-6.json",
+    "verify-hermitian-zero.json", "verify-hermitian.json", "verify-normal-blocked-n40.json",
+    "verify-normal-blocked-scale-1e-12.json", "verify-normal-blocked-scale-1e-6.json", "verify-normal-blocked-zero.json",
+    "verify-normal-blocked.json", "verify-normal-n40.json", "verify-normal-scale-1e-12.json",
+    "verify-normal-scale-1e-6.json", "verify-normal-zero.json", "verify-normal.json",
 ]
 
 
-def test_the_table_makes_the_31_outputs():
+def test_the_table_makes_the_34_outputs():
     table = compare_outputs.runs(Path("fixtures"))
     assert [name for name, _ in table] == OUTPUTS
     for name, args in table:
         command = name.split("-")[0]
-        if name.endswith("-scale-1e-12.json"):
-            assert args[0] == "-c" and args[2] in name
+        if "-scale-" in name:
+            assert args[0] == "-c" and name == f"verify-{args[2]}-scale-{args[3]}.json"
         else:
             assert args[:3] == ("-m", "spectra_perturb", command)
         if command == "bounds":

@@ -24,9 +24,10 @@ from spectra_perturb import (
     random_case,
 )
 
-from spectra_perturb import decomp, ensembles
+from spectra_perturb import bounds, decomp, ensembles
 from spectra_perturb.bounds import _make_cases
-from spectra_perturb.matrices import _scaled
+from spectra_perturb.matrices import _TOLERANCES, _fro_norms, _scaled
+from spectra_perturb.quantities import _band_widths
 
 from conftest import haar_rotated_diagonal, random_complex, rng_for, schur_residuals
 
@@ -172,6 +173,27 @@ def test_a_planted_schur_form_is_in_order_at_its_unit_scale(scale, trace_mode):
         assert np.array_equal(q, cases.q) and np.array_equal(t, cases.t)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-12, 1e-20])
+@pytest.mark.parametrize("trace_mode", TRACE_MODES)
+def test_a_blocked_draw_has_the_requested_perturbation_norm_at_every_scale(scale, trace_mode):
+    # E is formed from its planted form F alone, so ||E||_F carries the
+    # rounding of ||E||, not of ||A||
+    for n in range(2, 13):
+        cases = ensembles._draw_cases("normal-blocked", n, range(40), scale, trace_mode)
+        norms = np.linalg.norm(_scaled(cases.e, cases.exponent), axis=(1, 2))
+        assert np.abs(norms - scale).max() <= 1e-14 * scale, n
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-6, 1e-9])
+def test_a_planted_perturbation_has_band_width_0_in_the_schur_basis(scale):
+    # Q*EQ of a planted stack is F, upper triangular, so _matrix_stats takes
+    # w = 0 without the products; the computed Q*EQ must show no wider band
+    for n in (*range(2, 13), 40, 64):
+        cases = ensembles._draw_cases("normal-blocked", n, range(40 if n <= 12 else 8), scale, "generic")
+        rotated = bounds._rotated(cases.q, cases.e)
+        assert not _band_widths(rotated, _TOLERANCES["band"](_fro_norms(rotated)), lower=True).any(), n
+
+
 def test_blocked_zero_trace_mode():
     for seed in range(10):
         spec = EnsembleSpec(n=7, kind="normal-blocked", trace_mode="zero", seed=seed)
@@ -187,12 +209,12 @@ def _blocked_cases_seed_by_seed(n, seeds, scale, trace_mode):
     # The blocked generator as one loop over the seeds, every step per
     # seed and every draw its own stream call, with the canonical order
     # as a Python sort key: the reference for the stacked generator, which
-    # must give the same bits.  Also returns each seed's noise count.
+    # must give the same bits.
     m = n * n
     z = np.empty((len(seeds), 2 * m))
+    f = np.zeros((len(seeds), n, n), dtype=np.complex128)
     t = np.zeros((len(seeds), n, n), dtype=np.complex128)
     mu = np.empty((len(seeds), n), dtype=np.complex128)
-    counts = []
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
     stream = ensembles._Stream()
     for i, seed in enumerate(seeds):
@@ -206,40 +228,29 @@ def _blocked_cases_seed_by_seed(n, seeds, scale, trace_mode):
         block_of[cuts] = 1
         block_of = np.cumsum(block_of)
         inside = upper & (block_of[:, None] == block_of[None, :])
-        counts.append(int(inside.sum()))
         nu = _complex_gaussian(rng, n)
-        noise = _complex_gaussian(rng, counts[-1])
+        noise = _complex_gaussian(rng, int(inside.sum()))
         if trace_mode == "zero":
             nu -= nu.mean()
-        total = math.sqrt(float(np.sum(np.abs(nu) ** 2) + np.sum(np.abs(noise) ** 2)))
-        factor = scale / total
-        nu *= factor
-        noise *= factor
+        f[i][inside] = noise
+        np.fill_diagonal(f[i], nu)
+        f[i] *= scale / np.linalg.norm(f[i])
+        mu[i] = lam - np.diag(f[i])
+        t[i] = f[i]
         np.fill_diagonal(t[i], lam)
-        t[i][inside] = noise
-        mu[i] = lam - nu
     u = ensembles._haar_unitaries((z[:, :m] + 1j * z[:, m:]).reshape(-1, n, n))
     a = ensembles._normal_matrices(u, mu)
-    a_tilde = u @ t @ u.conj().transpose(0, 2, 1)
-    return _make_cases(a, a_tilde - a, u, t, mu), counts
+    return _make_cases(a, u @ f @ u.conj().transpose(0, 2, 1), u, t, mu)
 
 
 @pytest.mark.parametrize("trace_mode", TRACE_MODES)
 def test_blocked_generator_equals_the_seed_by_seed_reference(trace_mode):
-    counts = {}
     for n in (*range(2, 13), 24):
         seeds = [derive_trial_seed(1000 * n + 7, trial) for trial in range(29)] + [(1 << 64) - 1]
         stacked = ensembles._blocked_cases(n, seeds, 0.7, trace_mode)
-        reference, counts[n] = _blocked_cases_seed_by_seed(n, seeds, 0.7, trace_mode)
+        reference = _blocked_cases_seed_by_seed(n, seeds, 0.7, trace_mode)
         for name in ("a", "e", "q", "t", "eigenvalues", "spectrum"):
             assert np.array_equal(getattr(stacked, name), getattr(reference, name)), (n, name)
-    # the seeds reach the noise sums the stacked generator groups by
-    # length: empty ones, equal lengths, and one longer than numpy's
-    # pairwise-summation block of 128, where a row sum could first part
-    # from np.sum of the segment
-    assert set(counts[2]) == {0}
-    assert all(len(set(c)) < len(c) for c in counts.values())
-    assert max(counts[24]) > 128
 
 
 def _fresh_generator(seed):

@@ -24,7 +24,7 @@ from spectra_perturb import (
     strict_lower,
     strict_upper,
 )
-from spectra_perturb.matrices import _commutator_defects
+from spectra_perturb.matrices import _commutator_defects, _too_deep_for_orjson
 
 from conftest import haar_rotated_diagonal, random_complex
 from oracles import naive_frobenius
@@ -483,3 +483,59 @@ def test_load_matrix_refuses_text_nested_past_the_recursion_limit(tmp_path, gc_s
     with pytest.raises(ValueError, match="^" + re.escape(f"{path}: not valid JSON (maximum recursion depth")):
         load_matrix(path)
     assert gc.isenabled() is gc_state
+
+
+def _nested(depth: int) -> bytes:
+    return b"[" * depth + b"]" * depth
+
+
+_PAIRS = b"[" + b"[1, 2], " * 150_000 + b"[1, 2]]"  # 300,002 brackets three deep, as an n = 512 file has
+
+
+@pytest.mark.parametrize(
+    "data, too_deep",
+    [
+        (b"{" + _ONE + b', "deep": ' + _nested(300_000) + b"}", True),
+        (b"{" + _ONE + b', "deep": ' + _nested(99_999) + b"}", True),  # 100,000 levels with the object
+        (b"{" + _ONE + b', "deep": ' + _nested(99_998) + b"}", False),
+        (b"{" + _ONE + b', "note": "' + b"[" * 300_000 + b'"}', False),
+        (b"{" + _ONE + b', "note": "' + b"]" * 300_000 + b'", "deep": ' + _nested(300_000) + b"}", True),
+        (b"{" + _ONE + b', "pairs": ' + _PAIRS + b"}", False),
+        (b"{" + _ONE + b', "note": "\\"", "pairs": ' + _PAIRS + b"}", True),  # no string bounds without escapes
+    ],
+    ids=["deep", "at-the-limit", "below-the-limit", "openers-in-a-string", "closers-in-a-string", "many-pairs",
+         "many-pairs-and-an-escape"],
+)
+def test_the_nesting_guard_finds_text_nested_100000_deep(data, too_deep):
+    assert _too_deep_for_orjson(data) is too_deep
+
+
+@pytest.mark.parametrize(
+    "data, decoder",
+    [
+        (b"{" + _ONE + b', "deep": ' + _nested(300_000) + b"}", "json"),
+        (b"{" + _ONE + b', "note": "' + b"[" * 300_000 + b'"}', "orjson"),
+        (b"{" + _ONE + b', "pairs": ' + _PAIRS + b"}", "orjson"),
+    ],
+    ids=["deep", "openers-in-a-string", "many-pairs"],
+)
+def test_load_matrix_gives_orjson_only_text_nested_less_than_100000_deep(tmp_path, monkeypatch, data, decoder):
+    # orjson 3.8 nests on the C stack without a limit, and 300,000 levels crash the
+    # process: here orjson is not called on the text that must not reach it
+    decoders = []
+
+    def watched(text, _loads=orjson.loads):
+        decoders.append("orjson")
+        assert decoder == "orjson", "orjson was given text nested 100,000 deep"
+        return _loads(text)
+
+    monkeypatch.setattr(orjson, "loads", watched)
+    monkeypatch.setattr(json, "loads", lambda text, _loads=json.loads: decoders.append("json") or _loads(text))
+    path = tmp_path / "m.json"
+    path.write_bytes(data)
+    if decoder == "json":
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: not valid JSON (maximum recursion depth")):
+            load_matrix(path)
+    else:
+        assert np.array_equal(load_matrix(path), [[1 + 2j]])
+    assert decoders == [decoder]

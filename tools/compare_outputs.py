@@ -47,11 +47,12 @@ for name, (a, e) in pairs.items():
     save_matrix(out / "A.json", a)
     save_matrix(out / "E.json", e)
 """
-# E scaled to 1e-12, where a tolerance floor that does not scale would show (the CLI has no scale flag)
+# E scaled to 1e-6, where the rounding of a draw's E shows in its summary, and to 1e-12, where a
+# tolerance floor that does not scale would show (the CLI has no scale flag); argv: kind, scale
 SCALED_VERIFY = """
 import json, sys
 from spectra_perturb import CampaignConfig, run_campaign
-config = CampaignConfig(trials=2200, seed=42, kind=sys.argv[1], perturbation_scale=1e-12)
+config = CampaignConfig(trials=2200, seed=42, kind=sys.argv[1], perturbation_scale=float(sys.argv[2]))
 print(json.dumps(run_campaign(config).as_dict(), indent=2))
 """
 
@@ -67,8 +68,9 @@ def runs(fixtures: Path) -> list:
                   # the generators' zero-trace branches
                   (f"verify-{kind}-zero.json", (*CLI, "verify", *CAMPAIGN, "--kind", kind, "--trace-mode", "zero")),
                   (f"verify-{kind}-n40.json", (*CLI, "verify", *SIZES, "--kind", kind)),
-                  (f"tightness-{kind}-n40.csv", (*CLI, "tightness", *SIZES, "--kind", kind)),
-                  (f"verify-{kind}-scale-1e-12.json", ("-c", SCALED_VERIFY, kind))]
+                  (f"tightness-{kind}-n40.csv", (*CLI, "tightness", *SIZES, "--kind", kind))]
+        table += [(f"verify-{kind}-scale-{scale}.json", ("-c", SCALED_VERIFY, kind, scale))
+                  for scale in ("1e-6", "1e-12")]
     for name in FIXTURES:
         pair = ("--a", str(fixtures / name / "A.json"), "--e", str(fixtures / name / "E.json"))
         table.append((f"bounds-{name}.csv", (*CLI, "bounds", "--format", "csv", *pair)))
@@ -169,7 +171,7 @@ def main(base: Path, head: Path, work: Path) -> None:
     for label, tree in (("merge base", base), ("HEAD", head)):
         print("- {}: {:,} ({:,} / {:,} / {:,})".format(label, *source_size(tree)))
     print("### `verify`, `tightness` (`--trials 2200 --seed 42`, and `--jobs 2`, and `--trace-mode zero`, and"
-          " `--n-max 40 --trials 390 --seed 7`), `verify` summaries at `perturbation_scale=1e-12` and"
+          " `--n-max 40 --trials 390 --seed 7`), `verify` summaries at `perturbation_scale` 1e-6 and 1e-12, and"
           " `bounds --format csv`: merge base vs HEAD")
     for name, _ in runs(fixtures):
         base_path, head_path = work / "out-base" / name, work / "out-head" / name
