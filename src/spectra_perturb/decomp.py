@@ -24,9 +24,11 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zgees, zlange, ztrexc, ztrtri
 
-from .matrices import _TOLERANCES, _degree_one, _fro_norms, _scaled, _strict_upper, _unit, as_matrix
+from .matrices import _TOLERANCES, _compiled_module, _degree_one, _fro_norms, _scaled, _strict_upper, _unit, as_matrix
+
+_flapack = _compiled_module("scipy.linalg._flapack", "scipy.linalg.lapack")
+zgees, zlange, ztrexc, ztrtri = _flapack.zgees, _flapack.zlange, _flapack.ztrexc, _flapack.ztrtri
 
 __all__ = [
     "SchurForm",

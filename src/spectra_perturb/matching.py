@@ -16,9 +16,10 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
-from .matrices import as_spectrum
+from .matrices import _compiled_module, as_spectrum
+
+linear_sum_assignment = _compiled_module("scipy.optimize._lsap", "scipy.optimize").linear_sum_assignment
 
 __all__ = ["BRUTE_FORCE_LIMIT", "SpectrumMatch", "optimal_match", "brute_force_match"]
 

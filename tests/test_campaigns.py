@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import dataclasses
 import io
@@ -278,7 +279,7 @@ def test_pool_has_at_most_one_worker_per_chunk(trials, chunks, workers, monkeypa
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(campaigns, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     config = CampaignConfig(trials=trials, jobs=64)
     assert len(campaigns._chunks(config)) == chunks
     summary = run_campaign(config)

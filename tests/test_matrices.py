@@ -1,10 +1,12 @@
 import contextlib
 import decimal
 import gc
+import importlib.machinery
 import json
 import math
 import random
 import re
+import sys
 
 import numpy as np
 import orjson
@@ -24,7 +26,7 @@ from spectra_perturb import (
     strict_lower,
     strict_upper,
 )
-from spectra_perturb.matrices import _commutator_defects, _too_deep_for_orjson
+from spectra_perturb.matrices import _commutator_defects, _compiled_module, _too_deep_for_orjson
 
 from conftest import haar_rotated_diagonal, random_complex
 from oracles import naive_frobenius
@@ -105,6 +107,27 @@ def test_is_normal_scales_with_magnitude(rng):
     # the tolerance must follow the squared norm, or large matrices fail
     a = 1e6 * haar_rotated_diagonal(rng, 4)
     assert is_normal(a)
+
+
+def test_compiled_module_without_extension_file_is_the_public_module():
+    import scipy.linalg.lapack
+
+    assert _compiled_module("scipy.linalg._no_such_extension", "scipy.linalg.lapack") is scipy.linalg.lapack
+    assert "scipy.linalg._no_such_extension" not in sys.modules
+
+
+@pytest.mark.parametrize("step", ["create_module", "exec_module"])
+def test_compiled_module_that_fails_to_load_is_the_public_module(step, monkeypatch):
+    import scipy.optimize
+
+    def refuse(self, arg):
+        raise ImportError("refused")
+
+    # the extension file is there, but loading it fails
+    monkeypatch.delitem(sys.modules, "scipy.optimize._lsap")
+    monkeypatch.setattr(importlib.machinery.ExtensionFileLoader, step, refuse)
+    assert _compiled_module("scipy.optimize._lsap", "scipy.optimize") is scipy.optimize
+    assert "scipy.optimize._lsap" not in sys.modules
 
 
 def test_matrix_json_round_trip(rng):

@@ -34,14 +34,49 @@ def test_export_lists_resolve():
     assert spectra_perturb.__all__ == ["__version__", *names]
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
-def test_demo_runs(demo):
+def _run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with ``src`` on its path."""
     src = str(ROOT / "src")
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
-    result = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
-    )
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo):
+    result = _run_python(str(demo))
+    assert result.returncode == 0, result.stderr
+
+
+_FRESH_IMPORT = """
+import sys
+
+import spectra_perturb
+
+loaded = [m for m in ("scipy.linalg", "scipy.optimize", "concurrent.futures.process") if m in sys.modules]
+assert not loaded, loaded
+
+import numpy as np
+import scipy.linalg
+import scipy.linalg.lapack
+import scipy.optimize
+
+from spectra_perturb import decomp, matching
+
+for name in ("zgees", "ztrexc", "ztrtri", "zlange"):
+    assert getattr(decomp, name) is getattr(scipy.linalg.lapack, name), name
+assert matching.linear_sum_assignment is scipy.optimize.linear_sum_assignment
+a = np.array([[1.0, 2.0j], [0.5, -1.0]])
+t, z = scipy.linalg.schur(a, output="complex")
+assert np.allclose(z @ t @ z.conj().T, a)
+"""
+
+
+def test_import_loads_scipy_extensions_without_their_packages():
+    # the package imports of scipy.linalg and scipy.optimize, and the
+    # process pool, would triple the time of a fresh import; an import of
+    # those packages afterwards reuses the very extension functions
+    result = _run_python("-c", _FRESH_IMPORT)
     assert result.returncode == 0, result.stderr
 
 
