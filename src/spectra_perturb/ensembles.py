@@ -138,6 +138,15 @@ def _perturbations(e: np.ndarray, scale: float, trace_mode: str) -> np.ndarray:
     return e * (scale / nrm)[:, None, None]
 
 
+def _seed_normals(seeds, width: int) -> np.ndarray:
+    """The first ``width`` standard normals of each seed's stream, one
+    row per seed, each from one ``standard_normal`` call."""
+    draws = np.empty((len(seeds), width))
+    for row, seed in zip(draws, seeds):
+        _STREAM.reset(seed).standard_normal(out=row)
+    return draws
+
+
 def _draw_cases(kind: str, n: int, seeds, scale: float, trace_mode: str) -> _Cases:
     """The cases of :func:`random_case` for one size and many seeds, as
     one stack: the draws run seed by seed, everything after them once
@@ -148,9 +157,7 @@ def _draw_cases(kind: str, n: int, seeds, scale: float, trace_mode: str) -> _Cas
     real = kind == "hermitian"
     # one stream per seed: the real and imaginary parts of the Haar
     # draw, the spectrum, then those of the perturbation
-    draws = np.empty((len(seeds), 4 * m + (n if real else 2 * n)))
-    for row, seed in zip(draws, seeds):
-        _STREAM.reset(seed).standard_normal(out=row)
+    draws = _seed_normals(seeds, 4 * m + (n if real else 2 * n))
     z = draws[:, :m] + 1j * draws[:, m : 2 * m]
     rest = draws[:, 2 * m :]
     if real:
@@ -170,27 +177,23 @@ def _blocked_cases(n: int, seeds, scale: float, trace_mode: str) -> _Cases:
     # ||E||_F is that scale to rounding at every scale.  T, genuinely block upper
     # triangular, is F with lambda = mu + nu on its diagonal.  The case carries
     # (u, t) as the Schur form of A + E and mu as the spectrum of A, which no
-    # eigensolve then recomputes.  Only the stream calls run
-    # seed by seed, in stream order: the Haar matrix, Re lambda and Im lambda
-    # in one call (Philox is sequential); the block count s; s - 1 cuts; nu
-    # and the noise, c real then c imaginary values for the c = sum b (b - 1) / 2
-    # strictly upper positions inside blocks of sizes b.  c is known only after
-    # the cuts, so the noise is drawn for the largest c, (n - 1)(n - 2) / 2; the
-    # stream is re-keyed per seed, so the unused tail moves no other draw.
+    # eigensolve then recomputes.  Each seed's draws are one row of its stream:
+    # the Haar matrix, Re lambda and Im lambda; nu and the noise, c real then c
+    # imaginary values for the c = sum b (b - 1) / 2 strictly upper positions
+    # inside blocks of sizes b; n - 1 values r, n - 1 values o.  The block count
+    # s = 2 + #{j >= 1 : r_j < r_0} is uniform on 2..n (the rank of r_0), and the
+    # s - 1 smallest o mark the cuts, a uniform (s - 1)-subset of the n - 1 gaps
+    # independent of s.  c is known only after the cuts, so the noise is drawn
+    # for the largest c, (n - 1)(n - 2) / 2; the unused part moves no later draw.
     k, m = len(seeds), n * n
-    head = np.empty((k, 2 * m + 2 * n))
-    tail = np.empty((k, 2 * n + (n - 1) * (n - 2)))
-    picks = []
-    for i, seed in enumerate(seeds):
-        rng = _STREAM.reset(seed)
-        rng.standard_normal(out=head[i])
-        picks.append(rng.choice(n - 1, rng.integers(2, n + 1) - 1, replace=False))
-        rng.standard_normal(out=tail[i])
+    ends = np.cumsum([2 * m + 2 * n, 2 * n + (n - 1) * (n - 2), n - 1, n - 1])
+    head, tail, r, o = np.split(_seed_normals(seeds, ends[-1]), ends[:-1], axis=1)
     lam = head[:, 2 * m : 2 * m + n] + 1j * head[:, 2 * m + n :]
     lam = np.take_along_axis(lam, _descending_order(lam), axis=1)
-    cut = np.zeros((k, n), dtype=int)
-    cut[np.repeat(np.arange(k), [p.size for p in picks]), np.concatenate(picks) + 1] = 1
-    block_of = np.cumsum(cut, axis=1)
+    cut_count = 1 + np.count_nonzero(r[:, 1:] < r[:, :1], axis=1)
+    last_cut = np.sort(o, axis=1)[np.arange(k), cut_count - 1]
+    block_of = np.zeros((k, n), dtype=int)
+    block_of[:, 1:] = np.cumsum(o <= last_cut[:, None], axis=1)
     # strictly upper positions inside blocks, matrix by matrix in row-major order
     inside = (block_of[:, :, None] == block_of[:, None, :]) & _strict_upper(n)
     counts = np.count_nonzero(inside, axis=(1, 2))

@@ -32,6 +32,7 @@ import json
 import math
 import os
 import sys
+import threading
 
 import numpy as np
 import orjson
@@ -369,22 +370,28 @@ def _first_bad_entry(entries: list) -> ValueError:
 
 # orjson 3.8 nests on the C stack without a limit.  In a main thread with
 # the default 8 MiB stack 130,000 levels decode and 140,000 crash the
-# process; a thread with a 512 KiB stack crashes at 9,000, which this
-# limit does not guard against
+# process; in a thread with a 512 KiB stack 8,000 decode and 9,000 crash.
+# Another thread's stack size cannot be read, so there the limit is one a
+# 512 KiB stack clears with margin; a much smaller stack is not guarded
 _ORJSON_DEPTH_LIMIT = 100_000
+_ORJSON_THREAD_DEPTH_LIMIT = 1_000
 _NOT_NESTING = bytes(sorted(set(range(256)).difference(b'[]{}"\\')))
 
 
 def _too_deep_for_orjson(data: bytes) -> bool:
     """Whether ``data`` may nest arrays and objects ``_ORJSON_DEPTH_LIMIT``
-    levels deep.  Fewer ``[`` and ``{`` bytes than that settle it in one
+    levels deep, or ``_ORJSON_THREAD_DEPTH_LIMIT`` outside the main
+    thread.  Fewer ``[`` and ``{`` bytes than that settle it in one
     pass; else the depth is counted outside strings, over the bracket,
     quote and backslash bytes alone.  In text with no backslash strings
     start and end at each quote; text with a backslash and that many
     brackets counts as too deep."""
+    limit = _ORJSON_DEPTH_LIMIT
+    if threading.current_thread() is not threading.main_thread():
+        limit = _ORJSON_THREAD_DEPTH_LIMIT
     b = np.frombuffer(data, dtype=np.uint8)
     # OR 0x20 folds "[" onto "{" and no other byte onto it
-    if np.count_nonzero((b | np.uint8(0x20)) == ord("{")) < _ORJSON_DEPTH_LIMIT:
+    if np.count_nonzero((b | np.uint8(0x20)) == ord("{")) < limit:
         return False
     marks = data.translate(None, _NOT_NESTING)
     if b"\\" in marks:
@@ -392,7 +399,7 @@ def _too_deep_for_orjson(data: bytes) -> bool:
     outside = np.frombuffer(b"".join(marks.split(b'"')[::2]), dtype=np.uint8)
     # "[" and "{" have bit 0x02 set, "]" and "}" do not
     steps = (outside & np.uint8(2)).astype(np.int32) - 1
-    return bool(np.cumsum(steps).max(initial=0) >= _ORJSON_DEPTH_LIMIT)
+    return bool(np.cumsum(steps).max(initial=0) >= limit)
 
 
 def save_matrix(path, m) -> None:
@@ -407,8 +414,9 @@ def load_matrix(path) -> np.ndarray:
     The file's bytes are decoded by ``orjson``.  Only text that orjson
     refuses (``NaN`` and ``Infinity`` literals, an integer beyond the
     float range, a lone surrogate, a BOM, bytes that are not UTF-8, or
-    invalid JSON), and text that may nest 100,000 levels deep, which
-    orjson 3.8 decodes on the C stack with no depth limit, are decoded by
+    invalid JSON), and text that may nest 100,000 levels deep (1,000
+    outside the main thread), which orjson 3.8 decodes on the C stack
+    with no depth limit, are decoded by
     the stdlib ``json`` instead, from the text a text-mode read gives, so
     that :func:`matrix_from_json` judges every value the stdlib accepts
     and every error message is the stdlib's.  orjson 3.8 reads an integer

@@ -343,8 +343,10 @@ def test_numerical_consistency_error_names_its_trial(monkeypatch):
 # Integer outcomes of 220-trial campaigns at seed 42, recorded before the
 # reorder moved to LAPACK ztrexc and A's spectrum to one eigensolve, and
 # unchanged since a non-Hermitian A's spectrum comes from the Hermitian
-# pencil H + cK.  They must survive last-bit changes in the pipeline;
-# max_slack is not pinned.
+# pencil H + cK.  The normal-blocked row was re-recorded when a blocked
+# draw's block count and cuts came to be read off its standard normals
+# (same law, other draws).  They must survive last-bit changes in the
+# pipeline; max_slack is not pinned.
 GOLDEN_COUNTS = {
     "normal": (
         {"eq_3_3c": 79, "eq_3_4b": 19, "eq_3_11b": 113, "eq_3_11c": 9},
@@ -355,8 +357,8 @@ GOLDEN_COUNTS = {
         {"eq_3_5a<eq_1_4": 220, "eq_3_11a<eq_1_5": 220, "eq_3_5f<eq_1_7": 220},
     ),
     "normal-blocked": (
-        {"eq_1_5": 54, "eq_3_3d": 166},
-        {"eq_3_5a<eq_1_4": 220, "eq_3_11a<eq_1_5": 166, "eq_3_5f<eq_1_7": 166},
+        {"eq_1_5": 60, "eq_3_3d": 160},
+        {"eq_3_5a<eq_1_4": 220, "eq_3_11a<eq_1_5": 160, "eq_3_5f<eq_1_7": 160},
     ),
 }
 
@@ -378,7 +380,7 @@ def test_a_blocked_campaign_wins_alike_at_every_perturbation_scale():
         scale: run_campaign(CampaignConfig(trials=2200, kind="normal-blocked", seed=42, perturbation_scale=scale)).wins
         for scale in (1.0, 1e-3, 1e-6, 1e-9)
     }
-    assert {bid: c for bid, c in wins[1.0].items() if c} == {"eq_1_5": 595, "eq_3_3d": 1605}
+    assert {bid: c for bid, c in wins[1.0].items() if c} == {"eq_1_5": 606, "eq_3_3d": 1594}
     for scale, table in wins.items():
         assert table == wins[1.0], scale
 
@@ -389,7 +391,7 @@ def test_a_blocked_campaign_wins_alike_at_every_perturbation_scale():
 JOINT_SCALE_EXPONENTS = (-600, -40, 0, 600)
 # check failures of 220-trial campaigns at seed 42 with d2 planted at half
 # its value: d_inf then exceeds d2 (the metric check)
-FAILURES_AT_HALF_D2 = {"normal": 188, "hermitian": 180, "normal-blocked": 183}
+FAILURES_AT_HALF_D2 = {"normal": 188, "hermitian": 180, "normal-blocked": 188}
 # a float as repr writes it, not a digit of a catalog id such as eq_3_5a
 _REPR_FLOAT = r"(?<![\w.])-?\d+(?:\.\d+)?(?:e[-+]\d+)?(?![\w.])"
 

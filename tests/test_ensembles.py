@@ -201,15 +201,36 @@ def test_blocked_zero_trace_mode():
         assert abs(np.trace(case.e)) <= 1e-11 * frobenius_norm(case.e)
 
 
+# the smallest chi-square p-value a law test accepts, fixed before any was run
+LAW_P_FLOOR = 1e-6
+
+
+@pytest.mark.parametrize("n, trials", [(5, 6000), (9, 14000)])
+def test_blocked_block_count_is_uniform_and_its_cuts_are_a_uniform_subset(n, trials):
+    # the law of a blocked draw's structure: s uniform on 2..n and, given s,
+    # each set S of s - 1 cuts among the n - 1 gaps equally likely, so
+    # P(S) = 1 / ((n - 1) C(n - 1, |S|)); at scale 1 the detected blocks are
+    # the planted ones.  Every cut set is expected at least 25 times.
+    from scipy.stats import chisquare
+
+    cuts = ensembles._draw_cases("normal-blocked", n, range(trials), 1.0, "generic").boundaries
+    s = 1 + np.count_nonzero(cuts, axis=1)
+    assert chisquare(np.bincount(s, minlength=n + 1)[2:]).pvalue > LAW_P_FLOOR
+    cut_sets = np.bincount(cuts @ (1 << np.arange(n - 1)), minlength=1 << (n - 1))[1:]
+    sizes = [bin(code).count("1") for code in range(1, 1 << (n - 1))]
+    expected = [trials / ((n - 1) * math.comb(n - 1, size)) for size in sizes]
+    assert chisquare(cut_sets, expected).pvalue > LAW_P_FLOOR
+
+
 def _complex_gaussian(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def _blocked_cases_seed_by_seed(n, seeds, scale, trace_mode):
     # The blocked generator as one loop over the seeds, every step per
-    # seed and every draw its own stream call, with the canonical order
-    # as a Python sort key: the reference for the stacked generator, which
-    # must give the same bits.
+    # seed and every drawn value its own stream call, with the canonical
+    # order, the block count and the cuts in Python: the reference for the
+    # stacked generator, which must give the same bits.
     m = n * n
     z = np.empty((len(seeds), 2 * m))
     f = np.zeros((len(seeds), n, n), dtype=np.complex128)
@@ -222,14 +243,20 @@ def _blocked_cases_seed_by_seed(n, seeds, scale, trace_mode):
         rng.standard_normal(out=z[i])
         draw = _complex_gaussian(rng, n)
         lam = np.array(sorted(draw, key=lambda x: (-abs(x), -x.real, -x.imag)))
-        s = int(rng.integers(2, n + 1))
-        cuts = np.sort(rng.choice(np.arange(1, n), size=s - 1, replace=False))
+        nu = _complex_gaussian(rng, n)
+        # room for the most in-block noise, c real then c imaginary values
+        noise = rng.standard_normal((n - 1) * (n - 2))
+        # s - 2 is the rank of r[0] among the r; the s - 1 smallest o mark the cuts
+        r = rng.standard_normal(n - 1)
+        s = 2 + sum(x < r[0] for x in r[1:])
+        o = rng.standard_normal(n - 1)
+        cuts = [1 + gap for gap in sorted(range(n - 1), key=lambda gap: o[gap])[: s - 1]]
         block_of = np.zeros(n, dtype=int)
         block_of[cuts] = 1
         block_of = np.cumsum(block_of)
         inside = upper & (block_of[:, None] == block_of[None, :])
-        nu = _complex_gaussian(rng, n)
-        noise = _complex_gaussian(rng, int(inside.sum()))
+        c = int(inside.sum())
+        noise = noise[:c] + 1j * noise[c : 2 * c]
         if trace_mode == "zero":
             nu -= nu.mean()
         f[i][inside] = noise

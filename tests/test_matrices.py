@@ -4,9 +4,13 @@ import gc
 import importlib.machinery
 import json
 import math
+import os
 import random
 import re
+import subprocess
 import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import orjson
@@ -562,3 +566,50 @@ def test_load_matrix_gives_orjson_only_text_nested_less_than_100000_deep(tmp_pat
     else:
         assert np.array_equal(load_matrix(path), [[1 + 2j]])
     assert decoders == [decoder]
+
+
+def test_outside_the_main_thread_the_nesting_guard_stops_at_1000_levels():
+    found = {}
+
+    def guard():
+        for depth in (998, 999, 3000):
+            found[depth] = _too_deep_for_orjson(b"{" + _ONE + b', "deep": ' + _nested(depth) + b"}")
+
+    thread = threading.Thread(target=guard)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert found == {998: False, 999: True, 3000: True}  # the object is one more level
+
+
+_LOAD_IN_A_SMALL_STACK = """
+import sys, threading
+from spectra_perturb import load_matrix
+threading.stack_size(512 * 1024)
+found = []
+def load():
+    try:
+        load_matrix(sys.argv[1])
+    except ValueError as exc:
+        found.append(str(exc))
+thread = threading.Thread(target=load)
+thread.start()
+thread.join()
+print(*found)
+"""
+
+
+def test_load_matrix_in_a_thread_with_a_512_kib_stack_refuses_text_nested_20000_deep(tmp_path):
+    # orjson 3.8 crashes the process at 9,000 levels on a 512 KiB stack; the
+    # stdlib decoder raises RecursionError there instead
+    path = tmp_path / "m.json"
+    path.write_bytes(b"{" + _ONE + b', "deep": ' + _nested(20_000) + b"}")
+    src = str(Path(matrices.__file__).resolve().parents[1])
+    argv = [sys.executable, "-c", _LOAD_IN_A_SMALL_STACK, str(path)]
+    # a shell that sets the child's core file limit to 0, so a crash leaves no core file
+    done = subprocess.run(
+        ["sh", "-c", 'ulimit -c 0 && exec "$@"', "sh", *argv],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, (done.returncode, done.stderr)
+    assert done.stdout.startswith(f"{path}: not valid JSON (maximum recursion depth"), done.stdout
