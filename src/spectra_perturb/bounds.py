@@ -65,7 +65,7 @@ import numpy as np
 from .decomp import (
     SchurForm,
     _block_boundaries,
-    _block_structure,
+    _block_sizes,
     _fortran_stack,
     _full_rank,
     _normal_spectra,
@@ -88,6 +88,7 @@ from .matrices import (
     _scaled,
     _unit_exponents,
     as_matrix,
+    frobenius_norm,
     is_normal,
 )
 from .quantities import _band_widths, _deltas, _square, _trace_moduli
@@ -100,9 +101,6 @@ __all__ = [
     "BoundReport",
     "CATALOG_IDS",
     "D2_BOUND_IDS",
-    "DELTA_ESTIMATE_IDS",
-    "HERMITIAN_ONLY_IDS",
-    "SCHUR_DEPENDENT_IDS",
     "catalog_entries",
     "family_of",
     "henrici_delta_upper",
@@ -222,7 +220,7 @@ class PerturbationCase:
     n = property(lambda self: self._cases.n)
     a_is_hermitian = property(lambda self: bool(self._cases.hermitian[0]))
     schur_tilde = property(lambda self: SchurForm(q=self._cases.q[0], t=self._unscaled(self._cases.t)))
-    block = property(lambda self: _block_structure(self._cases.boundaries[0]))
+    block = property(lambda self: _block_sizes(self._cases.boundaries[0]))
 
 
 def make_case(a, e) -> PerturbationCase:
@@ -314,8 +312,7 @@ def rotated_perturbation(case: PerturbationCase) -> np.ndarray:
 def rotated_perturbation_residual(case: PerturbationCase) -> float:
     """||Q* E Q - strict_upper(T)||_F, the part of the rotated
     perturbation not explained by the triangular excess."""
-    residual = rotated_perturbation(case) - np.triu(case.schur_tilde.t, 1)
-    return float(np.linalg.norm(residual, "fro"))
+    return frobenius_norm(rotated_perturbation(case) - np.triu(case.schur_tilde.t, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -557,15 +554,8 @@ _FORMULAS = tuple(
 ) + tuple(value for _, _, value in _EXCESS_ESTIMATES)
 
 CATALOG_IDS: tuple[str, ...] = tuple(entry.id for entry in _CATALOG)
-DELTA_ESTIMATE_IDS: tuple[str, ...] = tuple(
-    entry.id for entry in _CATALOG if entry.family == FAMILY_DELTA_ESTIMATE
-)
 D2_BOUND_IDS: tuple[str, ...] = tuple(
     entry.id for entry in _CATALOG if entry.family != FAMILY_DELTA_ESTIMATE
-)
-HERMITIAN_ONLY_IDS: tuple[str, ...] = tuple(entry.id for entry in _CATALOG if entry.requires_hermitian)
-SCHUR_DEPENDENT_IDS: tuple[str, ...] = tuple(
-    entry.id for entry in _CATALOG if entry.depends_on_schur_choice
 )
 
 _BY_ID = {entry.id: entry for entry in _CATALOG}

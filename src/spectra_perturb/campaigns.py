@@ -38,7 +38,6 @@ from .ensembles import _check_draw, _check_integer, _draw_cases, derive_trial_se
 from .matrices import _TOLERANCES
 
 __all__ = [
-    "ORDERING_PAIRS",
     "CampaignConfig",
     "TrialRecord",
     "CampaignSummary",
@@ -48,7 +47,7 @@ __all__ = [
 
 # (sharp id, baseline id): the sharp value never exceeds the baseline,
 # strictly so in almost every trial with tr(E) != 0.
-ORDERING_PAIRS = (
+_ORDERING_PAIRS = (
     ("eq_3_5a", "eq_1_4"),
     ("eq_3_11a", "eq_1_5"),
     ("eq_3_5f", "eq_1_7"),
@@ -160,8 +159,8 @@ def _run_chunk(config: CampaignConfig, indices: range) -> _Stats:
     # (flags, message, operands) per check, in the order a trial reports
     # them; the message shows each operand's value with %r
     checks = [(st.d_inf > st.d2 + _TOLERANCES["metric"](st.d2), "metric: d_inf=%r exceeds d2=%r", (st.d_inf, st.d2))]
-    strict = np.empty((len(indices), len(ORDERING_PAIRS)), dtype=bool)
-    for p, (sharp_id, base_id) in enumerate(ORDERING_PAIRS):
+    strict = np.empty((len(indices), len(_ORDERING_PAIRS)), dtype=bool)
+    for p, (sharp_id, base_id) in enumerate(_ORDERING_PAIRS):
         sharp, base = values[:, _COLUMN[sharp_id]], values[:, _COLUMN[base_id]]
         present = st.applicable[:, _COLUMN[sharp_id]] & st.applicable[:, _COLUMN[base_id]]
         tol = _TOLERANCES["ordering"](base)
@@ -289,7 +288,7 @@ def _fold(
     violation_count = failure_count = nonzero_trace = 0
     violation_samples: list = []
     failure_samples: list = []
-    strict = np.zeros(len(ORDERING_PAIRS), dtype=np.int64)
+    strict = np.zeros(len(_ORDERING_PAIRS), dtype=np.int64)
 
     for chunk in chunks:
         trials += len(chunk.trials)
@@ -312,7 +311,7 @@ def _fold(
     if wins.sum() != trials:
         raise AssertionError("tightness wins do not sum to the trial count")
     ordering = {"nonzero_trace_trials": nonzero_trace}
-    ordering.update((f"{a}<{b}", int(count)) for (a, b), count in zip(ORDERING_PAIRS, strict))
+    ordering.update((f"{a}<{b}", int(count)) for (a, b), count in zip(_ORDERING_PAIRS, strict))
     return CampaignSummary(
         trials=trials,
         n_min=config.n_min,

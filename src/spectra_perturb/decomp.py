@@ -32,9 +32,7 @@ zgees, zlange, ztrexc, ztrtri = _flapack.zgees, _flapack.zlange, _flapack.ztrexc
 
 __all__ = [
     "SchurForm",
-    "BlockStructure",
     "schur_decompose",
-    "reorder_schur",
     "eigenvalues",
     "departure_from_normality",
 ]
@@ -53,24 +51,9 @@ class SchurForm:
     t: np.ndarray
 
     @property
-    def n(self) -> int:
-        return self.t.shape[0]
-
-    @property
     def eigenvalues(self) -> np.ndarray:
         """diag(t), as a fresh array."""
         return np.diagonal(self.t).copy()
-
-
-@dataclass(frozen=True)
-class BlockStructure:
-    """Sizes of the diagonal blocks detected in a triangular factor."""
-
-    sizes: tuple[int, ...]
-
-    @property
-    def s(self) -> int:
-        return len(self.sizes)
 
 
 def schur_decompose(m) -> SchurForm:
@@ -170,27 +153,13 @@ def _descending_order(d: np.ndarray) -> np.ndarray:
     return np.lexsort((-d.imag, -d.real, -np.hypot(d.real, d.imag)), axis=-1)
 
 
-def reorder_schur(form: SchurForm) -> SchurForm:
-    """Reorder a Schur form so diag(t) is sorted by descending modulus.
-
-    Ties are broken by descending real part, then descending imaginary
-    part, and equal eigenvalues keep their relative order, which makes
-    the result deterministic.  Each eigenvalue is moved to its place by
-    one LAPACK ``ztrexc`` call (a chain of adjacent unitary swaps, Bai &
-    Demmel 1993), so q t q* is preserved to working accuracy and the
-    diagonal of the result is an exact permutation of diag(t).  The
-    input form is not modified.
-    """
-    q = _fortran_stack(form.q[None])
-    t = _fortran_stack(form.t[None])
-    _reorder(q, t)
-    return SchurForm(q=q[0], t=t[0])
-
-
 def _reorder(q: np.ndarray, t: np.ndarray) -> None:
-    """:func:`reorder_schur` in place on each form of a stack whose
-    matrices are Fortran ordered; a form already in order is not
-    touched."""
+    """Reorder each Schur form (q, t) of a stack of Fortran-ordered
+    matrices, in place, into the order of :func:`_descending_order`; a
+    form already in order is not touched.  Each eigenvalue moves to its
+    place by one LAPACK ``ztrexc`` call (adjacent unitary swaps, Bai &
+    Demmel 1993), so q t q* is kept to working accuracy and the new
+    diagonal is an exact permutation of diag(t)."""
     n = t.shape[-1]
     target = _descending_order(np.diagonal(t, axis1=1, axis2=2))
     moved = np.flatnonzero((target != np.arange(n)).any(axis=1))
@@ -273,7 +242,8 @@ def _block_boundaries(t: np.ndarray) -> np.ndarray:
     return np.diagonal(corner, axis1=1, axis2=2) <= _TOLERANCES["block"](_fro_norms(t)[:, None])
 
 
-def _block_structure(boundaries: np.ndarray) -> BlockStructure:
-    ends = np.flatnonzero(boundaries) + 1
-    edges = np.concatenate(([0], ends, [boundaries.size + 1]))
-    return BlockStructure(sizes=tuple(np.diff(edges).tolist()))
+def _block_sizes(boundaries: np.ndarray) -> tuple[int, ...]:
+    """The sizes of the diagonal blocks that the boundary flags (n - 1,) of
+    one factor mark."""
+    edges = np.concatenate(([0], np.flatnonzero(boundaries) + 1, [boundaries.size + 1]))
+    return tuple(np.diff(edges).tolist())

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import _compiled_module, as_spectrum
+from .matrices import _compiled_module, _scaled, _unit, as_spectrum
 
 linear_sum_assignment = _compiled_module("scipy.optimize._lsap", "scipy.optimize").linear_sum_assignment
 
@@ -52,9 +52,12 @@ def _as_stack(spec: np.ndarray, name: str, one: bool) -> np.ndarray:
     return as_spectrum(spec, name).reshape(spec.shape)
 
 
-def _cost_stack(spec_a, spec_b) -> tuple[np.ndarray, bool]:
+def _cost_stack(spec_a, spec_b) -> tuple[np.ndarray, np.ndarray, bool]:
     """The squared distances (k, n, n) between the eigenvalues of each
-    pair, and whether the input was one pair of spectra (a stack of one)."""
+    pair at the pair's unit scale, where no square of its largest real or
+    imaginary part under- or overflows and the exact scale moves no
+    assignment; the exponents p (k,) that scale a distance back; and
+    whether the input was one pair of spectra (a stack of one)."""
     a = np.asarray(spec_a, dtype=np.complex128)
     b = np.asarray(spec_b, dtype=np.complex128)
     one = a.ndim < 2 and b.ndim < 2
@@ -64,14 +67,15 @@ def _cost_stack(spec_a, spec_b) -> tuple[np.ndarray, bool]:
         if one:
             raise ValueError(f"spectrum length mismatch: {a.size} vs {b.size}")
         raise ValueError(f"spectrum stack shape mismatch: {a.shape} vs {b.shape}")
-    return np.abs(b[:, None, :] - a[:, :, None]) ** 2, one
+    unit, exponent = _unit(np.stack((a, b), axis=1))
+    return np.abs(unit[:, 1, None, :] - unit[:, 0, :, None]) ** 2, exponent, one
 
 
-def _match(cost: np.ndarray, perm: np.ndarray, one: bool) -> SpectrumMatch:
+def _match(cost: np.ndarray, exponent: np.ndarray, perm: np.ndarray, one: bool) -> SpectrumMatch:
     k, n = perm.shape
     terms = cost[np.arange(k)[:, None], np.arange(n), perm]
-    d2 = np.sqrt(terms.sum(axis=1))
-    d_inf = np.sqrt(terms.max(axis=1))
+    d2 = _scaled(np.sqrt(terms.sum(axis=1)), exponent)
+    d_inf = _scaled(np.sqrt(terms.max(axis=1)), exponent)
     if one:
         return SpectrumMatch(permutation=tuple(perm[0].tolist()), d2=float(d2[0]), d_inf=float(d_inf[0]))
     return SpectrumMatch(permutation=perm, d2=d2, d_inf=d_inf)
@@ -84,10 +88,10 @@ def optimal_match(spec_a, spec_b) -> SpectrumMatch:
     The reported d_inf is evaluated under the l2-optimal permutation;
     it is an upper bound for the sup distance minimized on its own.
     """
-    cost, one = _cost_stack(spec_a, spec_b)
+    cost, exponent, one = _cost_stack(spec_a, spec_b)
     # a square problem's row indices are 0..n-1 in order
     perm = np.array([linear_sum_assignment(c)[1] for c in cost])
-    return _match(cost, perm, one)
+    return _match(cost, exponent, perm, one)
 
 
 def brute_force_match(spec_a, spec_b) -> SpectrumMatch:
@@ -96,7 +100,7 @@ def brute_force_match(spec_a, spec_b) -> SpectrumMatch:
     Refuses n > 8.  Ties between permutations of equal cost are resolved
     to the lexicographically first one, so the result is deterministic.
     """
-    cost, one = _cost_stack(spec_a, spec_b)
+    cost, exponent, one = _cost_stack(spec_a, spec_b)
     n = cost.shape[-1]
     if n > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute force matching is limited to n <= {BRUTE_FORCE_LIMIT}, got {n}")
@@ -105,4 +109,4 @@ def brute_force_match(spec_a, spec_b) -> SpectrumMatch:
     perm = np.array(
         [min(itertools.permutations(range(n)), key=lambda p: float(c[rows, p].sum())) for c in cost]
     )
-    return _match(cost, perm, one)
+    return _match(cost, exponent, perm, one)

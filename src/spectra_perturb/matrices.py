@@ -5,9 +5,10 @@ the boundary: each public function here validates its argument through
 :func:`as_matrix` (or :func:`as_spectrum`), ``make_case`` validates a
 matrix pair once and a draw's parameters once, and JSON loading
 validates every entry.  Inside the package, arrays (drawn ones too) are
-trusted, not checked.  A matrix, or a case's pair, is worked on at its
-unit scale, where its largest real or imaginary entry is in [1, 4), and
-a result of degree 1 is scaled back exactly (:func:`_unit`, :func:`_scaled`).
+trusted, not checked.  A matrix, a spectrum, a pair of spectra or a
+case's pair is worked on at its unit scale, where its largest real or
+imaginary entry is in [1, 4), and a result is scaled back exactly
+(:func:`_unit`, :func:`_scaled`).
 
 The package calls five compiled scipy functions: ``zgees``, ``ztrexc``,
 ``ztrtri`` and ``zlange`` of ``scipy.linalg._flapack``, and
@@ -157,8 +158,8 @@ def strict_upper(m) -> np.ndarray:
 # single-matrix computations above.
 
 def _largest(m: np.ndarray) -> np.ndarray:
-    """The largest modulus of a real or imaginary entry of each matrix of a
-    stack (k, n, n)."""
+    """The largest modulus of a real or imaginary entry of each member of
+    a stack (k, r, c)."""
     return np.abs(np.ascontiguousarray(m).view(np.float64)).max(axis=(1, 2))
 
 
@@ -169,9 +170,10 @@ def _unit_exponents(largest: np.ndarray) -> np.ndarray:
 
 
 def _unit(m: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """A stack (k, n, n) times the power of 4, 2^-p, that puts each
-    matrix's largest real or imaginary entry in [1, 4), into ``out`` if
-    given; then p (k,), which scales a result of degree 1 back."""
+    """A stack (k, r, c) of matrices, or of spectra held as rows, times the
+    power of 4, 2^-p, that puts each member's largest real or imaginary
+    entry in [1, 4), into ``out`` if given; then p (k,), which scales a
+    result of degree 1 back (2p one of degree 2)."""
     exponent = _unit_exponents(_largest(m))
     return _scaled(m, -exponent, out), exponent
 

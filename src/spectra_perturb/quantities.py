@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .matrices import _degree_one, _fro_norms, _strict_upper, as_matrix, as_spectrum
+from .matrices import _degree_one, _fro_norms, _scaled, _strict_upper, _unit, as_matrix, as_spectrum
 
 __all__ = [
     "delta",
@@ -85,26 +85,27 @@ def w_upper(m, tol: float = 0.0) -> int:
     return int(_band_widths(as_matrix(m)[None], np.array([tol]), lower=False)[0])
 
 
+def _phi(m, diagonal_part) -> float:
+    """||M||_F^2 - diagonal_part(diag M), the shape of every phi, taken at
+    M's unit scale and scaled back by 4^p: a phi is of degree 2."""
+    unit, exponent = _unit(as_matrix(m)[None])
+    d = np.diagonal(unit, axis1=1, axis2=2)
+    return float(_scaled(_square(_fro_norms(unit)) - diagonal_part(d), 2 * exponent)[0])
+
+
 def phi1(m) -> float:
     """||M||_F^2 - |tr(M o M)|, where o is the entrywise product."""
-    m = as_matrix(m)
-    d = np.diag(m)
-    return float(np.linalg.norm(m, "fro")) ** 2 - abs(complex(np.sum(d * d)))
+    return _phi(m, lambda d: np.abs((d * d).sum(axis=1)))
 
 
 def phi2(m) -> float:
     """||M||_F^2 - tr(|M| o |M|) with |M| the entrywise modulus."""
-    m = as_matrix(m)
-    d = np.abs(np.diag(m))
-    return float(np.linalg.norm(m, "fro")) ** 2 - float(np.sum(d * d))
+    return _phi(m, lambda d: _square(np.abs(d)).sum(axis=1))
 
 
 def phi3(m) -> float:
     """||M||_F^2 - tr(|M|)^2 / n."""
-    m = as_matrix(m)
-    n = m.shape[0]
-    d = np.abs(np.diag(m))
-    return float(np.linalg.norm(m, "fro")) ** 2 - float(np.sum(d)) ** 2 / n
+    return _phi(m, lambda d: _square(np.abs(d).sum(axis=1)) / d.shape[-1])
 
 
 def delta_spectral_form(spectrum) -> float:
@@ -113,9 +114,11 @@ def delta_spectral_form(spectrum) -> float:
     Splits the spectrum into real and imaginary component vectors and
     accumulates |v|^2 sin^2(angle(v, ones)) for each; a zero component
     vector contributes zero (its angle is undefined).  For any normal
-    matrix with this spectrum the value equals delta of the matrix.
+    matrix with this spectrum the value equals delta of the matrix.  It
+    is taken at the spectrum's unit scale and scaled back.
     """
-    lam = as_spectrum(spectrum)
+    unit, exponent = _unit(as_spectrum(spectrum).reshape(1, 1, -1))
+    lam = unit[0, 0]
     n = lam.size
     total = 0.0
     for v in (lam.real, lam.imag):
@@ -124,4 +127,4 @@ def delta_spectral_form(spectrum) -> float:
             continue
         # |v|^2 sin^2(theta) = |v|^2 - (v . 1)^2 / n, clamped for round-off
         total += max(0.0, nv2 - float(v.sum()) ** 2 / n)
-    return math.sqrt(total)
+    return math.ldexp(math.sqrt(total), int(exponent[0]))

@@ -10,21 +10,20 @@ from hypothesis import strategies as st
 from spectra_perturb import bounds as bounds_module
 from spectra_perturb import decomp, matrices
 from spectra_perturb.decomp import _ranks
-from spectra_perturb.ensembles import _draw_cases
+from spectra_perturb.ensembles import _draw_cases, _haar_unitaries
 
 from spectra_perturb import (
     CATALOG_IDS,
     D2_BOUND_IDS,
-    DELTA_ESTIMATE_IDS,
     FIXTURE_NAMES,
-    HERMITIAN_ONLY_IDS,
     KINDS,
-    SCHUR_DEPENDENT_IDS,
     EnsembleSpec,
     NumericalConsistencyError,
     SchurForm,
+    brute_force_match,
     catalog_entries,
     delta,
+    delta_spectral_form,
     departure_from_normality,
     eigenvalues,
     evaluate_all,
@@ -38,6 +37,9 @@ from spectra_perturb import (
     is_normal,
     make_case,
     optimal_match,
+    phi1,
+    phi2,
+    phi3,
     random_case,
     rotated_perturbation,
     rotated_perturbation_residual,
@@ -254,18 +256,26 @@ def test_catalog_family_strings():
         family_of("nope")
 
 
+def _ids_where(key: str, value=True) -> set:
+    return {entry["id"] for entry in catalog_entries() if entry[key] == value}
+
+
+DELTA_ESTIMATE_IDS = _ids_where("family", "delta_estimate")
+
+
 def test_catalog_applicability_flags():
-    assert set(HERMITIAN_ONLY_IDS) == {
+    assert [entry["id"] for entry in catalog_entries()] == list(CATALOG_IDS)
+    assert _ids_where("requires_hermitian") == {
         "eq_1_6", "eq_1_8", "eq_1_9",
         "eq_4_6a", "eq_4_6b", "eq_4_6c", "eq_4_6d", "eq_4_6e",
         "thm_4_3_a", "thm_4_3_b",
     }
-    assert set(SCHUR_DEPENDENT_IDS) == {
+    assert _ids_where("depends_on_schur_choice") == {
         "eq_3_3a", "eq_3_3b", "eq_3_3c", "eq_3_3d", "eq_3_4a", "eq_3_4b",
     }
-    assert set(DELTA_ESTIMATE_IDS) == {"henrici_3_6", "sun_3_7", "thm_4_3_a", "thm_4_3_b"}
-    assert set(D2_BOUND_IDS) | set(DELTA_ESTIMATE_IDS) == set(CATALOG_IDS)
-    assert not set(D2_BOUND_IDS) & set(DELTA_ESTIMATE_IDS)
+    assert DELTA_ESTIMATE_IDS == {"henrici_3_6", "sun_3_7", "thm_4_3_a", "thm_4_3_b"}
+    assert set(D2_BOUND_IDS) | DELTA_ESTIMATE_IDS == set(CATALOG_IDS)
+    assert not set(D2_BOUND_IDS) & DELTA_ESTIMATE_IDS
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +509,7 @@ def test_forced_violation_flags_every_distance_bound(monkeypatch):
     report = evaluate_all(case)
     applicable = {bv.id for bv in report.bounds if bv.applicable}
     flagged = set(report.violations)
-    assert flagged == applicable - set(DELTA_ESTIMATE_IDS)
+    assert flagged == applicable - DELTA_ESTIMATE_IDS
     assert "henrici_3_6" not in flagged
 
 
@@ -510,7 +520,7 @@ def test_forced_violation_flags_every_distance_bound(monkeypatch):
 def test_block_family_collapses_at_single_cluster():
     spec = EnsembleSpec(n=6, kind="normal", trace_mode="generic", seed=11)
     case = random_case(spec)
-    assert case.block.s == 1  # generic spectra give one dense cluster
+    assert len(case.block) == 1  # generic spectra give one dense cluster
     v = evaluate_all(case).value_of
     assert abs(v("eq_3_11a") - v("eq_3_5a")) < 1e-12
     assert abs(v("eq_3_11b") - v("eq_3_5b")) < 1e-12
@@ -650,7 +660,7 @@ def test_distance_bounds_dominate_d2_on_random_cases():
 def test_block_count_refines_dimension_baseline():
     spec = EnsembleSpec(n=8, kind="normal-blocked", trace_mode="generic", seed=5)
     case = random_case(spec)
-    assert case.block.s >= 2
+    assert len(case.block) >= 2
     report = evaluate_all(case)
     assert report.value_of("eq_1_5") < report.value_of("eq_1_4")
     assert report.value_of("eq_3_11a") <= report.value_of("eq_3_5a") + 1e-12
@@ -776,6 +786,40 @@ def test_scaling_a_draw_keeps_its_hypotheses_and_scales_d2():
                     assert scaled_case.a_is_hermitian == case.a_is_hermitian, where
                     assert [bv.applicable for bv in scaled.bounds] == applicable, where
                     assert abs(scaled.d2 - c * unit.d2) <= 1e-12 * c * unit.d2, where
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-6])
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_unitary_similarity_moves_no_hypothesis_or_verdict(kind, scale):
+    # (A, E) -> (V A V*, V E V*) with a Haar V moves the spectra, the norms
+    # and the excess only by rounding: no flag, block count, applicability
+    # or verdict may move, and d2 stays within 1e-9 S, S = 1 + ||A||_F +
+    # ||E||_F.  So does each value, or else its square: a value is the
+    # square root of a radicand, or of the defect of A + E, known to about
+    # 2 n eps S^2, since the excess Delta is known to about n eps S (the
+    # backward error of the Schur form) and a radicand holds at most 2 S
+    # Delta.  Where A + E is normal, henrici_3_6 and sun_3_7 read about
+    # sqrt(eps) S on either side; at 1e-6 a bound whose x is of the size of
+    # ||A|| (eq_1_7, eq_3_5f) moves by about 2 n eps S^2 / ||E||_F
+    eps = float(np.finfo(np.float64).eps)
+    for n in range(2, 9):
+        for seed in range(10):
+            drawn = random_case(EnsembleSpec(n=n, kind=kind, perturbation_scale=scale, seed=seed))
+            a, e = drawn.a, drawn.e
+            v = _haar_unitaries(random_complex(rng_for(1000 * n + seed), (1, n, n)))[0]
+            case, rotated = make_case(a, e), make_case(v @ a @ v.conj().T, v @ e @ v.conj().T)
+            report, moved = evaluate_all(case), evaluate_all(rotated)
+            where = (kind, scale, n, seed)
+            assert rotated.a_is_hermitian == case.a_is_hermitian, where
+            assert len(rotated.block) == len(case.block), where
+            assert moved.violations == report.violations, where
+            size = 1.0 + frobenius_norm(a) + frobenius_norm(e)
+            assert abs(moved.d2 - report.d2) <= 1e-9 * size, where
+            for bv, ref in zip(moved.bounds, report.bounds):
+                assert bv.applicable == ref.applicable, (bv.id, *where)
+                if bv.applicable:
+                    close = abs(bv.value - ref.value) <= 1e-9 * size
+                    assert close or abs(bv.value**2 - ref.value**2) <= 2 * n * eps * size**2, (bv.id, *where)
 
 
 # ---------------------------------------------------------------------------
@@ -910,3 +954,55 @@ def test_single_matrix_functions_scale_with_their_matrix(s):
     for fn in (frobenius_norm, delta, departure_from_normality, henrici_delta_upper, sun_delta_lower):
         unit = fn(m)
         assert abs(fn(s * m) / s - unit) <= 1e-12 * unit, fn.__name__
+
+
+# ---------------------------------------------------------------------------
+# every public numeric function is homogeneous, and runs at its input's unit
+# scale: f(2^j M) = 2^(deg j) f(M) bit for bit for an even j.  At |j| = 520
+# the squares of 2^j M over- or underflow, while 2^(deg j) f(M) is still a
+# normal float.
+
+_MATRIX = random_complex(rng_for(5), (4, 4))
+_SPECTRA = tuple(random_complex(rng_for(6), (2, 5)))
+_DRAWN = random_case(EnsembleSpec(n=5, seed=3))
+_PAIR = (_DRAWN.a, _DRAWN.e)
+
+_DEGREE_ONE = {
+    "frobenius_norm": (frobenius_norm, (_MATRIX,)),
+    "delta": (delta, (_MATRIX,)),
+    "departure_from_normality": (departure_from_normality, (_MATRIX,)),
+    "henrici_delta_upper": (henrici_delta_upper, (_MATRIX,)),
+    "sun_delta_lower": (sun_delta_lower, (_MATRIX,)),
+    "delta_spectral_form": (delta_spectral_form, _SPECTRA[:1]),
+    "rotated_perturbation_residual": (lambda a, e: rotated_perturbation_residual(make_case(a, e)), _PAIR),
+    "optimal_match": (lambda a, b: optimal_match(a, b).d2, _SPECTRA),
+    "optimal_match.d_inf": (lambda a, b: optimal_match(a, b).d_inf, _SPECTRA),
+    "brute_force_match": (lambda a, b: brute_force_match(a, b).d2, _SPECTRA),
+}
+
+
+@pytest.mark.parametrize("j", [-520, 520])
+@pytest.mark.parametrize("name", list(_DEGREE_ONE))
+def test_a_power_of_two_scales_a_function_of_degree_one_exactly(name, j):
+    f, args = _DEGREE_ONE[name]
+    unit = f(*args)
+    assert unit > 0.0
+    assert f(*(2.0**j * x for x in args)) == math.ldexp(unit, j)
+
+
+@pytest.mark.parametrize("phi", [phi1, phi2, phi3])
+def test_a_power_of_two_scales_each_phi_exactly(phi):
+    # phi is of degree 2; here it is 2^-40 to rounding, so at j = 520 it
+    # reads about 2^1000 while ||M||_F^2 is about 2^1041
+    m = np.array([[1.0, 2.0**-20], [0.0, 1.0]])
+    unit = phi(m)
+    assert abs(unit - 2.0**-40) <= 2.0**-50
+    assert phi(2.0**520 * m) == math.ldexp(unit, 1040)
+
+
+@pytest.mark.parametrize("j", [-520, 520])
+def test_a_power_of_two_moves_no_structure_test(j):
+    jordan = np.array([[0.0, 1.0], [0.0, 0.0]])
+    for m in (jordan, np.diag([1.0j, 2.0]), np.diag([1.0, 2.0]), _MATRIX, _PAIR[0]):
+        assert is_normal(2.0**j * m) == is_normal(m)
+        assert is_hermitian(2.0**j * m) == is_hermitian(m)

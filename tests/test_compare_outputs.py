@@ -2,7 +2,9 @@
 
 import importlib.util
 import json
+import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -136,3 +138,27 @@ def test_source_size_splits_the_lines(tmp_path):
     (tmp_path / "src" / "notes.txt").write_text("not\ncounted\n")
     # 12 lines: 3 + 1 docstring lines (the blank one in a docstring too), 1 comment line, 3 blank, 4 code
     assert compare_outputs.source_size(tmp_path) == (12, 4, 5, 3)
+
+
+def test_fresh_import_reports_the_median_and_the_first_run_modules(monkeypatch):
+    seen = []
+    outputs = iter(["0.25\nscipy scipy.linalg._flapack\n", "0.125\nscipy\n", "0.5\n\n", "1\n\n", "0.0625\n\n"])
+
+    def run(args, env, **kwargs):
+        seen.append((args[1:], env["PYTHONPATH"]))
+        return SimpleNamespace(stdout=next(outputs))
+
+    monkeypatch.setattr(compare_outputs.subprocess, "run", run)
+    assert compare_outputs.fresh_import(Path("tree")) == (
+        "### A fresh `import spectra_perturb`\n"
+        "Median of 5: 250 ms.\n"
+        "Its `scipy` and `concurrent.futures` modules: `scipy`, `scipy.linalg._flapack`"
+    )
+    assert seen == [(["-c", compare_outputs.FRESH_IMPORT], str(Path("tree") / "src"))] * 5
+
+
+def test_fresh_import_runs_on_the_tree():
+    title, median, modules = compare_outputs.fresh_import(_SCRIPT.parents[1]).split("\n")
+    assert title == "### A fresh `import spectra_perturb`"
+    assert re.fullmatch(r"Median of 5: \d+ ms\.", median)
+    assert "`scipy.linalg._flapack`" in modules.removeprefix("Its `scipy` and `concurrent.futures` modules: ").split(", ")

@@ -6,6 +6,7 @@ import csv
 import json
 import math
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -153,6 +154,27 @@ def source_size(tree: Path) -> tuple:
         notes += sum(number in commentary for number in range(1, len(lines) + 1))
         blank += sum(not line.strip() and number not in commentary for number, line in enumerate(lines, 1))
     return total, total - notes - blank, notes, blank
+
+
+# prints the seconds an import of the package takes, then the scipy and concurrent.futures modules it loaded
+FRESH_IMPORT = (
+    "import sys, time; t = time.perf_counter(); import spectra_perturb; print(time.perf_counter() - t); "
+    "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m.startswith('concurrent.futures')))"
+)
+
+
+def fresh_import(tree: Path) -> str:
+    """The report lines on five fresh ``import spectra_perturb`` of ``tree/src``: their median time and
+    the ``scipy`` and ``concurrent.futures`` modules the first one loaded."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    outputs = [subprocess.run([sys.executable, "-c", FRESH_IMPORT], env=env, capture_output=True, text=True,
+                              check=True).stdout.split("\n") for _ in range(5)]
+    median_ms = 1000 * statistics.median(float(out[0]) for out in outputs)
+    return "\n".join([
+        "### A fresh `import spectra_perturb`",
+        f"Median of 5: {median_ms:.0f} ms.",
+        "Its `scipy` and `concurrent.futures` modules: " + ", ".join(f"`{m}`" for m in outputs[0][1].split()),
+    ])
 
 
 def main(base: Path, head: Path, work: Path) -> None:
