@@ -260,12 +260,8 @@ def _make_cases(a, e, q=None, t=None, spectrum=None) -> _Cases:
     largest_a = _largest(a)
     own, exponent = _unit_exponents(largest_a), _unit_exponents(np.maximum(largest_a, _largest(e)))
     pair = np.empty((3, *a.shape), dtype=np.complex128)  # A, E and A + E at the pair's unit scale
-    a_own = _scaled(a, -exponent, pair[0])
-    redo = own != exponent  # the cases whose E has the larger entries
-    if redo.any():
-        a_own = a_own.copy()
-        a_own[redo] = _scaled(a[redo], -own[redo])
-    hermitian = _is_hermitian(a_own)
+    hermitian = _is_hermitian(_scaled(a, -own))
+    _scaled(a, -exponent, pair[0])
     _scaled(e, -exponent, pair[1])
     a, e, a_tilde = pair
     np.add(a, e, out=a_tilde)
@@ -585,8 +581,9 @@ def henrici_delta_upper(m) -> float:
 
 
 def sun_delta_lower(m) -> float:
-    """sqrt(||M||_F^2 - sqrt(||M||_F^4 - ||M M* - M* M||_F^2 / 2)): a
-    lower bound on the triangular excess of any Schur form of M."""
+    """sqrt(||M||_F^2 - sqrt(||M||_F^4 - d^2 / 2)), d = ||M M* - M* M||_F,
+    evaluated as sqrt((d^2 / 2) / (||M||_F^2 + sqrt(||M||_F^4 - d^2 / 2))):
+    a lower bound on the triangular excess of any Schur form of M."""
     return _degree_one(m, lambda unit: _sun(_fro_norms(unit), _commutator_defects(unit)))
 
 
@@ -597,10 +594,15 @@ def _henrici_factor(n: int) -> float:
 
 
 def _sun(nrm: np.ndarray, defect: np.ndarray) -> np.ndarray:
+    """:func:`sun_delta_lower` on stacks, from ||M||_F and the defect d.
+    The difference ||M||_F^2 - sqrt(...) cancels where the excess is
+    small; the quotient's sum does not."""
     nrm2 = _square(nrm)
     nrm4 = _square(nrm2)
-    inner = _safe_sqrt(nrm4 - 0.5 * _square(defect), _TOLERANCES["radicand"](nrm4), "sun_3_7 inner radicand")
-    return _safe_sqrt(nrm2 - inner, _TOLERANCES["radicand"](nrm2), "sun_3_7")
+    half = 0.5 * _square(defect)
+    inner = _safe_sqrt(nrm4 - half, _TOLERANCES["radicand"](nrm4), "sun_3_7 inner radicand")
+    total = nrm2 + inner  # 0 only where M = 0, whose estimate is 0
+    return np.sqrt(np.divide(half, total, out=np.zeros_like(total), where=total > 0.0))
 
 
 def _skew_delta_bound(nrm: np.ndarray, trace: np.ndarray, r: np.ndarray, on: np.ndarray) -> np.ndarray:

@@ -127,8 +127,9 @@ def _normal_matrices(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
 
 def _perturbations(e: np.ndarray, scale: float, trace_mode: str) -> np.ndarray:
-    """A stack of Gaussian draws projected (trace_mode zero) and scaled
-    to Frobenius norm ``scale``; modifies ``e``."""
+    """A stack of perturbations, Gaussian draws or a generator's planted
+    upper triangular F, projected (trace_mode zero) and scaled to
+    Frobenius norm ``scale``; modifies ``e``."""
     n = e.shape[-1]
     if trace_mode == "zero":
         e -= (np.trace(e, axis1=1, axis2=2) / n)[:, None, None] * np.eye(n)
@@ -173,8 +174,9 @@ def _draw_cases(kind: str, n: int, seeds, scale: float, trace_mode: str) -> _Cas
 
 def _blocked_cases(n: int, seeds, scale: float, trace_mode: str) -> _Cases:
     # Plant A = U diag(mu) U* and E = U F U*, F = T - diag(mu) upper triangular:
-    # nu and the in-block noise, scaled to Frobenius norm perturbation_scale, so
-    # ||E||_F is that scale to rounding at every scale.  T, genuinely block upper
+    # nu and the in-block noise, projected and scaled by _perturbations to
+    # Frobenius norm perturbation_scale (tr F = sum nu), so ||E||_F is that
+    # scale to rounding at every scale.  T, genuinely block upper
     # triangular, is F with lambda = mu + nu on its diagonal.  The case carries
     # (u, t) as the Schur form of A + E and mu as the spectrum of A, which no
     # eigensolve then recomputes.  Each seed's draws are one row of its stream:
@@ -202,15 +204,9 @@ def _blocked_cases(n: int, seeds, scale: float, trace_mode: str) -> _Cases:
     real_col = 2 * n + np.arange(owner.size) - first[owner]
     f = np.zeros((k, n, n), dtype=np.complex128)
     f[inside] = tail[owner, real_col] + 1j * tail[owner, real_col + counts[owner]]
-    nu = tail[:, :n] + 1j * tail[:, n : 2 * n]
-    if trace_mode == "zero":
-        nu -= nu.mean(axis=1)[:, None]
     diagonal = np.arange(n)
-    f[:, diagonal, diagonal] = nu
-    total = _fro_norms(f)
-    if not total.all():
-        raise ArithmeticError("degenerate zero draw")
-    f *= (scale / total)[:, None, None]
+    f[:, diagonal, diagonal] = tail[:, :n] + 1j * tail[:, n : 2 * n]
+    f = _perturbations(f, scale, trace_mode)
     mu = lam - f[:, diagonal, diagonal]
     t = f.copy()
     t[:, diagonal, diagonal] = lam

@@ -16,9 +16,8 @@ The package calls five compiled scipy functions: ``zgees``, ``ztrexc``,
 :func:`_compiled_module` loads those two extension modules from scipy's
 directory without running the ``scipy.linalg`` and ``scipy.optimize``
 package imports, and falls back to those imports on a scipy laid out
-otherwise.  The two package imports take about 0.5 s, most of a fresh
-``spectra-perturb bounds`` call on a small pair; without them
-``import spectra_perturb`` takes about 0.2 s (Python 3.11, scipy 1.17).
+otherwise: the two package imports would be most of a fresh
+``spectra-perturb bounds`` call on a small pair.
 """
 
 from __future__ import annotations
@@ -429,8 +428,7 @@ def load_matrix(path) -> np.ndarray:
     path.  The cyclic garbage collector is paused from the decode until
     the decoded object is freed, so the n*n [re, im] lists, which hold no
     cycles, are made, validated and freed without a collection walking
-    them (at n = 256 each such collection took about 1.7 ms).  Its
-    previous state is then restored, on every path.
+    them.  Its previous state is then restored, on every path.
     """
     try:
         with open(path, "rb") as fh:

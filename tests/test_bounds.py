@@ -623,6 +623,15 @@ def test_excess_estimates_tight_on_jordan_block():
     assert abs(sun_delta_lower(m) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("eps", [1e-6, 1e-9])
+def test_sun_estimate_keeps_its_digits_at_a_small_excess(eps):
+    # M = [[1, eps], [0, 2]]: d^2 / 2 = eps^2 + eps^4 and ||M||_F^2 = 5 + eps^2,
+    # so the estimate is eps / sqrt(10) to a relative O(eps^2); written as a
+    # difference of squares it kept only the square root of one ulp of 25
+    value = sun_delta_lower(np.array([[1.0, eps], [0.0, 2.0]]))
+    assert abs(value - eps / math.sqrt(10.0)) <= 1e-9 * eps / math.sqrt(10.0)
+
+
 def test_skew_estimates_dominate_excess_and_agree():
     for seed in range(20):
         spec = EnsembleSpec(n=2 + seed % 10, kind="hermitian", trace_mode="generic", seed=seed)
@@ -798,9 +807,9 @@ def test_a_unitary_similarity_moves_no_hypothesis_or_verdict(kind, scale):
     # square root of a radicand, or of the defect of A + E, known to about
     # 2 n eps S^2, since the excess Delta is known to about n eps S (the
     # backward error of the Schur form) and a radicand holds at most 2 S
-    # Delta.  Where A + E is normal, henrici_3_6 and sun_3_7 read about
-    # sqrt(eps) S on either side; at 1e-6 a bound whose x is of the size of
-    # ||A|| (eq_1_7, eq_3_5f) moves by about 2 n eps S^2 / ||E||_F
+    # Delta.  Where A + E is normal, henrici_3_6 reads about sqrt(eps) S and
+    # sun_3_7 about eps S on either side; at 1e-6 a bound whose x is of the
+    # size of ||A|| (eq_1_7, eq_3_5f) moves by about 2 n eps S^2 / ||E||_F
     eps = float(np.finfo(np.float64).eps)
     for n in range(2, 9):
         for seed in range(10):

@@ -89,6 +89,13 @@ def test_perturbation_scale_may_overflow_fourth_powers(s):
                 assert abs(value / s - bv.value) <= 1e-12 * bv.value, bv.id
 
 
+def test_the_sandwich_check_holds_on_a_blocked_trial_with_a_small_excess():
+    # with sun_3_7 taken as a difference of squares, its cancellation left
+    # the square root of one ulp of ||A + E||_F^2, above this trial's excess
+    config = CampaignConfig(trials=2200, kind="normal-blocked", seed=1, perturbation_scale=1e-6)
+    assert run_trial(config, 1585).check_failures == ()
+
+
 def test_perturbation_scale_is_refused_at_the_entry_limit():
     limit = math.ldexp(1.0, 990)
     for make in (

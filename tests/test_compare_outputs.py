@@ -23,19 +23,21 @@ OUTPUTS = [
     "tightness-normal-blocked.csv", "tightness-normal-jobs2.csv", "tightness-normal-n40.csv", "tightness-normal.csv",
     "verify-hermitian-n40.json", "verify-hermitian-scale-1e-12.json", "verify-hermitian-scale-1e-6.json",
     "verify-hermitian-zero.json", "verify-hermitian.json", "verify-normal-blocked-n40.json",
-    "verify-normal-blocked-scale-1e-12.json", "verify-normal-blocked-scale-1e-6.json", "verify-normal-blocked-zero.json",
+    "verify-normal-blocked-scale-1e-12.json", "verify-normal-blocked-scale-1e-6-seed-1.json",
+    "verify-normal-blocked-scale-1e-6.json", "verify-normal-blocked-zero.json",
     "verify-normal-blocked.json", "verify-normal-n40.json", "verify-normal-scale-1e-12.json",
     "verify-normal-scale-1e-6.json", "verify-normal-zero.json", "verify-normal.json",
 ]
 
 
-def test_the_table_makes_the_34_outputs():
+def test_the_table_makes_the_35_outputs():
     table = compare_outputs.runs(Path("fixtures"))
     assert [name for name, _ in table] == OUTPUTS
     for name, args in table:
         command = name.split("-")[0]
         if "-scale-" in name:
-            assert args[0] == "-c" and name == f"verify-{args[2]}-scale-{args[3]}.json"
+            seed = "" if args[4] == "42" else f"-seed-{args[4]}"
+            assert args[0] == "-c" and name == f"verify-{args[2]}-scale-{args[3]}{seed}.json"
         else:
             assert args[:3] == ("-m", "spectra_perturb", command)
         if command == "bounds":

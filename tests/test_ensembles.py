@@ -174,11 +174,13 @@ def test_a_planted_schur_form_is_in_order_at_its_unit_scale(scale, trace_mode):
 
 @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-12, 1e-20])
 @pytest.mark.parametrize("trace_mode", TRACE_MODES)
-def test_a_blocked_draw_has_the_requested_perturbation_norm_at_every_scale(scale, trace_mode):
-    # E is formed from its planted form F alone, so ||E||_F carries the
-    # rounding of ||E||, not of ||A||
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_kind_of_draw_has_the_requested_perturbation_norm_at_every_scale(kind, scale, trace_mode):
+    # one rule, _perturbations, normalizes E for every kind; a blocked E is
+    # formed from its planted form F alone, so ||E||_F carries the rounding
+    # of ||E||, not of ||A||
     for n in range(2, 13):
-        cases = ensembles._draw_cases("normal-blocked", n, range(40), scale, trace_mode)
+        cases = ensembles._draw_cases(kind, n, range(40), scale, trace_mode)
         norms = np.linalg.norm(_scaled(cases.e, cases.exponent), axis=(1, 2))
         assert np.abs(norms - scale).max() <= 1e-14 * scale, n
 

@@ -49,11 +49,12 @@ for name, (a, e) in pairs.items():
     save_matrix(out / "E.json", e)
 """
 # E scaled to 1e-6, where the rounding of a draw's E shows in its summary, and to 1e-12, where a
-# tolerance floor that does not scale would show (the CLI has no scale flag); argv: kind, scale
+# tolerance floor that does not scale would show (the CLI has no scale flag); at seed 1 and 1e-6 a
+# blocked trial's excess is below the ulp that a cancelling excess estimate leaves; argv: kind, scale, seed
 SCALED_VERIFY = """
 import json, sys
 from spectra_perturb import CampaignConfig, run_campaign
-config = CampaignConfig(trials=2200, seed=42, kind=sys.argv[1], perturbation_scale=float(sys.argv[2]))
+config = CampaignConfig(trials=2200, seed=int(sys.argv[3]), kind=sys.argv[1], perturbation_scale=float(sys.argv[2]))
 print(json.dumps(run_campaign(config).as_dict(), indent=2))
 """
 
@@ -70,8 +71,9 @@ def runs(fixtures: Path) -> list:
                   (f"verify-{kind}-zero.json", (*CLI, "verify", *CAMPAIGN, "--kind", kind, "--trace-mode", "zero")),
                   (f"verify-{kind}-n40.json", (*CLI, "verify", *SIZES, "--kind", kind)),
                   (f"tightness-{kind}-n40.csv", (*CLI, "tightness", *SIZES, "--kind", kind))]
-        table += [(f"verify-{kind}-scale-{scale}.json", ("-c", SCALED_VERIFY, kind, scale))
+        table += [(f"verify-{kind}-scale-{scale}.json", ("-c", SCALED_VERIFY, kind, scale, "42"))
                   for scale in ("1e-6", "1e-12")]
+    table.append(("verify-normal-blocked-scale-1e-6-seed-1.json", ("-c", SCALED_VERIFY, "normal-blocked", "1e-6", "1")))
     for name in FIXTURES:
         pair = ("--a", str(fixtures / name / "A.json"), "--e", str(fixtures / name / "E.json"))
         table.append((f"bounds-{name}.csv", (*CLI, "bounds", "--format", "csv", *pair)))
@@ -193,8 +195,8 @@ def main(base: Path, head: Path, work: Path) -> None:
     for label, tree in (("merge base", base), ("HEAD", head)):
         print("- {}: {:,} ({:,} / {:,} / {:,})".format(label, *source_size(tree)))
     print("### `verify`, `tightness` (`--trials 2200 --seed 42`, and `--jobs 2`, and `--trace-mode zero`, and"
-          " `--n-max 40 --trials 390 --seed 7`), `verify` summaries at `perturbation_scale` 1e-6 and 1e-12, and"
-          " `bounds --format csv`: merge base vs HEAD")
+          " `--n-max 40 --trials 390 --seed 7`), `verify` summaries at `perturbation_scale` 1e-6 and 1e-12"
+          " (and 1e-6 at seed 1), and `bounds --format csv`: merge base vs HEAD")
     for name, _ in runs(fixtures):
         base_path, head_path = work / "out-base" / name, work / "out-head" / name
         same = base_path.read_bytes() == head_path.read_bytes()
