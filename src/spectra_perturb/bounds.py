@@ -618,6 +618,12 @@ def _skew_delta_bound(nrm: np.ndarray, trace: np.ndarray, r: np.ndarray, on: np.
 # full evaluation
 
 
+def _as_dict(fields) -> dict:
+    """A dataclass's fields as a fresh dict, its tuples as lists: the
+    ``as_dict`` of :class:`BoundReport` and ``CampaignSummary``."""
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in dataclasses.asdict(fields).items()}
+
+
 @dataclass(frozen=True)
 class BoundValue:
     """One evaluated catalog entry.  ``value`` is None exactly when the
@@ -651,7 +657,7 @@ class BoundReport:
 
     def as_dict(self) -> dict:
         """The fields as a fresh dict, the tuples as lists."""
-        return {k: list(v) if isinstance(v, tuple) else v for k, v in dataclasses.asdict(self).items()}
+        return _as_dict(self)
 
 
 def _evaluate_block(k: int, stacks) -> _Stats:

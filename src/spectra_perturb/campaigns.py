@@ -1,12 +1,12 @@
 """Randomized verification campaigns over the bound catalog.
 
 A campaign runs seeded trials, evaluates every catalog entry on each,
-and checks three things per trial: domination (no distance bound falls
-below the true distance), the claimed orderings between sharpened and
-baseline bounds, and the excess-estimate sandwich.  Hermitian campaigns
-add the comparisons specific to Hermitian base matrices.  Results are
-aggregated into a :class:`CampaignSummary`; per-trial rows can be dumped
-as CSV with one fixed column per catalog id.
+flags domination (no distance bound falls below the true distance) and
+runs the rows of ``_CHECKS`` per trial: d_inf <= d2, the claimed
+orderings between sharpened and baseline bounds, the excess-estimate
+sandwich and, on a Hermitian base, the comparisons specific to it.
+Results are aggregated into a :class:`CampaignSummary`; per-trial rows
+can be dumped as CSV with one fixed column per catalog id.
 
 Trials run in chunks: a chunk is a run of consecutive trials, which
 cycles through every matrix size with a bounded number of trials of
@@ -27,13 +27,12 @@ from __future__ import annotations
 
 import csv
 import itertools
-import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .bounds import CATALOG_IDS, D2_BOUND_IDS, NumericalConsistencyError, _evaluate_block, _Stats
+from .bounds import CATALOG_IDS, D2_BOUND_IDS, NumericalConsistencyError, _as_dict, _evaluate_block, _Stats
 from .ensembles import _check_draw, _check_integer, _draw_cases, derive_trial_seed
 from .matrices import _TOLERANCES
 
@@ -53,15 +52,37 @@ _ORDERING_PAIRS = (
     ("eq_3_5f", "eq_1_7"),
 )
 
-# (smaller, larger): the comparisons of a Hermitian base; "triangle" is
-# ||E||_F + excess
-_HERMITIAN_AT_MOST = (
-    ("eq_4_6a", "eq_1_6"),
-    ("eq_4_6b", "eq_1_8"),
-    ("eq_4_6c", "eq_1_9"),
-    ("eq_4_6c", "eq_1_6"),
-    ("eq_4_6b", "triangle"),
-    ("eq_4_6c", "triangle"),
+# a check's failure test on its operands x and y and its tolerance
+_FAILS = {
+    "exceeds": lambda x, y, tol: x > y + tol,
+    "below": lambda x, y, tol: x < y - tol,
+    "differs": lambda x, y, tol: np.abs(x - y) > tol,
+}
+
+# The per-trial checks as (message, x, test, y, tolerance, Hermitian A
+# only), in the order a trial reports them.  A trial fails a check where
+# it reports both operands and ``_FAILS[test](x, y, tol)`` holds, tol the
+# ``_TOLERANCES`` row named first in ``tolerance`` at the operands named
+# after it; the message shows x and y in caller units with %r.  An
+# operand is a catalog id, reported where that entry applies, a ``_Stats``
+# column, or "triangle", ||E||_F + excess (see ``_operand``).
+_SANDWICH_TOL = ("sandwich", "tilde_norm")
+_HERMITIAN_TOL = ("hermitian_checks", "e_norm", "excess")
+_CHECKS = (
+    ("metric: d_inf=%r exceeds d2=%r", "d_inf", "exceeds", "d2", ("metric", "d2"), False),
+    *((f"ordering: {sharp}=%r exceeds {base}=%r", sharp, "exceeds", base, ("ordering", base), False)
+      for sharp, base in _ORDERING_PAIRS),
+    ("sandwich: lower estimate %r exceeds excess %r", "sun_3_7", "exceeds", "excess", _SANDWICH_TOL, False),
+    ("sandwich: upper estimate %r is below excess %r", "henrici_3_6", "below", "excess", _SANDWICH_TOL, False),
+    ("hermitian: eq_4_6a=%r exceeds eq_1_6=%r", "eq_4_6a", "exceeds", "eq_1_6", _HERMITIAN_TOL, True),
+    ("hermitian: eq_4_6b=%r exceeds eq_1_8=%r", "eq_4_6b", "exceeds", "eq_1_8", _HERMITIAN_TOL, True),
+    ("hermitian: eq_4_6c=%r exceeds eq_1_9=%r", "eq_4_6c", "exceeds", "eq_1_9", _HERMITIAN_TOL, True),
+    ("hermitian: eq_4_6c=%r exceeds eq_1_6=%r", "eq_4_6c", "exceeds", "eq_1_6", _HERMITIAN_TOL, True),
+    ("hermitian: eq_4_6b=%r exceeds triangle=%r", "eq_4_6b", "exceeds", "triangle", _HERMITIAN_TOL, True),
+    ("hermitian: eq_4_6c=%r exceeds triangle=%r", "eq_4_6c", "exceeds", "triangle", _HERMITIAN_TOL, True),
+    ("hermitian: thm_4_3_a=%r is below excess %r", "thm_4_3_a", "below", "excess", _HERMITIAN_TOL, True),
+    ("hermitian: thm_4_3_b=%r is below excess %r", "thm_4_3_b", "below", "excess", _HERMITIAN_TOL, True),
+    ("hermitian: thm_4_3 variants differ: %r vs %r", "thm_4_3_a", "differs", "thm_4_3_b", _HERMITIAN_TOL, True),
 )
 
 _SAMPLE_CAP = 20
@@ -154,36 +175,28 @@ def _run_chunk(config: CampaignConfig, indices: range) -> _Stats:
         st = _evaluate_block(len(indices), stacks())
     except NumericalConsistencyError as exc:
         raise NumericalConsistencyError(f"trial {indices[exc.entry]}: {exc}") from exc
-    values = st.values
 
-    # (flags, message, operands) per check, in the order a trial reports
-    # them; the message shows each operand's value with %r
-    checks = [(st.d_inf > st.d2 + _TOLERANCES["metric"](st.d2), "metric: d_inf=%r exceeds d2=%r", (st.d_inf, st.d2))]
-    strict = np.empty((len(indices), len(_ORDERING_PAIRS)), dtype=bool)
-    for p, (sharp_id, base_id) in enumerate(_ORDERING_PAIRS):
-        sharp, base = values[:, _COLUMN[sharp_id]], values[:, _COLUMN[base_id]]
-        present = st.applicable[:, _COLUMN[sharp_id]] & st.applicable[:, _COLUMN[base_id]]
-        tol = _TOLERANCES["ordering"](base)
-        message = f"ordering: {sharp_id}=%r exceeds {base_id}=%r"
-        checks.append((present & (sharp > base + tol), message, (sharp, base)))
-        strict[:, p] = present & (sharp < base - tol)
-    lower, upper, excess = values[:, _COLUMN["sun_3_7"]], values[:, _COLUMN["henrici_3_6"]], st.excess
-    slack = _TOLERANCES["sandwich"](st.tilde_norm)
-    checks += [
-        (lower > excess + slack, "sandwich: lower estimate %r exceeds excess %r", (lower, excess)),
-        (upper < excess - slack, "sandwich: upper estimate %r is below excess %r", (upper, excess)),
-        *_hermitian_checks(st),
-    ]
+    # the ordering rows also flag the trials where the sharp value is
+    # strictly below its baseline
+    flags, operands, strict = [], [], []
+    for _, x_label, test, y_label, (row, *tol_labels), hermitian_only in _CHECKS:
+        (x, x_on), (y, y_on) = _operand(st, x_label), _operand(st, y_label)
+        tol = _TOLERANCES[row](*(_operand(st, label)[0] for label in tol_labels))
+        on = x_on & y_on & (st.hermitian if hermitian_only else True)
+        flags.append(on & _FAILS[test](x, y, tol))
+        operands.append((x, y))
+        if row == "ordering":
+            strict.append(on & _FAILS["below"](x, y, tol))
     failures = []
-    for i, c in np.argwhere(np.stack([flags for flags, _, _ in checks], axis=1)).tolist():
-        _, message, operands = checks[c]
-        failures.append((i, message % tuple(float(np.ldexp(x[i], st.exponent[i])) for x in operands)))
+    for i, c in np.argwhere(np.stack(flags, axis=1)).tolist():
+        caller = (float(np.ldexp(v[i], st.exponent[i])) for v in operands[c])
+        failures.append((i, _CHECKS[c][0] % tuple(caller)))
 
     # the winner is min((value, id)) over applicable distance bounds:
     # the smallest value, ties to the alphabetically first id
-    ranked = np.where(st.applicable[:, _WINNER_COLUMNS], values[:, _WINNER_COLUMNS], np.inf)
+    ranked = np.where(st.applicable[:, _WINNER_COLUMNS], st.values[:, _WINNER_COLUMNS], np.inf)
     winner = np.where(np.isfinite(ranked.min(axis=1)), _WINNER_COLUMNS[np.argmin(ranked, axis=1)], -1)
-    st.trials, st.winner, st.strict, st.failures = indices, winner, strict, failures
+    st.trials, st.winner, st.strict, st.failures = indices, winner, np.stack(strict, axis=1), failures
     st.trace_nonzero = st.e_trace > _TOLERANCES["trace_nonzero"](st.e_norm)
     st.to_caller_units()
     for name in vars(st).keys() - _CHUNK_COLUMNS:
@@ -191,29 +204,14 @@ def _run_chunk(config: CampaignConfig, indices: range) -> _Stats:
     return st
 
 
-def _hermitian_checks(st: _Stats) -> list:
-    """The comparisons specific to a Hermitian base, flagged only on the
-    trials of a chunk whose A is Hermitian."""
-    hermitian, e_norm, excess = st.hermitian, st.e_norm, st.excess
-    tol = _TOLERANCES["hermitian_checks"](e_norm, excess)
-
-    def entry(label):
-        # (values, where checked)
-        if label == "triangle":
-            return e_norm + excess, hermitian
-        col = _COLUMN[label]
-        return st.values[:, col], hermitian & st.applicable[:, col]
-
-    checks = []
-    for small, large in _HERMITIAN_AT_MOST:
-        (v, on), (w, w_on) = entry(small), entry(large)
-        checks.append((on & w_on & (v > w + tol), f"hermitian: {small}=%r exceeds {large}=%r", (v, w)))
-    (va, a_on), (vb, b_on) = skew = entry("thm_4_3_a"), entry("thm_4_3_b")
-    for label, (v, on) in zip(("thm_4_3_a", "thm_4_3_b"), skew):
-        checks.append((on & (v < excess - tol), f"hermitian: {label}=%r is below excess %r", (v, excess)))
-    differ = a_on & b_on & (np.abs(va - vb) > tol)
-    checks.append((differ, "hermitian: thm_4_3 variants differ: %r vs %r", (va, vb)))
-    return checks
+def _operand(st: _Stats, label: str) -> tuple:
+    """The values of a check's operand on a chunk, and where its trials
+    report it (True: on every trial)."""
+    if label == "triangle":
+        return st.e_norm + st.excess, True
+    if label in _COLUMN:
+        return st.values[:, _COLUMN[label]], st.applicable[:, _COLUMN[label]]
+    return getattr(st, label), True
 
 
 def run_trial(config: CampaignConfig, index: int) -> TrialRecord:
@@ -265,7 +263,7 @@ class CampaignSummary:
 
     def as_dict(self) -> dict:
         """The fields as a fresh dict, the sample tuples as lists."""
-        return {k: list(v) if isinstance(v, tuple) else v for k, v in dataclasses.asdict(self).items()}
+        return _as_dict(self)
 
 
 def _add_samples(samples: list, chunk: _Stats, rows: Iterable[tuple[int, dict]]) -> None:

@@ -136,7 +136,8 @@ def _perturbations(e: np.ndarray, scale: float, trace_mode: str) -> np.ndarray:
     nrm = _fro_norms(e)
     if not nrm.all():
         raise ArithmeticError("degenerate zero draw")
-    return e * (scale / nrm)[:, None, None]
+    # float: a Fraction divided by an ndarray makes an object array
+    return e * (float(scale) / nrm)[:, None, None]
 
 
 def _seed_normals(seeds, width: int) -> np.ndarray:

@@ -7,6 +7,7 @@ import math
 import pickle
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -66,6 +67,22 @@ def test_a_narrow_numpy_scale_is_accepted_as_its_value(scale):
     config = dict(trials=66, seed=42)
     summary = run_campaign(CampaignConfig(**config, perturbation_scale=scale)).as_dict()
     assert summary == run_campaign(CampaignConfig(**config, perturbation_scale=2.0)).as_dict()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_fraction_scale_draws_as_its_float(kind):
+    # a Fraction is a numbers.Real, so the draw parameters accept it; the
+    # draw divided it by an ndarray of norms, which made an object array
+    drawn, unit = (
+        random_case(EnsembleSpec(n=5, kind=kind, perturbation_scale=scale, seed=1))._cases
+        for scale in (Fraction(1, 2), 0.5)
+    )
+    for name, field in vars(unit).items():
+        if field is not None:
+            assert getattr(drawn, name).tobytes() == field.tobytes(), name
+    config = dict(trials=33, kind=kind, seed=42)
+    summary = run_campaign(CampaignConfig(**config, perturbation_scale=Fraction(1, 2))).as_dict()
+    assert summary == run_campaign(CampaignConfig(**config, perturbation_scale=0.5)).as_dict()
 
 
 @pytest.mark.parametrize("s", [1e80, 1e160])
@@ -459,6 +476,78 @@ def test_every_campaign_verdict_is_the_same_at_every_joint_scale(kind, monkeypat
         for scaled, message in zip(messages[p], messages[0], strict=True):
             assert re.search(_REPR_FLOAT, message), message
             assert re.sub(_REPR_FLOAT, lambda x: repr(math.ldexp(float(x[0]), p)), message) == scaled, p
+
+
+# Operands planted at each trial's unit scale so that every campaign check
+# fails, all distinct, so that a swapped operand shows in a message
+PLANTED_OPERANDS = {
+    "d_inf": 3.0, "d2": 2.0, "excess": 1.0, "e_norm": 0.5,
+    "eq_3_5a": 1.75, "eq_1_4": 1.5, "eq_3_11a": 1.375, "eq_1_5": 1.25, "eq_3_5f": 1.125, "eq_1_7": 1.0625,
+    "sun_3_7": 2.5, "henrici_3_6": 0.75,
+    "eq_4_6a": 3.5, "eq_4_6b": 3.25, "eq_4_6c": 3.125, "eq_1_6": 0.625, "eq_1_8": 0.5625, "eq_1_9": 0.53125,
+    "thm_4_3_a": 0.25, "thm_4_3_b": 0.375,
+}
+# every check as (message, operands), in the order a trial reports them:
+# the first six run on every trial, the others on a Hermitian A only;
+# "triangle" is e_norm + excess
+CHECK_MESSAGES = (
+    ("metric: d_inf={} exceeds d2={}", "d_inf", "d2"),
+    ("ordering: eq_3_5a={} exceeds eq_1_4={}", "eq_3_5a", "eq_1_4"),
+    ("ordering: eq_3_11a={} exceeds eq_1_5={}", "eq_3_11a", "eq_1_5"),
+    ("ordering: eq_3_5f={} exceeds eq_1_7={}", "eq_3_5f", "eq_1_7"),
+    ("sandwich: lower estimate {} exceeds excess {}", "sun_3_7", "excess"),
+    ("sandwich: upper estimate {} is below excess {}", "henrici_3_6", "excess"),
+    ("hermitian: eq_4_6a={} exceeds eq_1_6={}", "eq_4_6a", "eq_1_6"),
+    ("hermitian: eq_4_6b={} exceeds eq_1_8={}", "eq_4_6b", "eq_1_8"),
+    ("hermitian: eq_4_6c={} exceeds eq_1_9={}", "eq_4_6c", "eq_1_9"),
+    ("hermitian: eq_4_6c={} exceeds eq_1_6={}", "eq_4_6c", "eq_1_6"),
+    ("hermitian: eq_4_6b={} exceeds triangle={}", "eq_4_6b", "triangle"),
+    ("hermitian: eq_4_6c={} exceeds triangle={}", "eq_4_6c", "triangle"),
+    ("hermitian: thm_4_3_a={} is below excess {}", "thm_4_3_a", "excess"),
+    ("hermitian: thm_4_3_b={} is below excess {}", "thm_4_3_b", "excess"),
+    ("hermitian: thm_4_3 variants differ: {} vs {}", "thm_4_3_a", "thm_4_3_b"),
+)
+
+
+@pytest.mark.parametrize("kind, checks", [("hermitian", 15), ("normal", 6)])
+def test_every_check_reports_its_operands_in_caller_units(kind, checks, monkeypatch):
+    # each planted catalog value is marked applicable, on a normal A too:
+    # the Hermitian-only checks must still run on a Hermitian A only
+    evaluate_block = campaigns._evaluate_block
+    exponents = []
+
+    def planted(k, stacks):
+        st = evaluate_block(k, stacks)
+        for label, value in PLANTED_OPERANDS.items():
+            if label in CATALOG_IDS:
+                col = CATALOG_IDS.index(label)
+                st.values[:, col], st.applicable[:, col] = value, True
+            else:
+                setattr(st, label, np.full(k, value))
+        assert st.hermitian.all() == (kind == "hermitian") == st.hermitian.any()
+        exponents.append(st.exponent.tolist())
+        return st
+
+    def expected(exponent: int) -> list:
+        unit = PLANTED_OPERANDS | {"triangle": PLANTED_OPERANDS["e_norm"] + PLANTED_OPERANDS["excess"]}
+        return [
+            message.format(*(repr(math.ldexp(unit[label], exponent)) for label in operands))
+            for message, *operands in CHECK_MESSAGES[:checks]
+        ]
+
+    monkeypatch.setattr(campaigns, "_evaluate_block", planted)
+    # E dominates A, so each trial's unit scale is far from its caller's
+    config = CampaignConfig(trials=2, kind=kind, seed=42, perturbation_scale=2.0**40)
+    summary = run_campaign(config)
+    [chunk_exponents] = exponents
+    assert all(exponent > 30 for exponent in chunk_exponents)
+    # trial by trial, then check by check
+    reported = [{"trial": i, "message": m} for i, e in enumerate(chunk_exponents) for m in expected(e)]
+    assert summary.check_failure_count == len(reported) == 2 * checks
+    assert list(summary.check_failure_samples) == reported[: campaigns._SAMPLE_CAP]
+    for i, exponent in enumerate(chunk_exponents):
+        assert list(run_trial(config, i).check_failures) == expected(exponent)
+        assert exponents[-1] == [exponent]
 
 
 def _reported(d2, d_inf, values) -> tuple:

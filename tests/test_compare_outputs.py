@@ -21,6 +21,7 @@ OUTPUTS = [
     "tightness-hermitian-jobs2.csv", "tightness-hermitian-n40.csv", "tightness-hermitian.csv",
     "tightness-normal-blocked-jobs2.csv", "tightness-normal-blocked-n40.csv", "tightness-normal-blocked-zero.csv",
     "tightness-normal-blocked.csv", "tightness-normal-jobs2.csv", "tightness-normal-n40.csv", "tightness-normal.csv",
+    "verify-hermitian-d2-times-0.5.json", "verify-hermitian-d2-times-2.json",
     "verify-hermitian-n40.json", "verify-hermitian-scale-1e-12.json", "verify-hermitian-scale-1e-6.json",
     "verify-hermitian-zero.json", "verify-hermitian.json", "verify-normal-blocked-n40.json",
     "verify-normal-blocked-scale-1e-12.json", "verify-normal-blocked-scale-1e-6-seed-1.json",
@@ -30,7 +31,7 @@ OUTPUTS = [
 ]
 
 
-def test_the_table_makes_the_35_outputs():
+def test_the_table_makes_the_37_outputs():
     table = compare_outputs.runs(Path("fixtures"))
     assert [name for name, _ in table] == OUTPUTS
     for name, args in table:
@@ -38,6 +39,9 @@ def test_the_table_makes_the_35_outputs():
         if "-scale-" in name:
             seed = "" if args[4] == "42" else f"-seed-{args[4]}"
             assert args[0] == "-c" and name == f"verify-{args[2]}-scale-{args[3]}{seed}.json"
+        elif "-d2-times-" in name:
+            factor = name.removeprefix("verify-hermitian-d2-times-").removesuffix(".json")
+            assert args == ("-c", compare_outputs.PLANTED_VERIFY, factor)
         else:
             assert args[:3] == ("-m", "spectra_perturb", command)
         if command == "bounds":

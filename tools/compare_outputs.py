@@ -57,6 +57,18 @@ from spectra_perturb import CampaignConfig, run_campaign
 config = CampaignConfig(trials=2200, seed=int(sys.argv[3]), kind=sys.argv[1], perturbation_scale=float(sys.argv[2]))
 print(json.dumps(run_campaign(config).as_dict(), indent=2))
 """
+# 2,200 Hermitian trials at seed 42 with d2 planted at a factor of its value, so that a moved verdict shows:
+# times 2, distance bounds fall below it (violations); times 0.5, d_inf exceeds it (the metric check); argv: factor
+PLANTED_VERIFY = """
+import dataclasses, json, sys
+from spectra_perturb import CampaignConfig, bounds, run_campaign
+match, factor = bounds.optimal_match, float(sys.argv[1])
+def planted(*args):
+    found = match(*args)
+    return dataclasses.replace(found, d2=found.d2 * factor)
+bounds.optimal_match = planted
+print(json.dumps(run_campaign(CampaignConfig(trials=2200, seed=42, kind="hermitian")).as_dict(), indent=2))
+"""
 
 
 def runs(fixtures: Path) -> list:
@@ -74,6 +86,7 @@ def runs(fixtures: Path) -> list:
         table += [(f"verify-{kind}-scale-{scale}.json", ("-c", SCALED_VERIFY, kind, scale, "42"))
                   for scale in ("1e-6", "1e-12")]
     table.append(("verify-normal-blocked-scale-1e-6-seed-1.json", ("-c", SCALED_VERIFY, "normal-blocked", "1e-6", "1")))
+    table += [(f"verify-hermitian-d2-times-{factor}.json", ("-c", PLANTED_VERIFY, factor)) for factor in ("2", "0.5")]
     for name in FIXTURES:
         pair = ("--a", str(fixtures / name / "A.json"), "--e", str(fixtures / name / "E.json"))
         table.append((f"bounds-{name}.csv", (*CLI, "bounds", "--format", "csv", *pair)))
@@ -196,7 +209,8 @@ def main(base: Path, head: Path, work: Path) -> None:
         print("- {}: {:,} ({:,} / {:,} / {:,})".format(label, *source_size(tree)))
     print("### `verify`, `tightness` (`--trials 2200 --seed 42`, and `--jobs 2`, and `--trace-mode zero`, and"
           " `--n-max 40 --trials 390 --seed 7`), `verify` summaries at `perturbation_scale` 1e-6 and 1e-12"
-          " (and 1e-6 at seed 1), and `bounds --format csv`: merge base vs HEAD")
+          " (and 1e-6 at seed 1), Hermitian `verify` summaries with `d2` planted at 2 and 0.5 times its value,"
+          " and `bounds --format csv`: merge base vs HEAD")
     for name, _ in runs(fixtures):
         base_path, head_path = work / "out-base" / name, work / "out-head" / name
         same = base_path.read_bytes() == head_path.read_bytes()
