@@ -66,7 +66,6 @@ from .decomp import (
     SchurForm,
     _block_boundaries,
     _block_sizes,
-    _fortran_stack,
     _full_rank,
     _normal_spectra,
     _ranks,
@@ -74,7 +73,8 @@ from .decomp import (
     _schur_factors,
     _strict_upper_parts,
 )
-from .matching import optimal_match
+# the core's one matching call point, which tests wrap: optimal_match on trusted stacks
+from .matching import _stack_match as optimal_match
 from .matrices import (
     _ENTRY_EXPONENT_LIMIT,
     _TOLERANCES,
@@ -188,7 +188,7 @@ class _Cases:
     @property
     def eigenvalues(self) -> np.ndarray:
         """The spectra (k, n) of the ``a_tilde``: the diagonals of ``t``."""
-        return np.diagonal(self.t, axis1=1, axis2=2)
+        return self.t.diagonal(0, 1, 2)
 
 
 class PerturbationCase:
@@ -238,7 +238,9 @@ def make_case(a, e) -> PerturbationCase:
     e = as_matrix(e, "e")
     if a.shape != e.shape:
         raise ValueError(f"shape mismatch: a is {a.shape}, e is {e.shape}")
-    cases = _make_cases(a[None], e[None])
+    stacks = np.empty((5, 1, *a.shape), dtype=np.complex128)
+    stacks[0, 0], stacks[1, 0] = a, e
+    cases = _make_cases(stacks)
     # Hermitian implies normal: a Hermitian A passes even where the
     # commutator test's tighter tolerance would reject it.
     if not (cases.hermitian[0] or is_normal(a)):
@@ -248,36 +250,44 @@ def make_case(a, e) -> PerturbationCase:
     return PerturbationCase(cases)
 
 
-def _make_cases(a, e, q=None, t=None, spectrum=None) -> _Cases:
-    """The unchecked cases of stacks (k, n, n) of matrix pairs, each scaled
-    exactly to its unit scale, with the Schur forms of ``a + e`` in the
-    canonical order.  Forms given as exactly triangular ``(q, t)`` must be
-    in that order already and are not re-sorted: they are a generator's
-    planted forms, whose order the exact power-of-4 scale keeps.
-    ``spectrum`` (k, n) is the spectrum of ``a`` where a generator planted
-    it.  The Hermitian flags are tested at ``a``'s own unit scale, where a
-    tiny ``a``'s squares cannot underflow."""
-    largest_a = _largest(a)
-    own, exponent = _unit_exponents(largest_a), _unit_exponents(np.maximum(largest_a, _largest(e)))
-    pair = np.empty((3, *a.shape), dtype=np.complex128)  # A, E and A + E at the pair's unit scale
-    hermitian = _is_hermitian(_scaled(a, -own))
-    _scaled(a, -exponent, pair[0])
-    _scaled(e, -exponent, pair[1])
-    a, e, a_tilde = pair
+def _make_cases(stacks, q=None, t=None, spectrum=None) -> _Cases:
+    """The unchecked cases of k matrix pairs of one size, A and E in the
+    first two slots of ``stacks`` (5, k, n, n), each pair scaled exactly to
+    its unit scale, with the Schur forms of A + E in the canonical order.
+    The case takes ``stacks`` over: the pairs are scaled in place, and the
+    other slots (scratch) take A + E and the Schur factors.  Forms given as
+    exactly triangular ``(q, t)`` must be in that order already and are not
+    re-sorted: they are a generator's planted forms, whose order the exact
+    power-of-4 scale keeps; ``spectrum`` (k, n), given with them, is the
+    spectrum of A the generator planted.  The Hermitian flags are tested at
+    A's own unit scale, where a tiny A's squares cannot underflow."""
+    _, k, n, _ = stacks.shape
+    # the largest entries of A, then of A and E, give A's own exponent and the pair's
+    own, exponent = _unit_exponents(np.maximum.accumulate(_largest(stacks[:2].reshape(-1, n, n)).reshape(2, k)))
+    # A, E and A + E at the pair's unit scale, then A - A* and A at A's own,
+    # all five normed in one call; the last two slots then take the Schur
+    # factors q and t, each matrix Fortran ordered
+    a, e, a_tilde, skew, own_a = stacks
+    _scaled(a, -own, own_a)
+    np.conjugate(own_a.transpose(0, 2, 1), out=skew)
+    np.subtract(own_a, skew, out=skew)
+    down = -exponent
+    _scaled(stacks[:2], down[None], stacks[:2])
     np.add(a, e, out=a_tilde)
-    a_norm, e_norm, tilde_norm = _fro_norms(pair.reshape(-1, *a.shape[1:])).reshape(3, -1)
+    a_norm, e_norm, tilde_norm, defect, own_norm = _fro_norms(stacks.reshape(-1, n, n)).reshape(5, k)
+    hermitian = _is_hermitian(defect, own_norm)
+    factors = stacks[3:].transpose(0, 1, 3, 2)
     if q is None:
-        q, t = _schur_factors(a_tilde)
-        _reorder(q, t)
+        _reorder(*_schur_factors(a_tilde, out=factors))
     else:
-        q, t = _fortran_stack(q), _fortran_stack(_scaled(t, -exponent))
-    if spectrum is not None:
-        spectrum = _scaled(spectrum, -exponent)
+        factors[0], factors[1] = q, _scaled(t, down)
+        spectrum = _scaled(spectrum, down)
+        spectrum.flags.writeable = False
     # a case's arrays are never written again; an in-place write by a
     # caller would leave what was derived from them stale
-    for m in (a, e, a_tilde, q, t, spectrum):
-        if m is not None:
-            m.flags.writeable = False
+    stacks.flags.writeable = False
+    a, e, a_tilde = stacks[:3]
+    q, t = stacks[3:].transpose(0, 1, 3, 2)
     return _Cases(
         a=a,
         e=e,
@@ -373,7 +383,7 @@ def _matrix_stats(cases: _Cases) -> dict:
         "tilde_norm": cases.tilde_norm,
         "excess": excess,
         "w": w,
-        "s": 1 + np.count_nonzero(cases.boundaries, axis=1),
+        "s": 1 + cases.boundaries.sum(axis=1),
         "radius": np.abs(lam_a).max(axis=1),
         "defect": defect,
         "henrici": np.full(k, _henrici_factor(n)),
@@ -425,7 +435,10 @@ class _Stats:
         self.delta_a = _deltas(self.a_norm, self.a_trace, self.n)
         self.mix = np.minimum(self.a_norm, np.sqrt(self.n - 1) * self.radius)
         self.tilde_is_normal = _is_normal(self.defect, self.tilde_norm)
-        self.radicand_slack = _TOLERANCES["distance_radicand"](self.e2, _square(self.excess))
+        # what the catalog's shapes read, each computed once per block
+        self.constants = {name: constant(self) for name, constant in _CONSTANTS.items()}
+        self.squares = {name: _square(getattr(self, name)) for name in ("excess", "delta_e", "delta_a")}
+        self.radicand_slack = _TOLERANCES["distance_radicand"](self.e2, self.squares["excess"])
 
     def to_caller_units(self) -> None:
         """Scale the ``CALLER_UNITS`` back exactly to each caller's units."""
@@ -494,24 +507,26 @@ _CONSTANTS = {
 }
 
 # The five shapes in the constant c, the scale x and the triangular
-# excess d.  ``norm`` is the bound itself; every other shape is the
-# radicand r of sqrt(||E||_F^2 + r).  A coefficient is computed before
-# it meets x, so each bound keeps the operation order of its scalar form
-# and its bits: sqrt(1 + 0) x = x, sqrt(1 + (n - 1)) = sqrt(n) and
-# 2 sqrt(1/2) = sqrt(2) hold exactly.
+# excess d, with x2 and d2 their squares (``_Stats.squares``).  ``norm``
+# is the bound itself; every other shape is the radicand r of
+# sqrt(||E||_F^2 + r).  A coefficient is computed before it meets x, so
+# each bound keeps the operation order of its scalar form and its bits:
+# sqrt(1 + 0) x = x, sqrt(1 + (n - 1)) = sqrt(n) and 2 sqrt(1/2) =
+# sqrt(2) hold exactly.
 _SHAPES = {
-    "norm": lambda c, x, d: np.sqrt(1.0 + c) * x,
-    "square": lambda c, x, d: c * _square(x),
-    "cross": lambda c, x, d: np.sqrt(1.0 + c) * x * d,
-    "plus": lambda c, x, d: 2.0 * x * d + _square(d),
-    "minus": lambda c, x, d: 2.0 * np.sqrt(c) * x * d - _square(d),
+    "norm": lambda c, x, x2, d, d2: np.sqrt(1.0 + c) * x,
+    "square": lambda c, x, x2, d, d2: c * x2,
+    "cross": lambda c, x, x2, d, d2: np.sqrt(1.0 + c) * x * d,
+    "plus": lambda c, x, x2, d, d2: 2.0 * x * d + d2,
+    "minus": lambda c, x, x2, d, d2: 2.0 * np.sqrt(c) * x * d - d2,
 }
 
 
 def _distance_bound(bound_id: str, shape: str, constant: str, scale: str, st: _Stats, on):
     """A row of ``_DISTANCE_BOUNDS`` on a stack; a radicand negative
     beyond round-off is an error only where ``on`` (the entry applies)."""
-    value = _SHAPES[shape](_CONSTANTS[constant](st), getattr(st, scale), st.excess)
+    value = _SHAPES[shape](st.constants[constant], getattr(st, scale), st.squares.get(scale), st.excess,
+                           st.squares["excess"])
     if shape == "norm":
         return value
     return _safe_sqrt(st.e2 + value, st.radicand_slack, bound_id, on)
@@ -676,8 +691,9 @@ def _evaluate_block(k: int, stacks) -> _Stats:
         if entry.id in _HYPOTHESES:
             on = on & _HYPOTHESES[entry.id](st)
         if on.any():
-            st.values[:, col] = np.where(on, formula(st, on), np.nan)
+            st.values[:, col] = formula(st, on)
             st.applicable[:, col] = on
+    st.values[~st.applicable] = np.nan
     tol = _TOLERANCES["violation"](st.a_norm, st.e_norm)
     st.violated = st.applicable & _IS_D2_BOUND & (st.values < (st.d2 - tol)[:, None])
     return st

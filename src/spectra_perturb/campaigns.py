@@ -177,15 +177,17 @@ def _run_chunk(config: CampaignConfig, indices: range) -> _Stats:
         raise NumericalConsistencyError(f"trial {indices[exc.entry]}: {exc}") from exc
 
     # the ordering rows also flag the trials where the sharp value is
-    # strictly below its baseline
+    # strictly below its baseline; a tolerance shared by rows is taken once
+    tolerances = {(row, *labels): _TOLERANCES[row](*(_operand(st, label)[0] for label in labels))
+                  for row, *labels in {tolerance for _, _, _, _, tolerance, _ in _CHECKS}}
     flags, operands, strict = [], [], []
-    for _, x_label, test, y_label, (row, *tol_labels), hermitian_only in _CHECKS:
+    for _, x_label, test, y_label, tolerance, hermitian_only in _CHECKS:
         (x, x_on), (y, y_on) = _operand(st, x_label), _operand(st, y_label)
-        tol = _TOLERANCES[row](*(_operand(st, label)[0] for label in tol_labels))
+        tol = tolerances[tolerance]
         on = x_on & y_on & (st.hermitian if hermitian_only else True)
         flags.append(on & _FAILS[test](x, y, tol))
         operands.append((x, y))
-        if row == "ordering":
+        if tolerance[0] == "ordering":
             strict.append(on & _FAILS["below"](x, y, tol))
     failures = []
     for i, c in np.argwhere(np.stack(flags, axis=1)).tolist():

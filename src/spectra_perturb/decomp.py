@@ -68,33 +68,28 @@ def schur_decompose(m) -> SchurForm:
     return SchurForm(q=q[0], t=t[0])
 
 
-def _fortran_stack(m: np.ndarray) -> np.ndarray:
-    """A copy of a stack (k, n, n) whose matrices are each Fortran
-    ordered, so LAPACK works on them in place."""
-    out = np.empty_like(m, dtype=np.complex128, order="C").transpose(0, 2, 1)
-    out[...] = m
-    return out
-
-
 def _no_sort(x):
     return None
 
 
 @functools.cache
 def _zgees_lwork(n: int) -> int:
-    """The ``zgees`` workspace ``scipy.linalg.schur`` asks for: a function of n alone."""
+    """The ``zgees`` workspace ``scipy.linalg.schur`` asks for: a function of n alone.
+    Above 128 columns it sets ``zgehrd``'s block size, so a larger one
+    changes T's bits (from n = 160) and is no faster at n = 256."""
     return int(zgees(_no_sort, np.zeros((n, n), dtype=np.complex128), lwork=-1)[-2][0].real)
 
 
-def _schur_factors(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _schur_factors(m: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Schur factors (q, t) of each matrix of a stack, from one LAPACK
     ``zgees`` call per matrix (with the workspace ``scipy.linalg.schur``
     asks for, so the bits are the same); a matrix that is already upper
-    triangular is its own t, with q = I.  Both stacks are Fortran
-    ordered per matrix."""
+    triangular is its own t, with q = I.  Both stacks are written into
+    ``out`` (2, k, n, n) if given, each matrix Fortran ordered, so that
+    LAPACK works on it in place."""
     n = m.shape[-1]
-    t = _fortran_stack(m)
-    q = _fortran_stack(np.broadcast_to(np.eye(n), m.shape))
+    q, t = np.empty((2, *m.shape), dtype=np.complex128).transpose(0, 1, 3, 2) if out is None else out
+    q[...], t[...] = np.eye(n), m
     lower = _strict_upper(n).T
     for i in np.flatnonzero((m[:, lower] != 0).any(axis=1)):
         ti, _, _, vs, _, info = zgees(_no_sort, t[i], lwork=_zgees_lwork(n), overwrite_a=1)
@@ -161,7 +156,7 @@ def _reorder(q: np.ndarray, t: np.ndarray) -> None:
     Demmel 1993), so q t q* is kept to working accuracy and the new
     diagonal is an exact permutation of diag(t)."""
     n = t.shape[-1]
-    target = _descending_order(np.diagonal(t, axis1=1, axis2=2))
+    target = _descending_order(t.diagonal(0, 1, 2))
     moved = np.flatnonzero((target != np.arange(n)).any(axis=1))
     target = target[moved]
     # Moving the eigenvalue target[p] to position p keeps the ones not yet
@@ -239,7 +234,7 @@ def _block_boundaries(t: np.ndarray) -> np.ndarray:
     a = np.abs(t)
     above = np.maximum.accumulate(a[:, :, :0:-1], axis=2)[:, :, ::-1]
     corner = np.maximum.accumulate(above[:, :-1, :], axis=1)
-    return np.diagonal(corner, axis1=1, axis2=2) <= _TOLERANCES["block"](_fro_norms(t)[:, None])
+    return corner.diagonal(0, 1, 2) <= _TOLERANCES["block"](_fro_norms(t)[:, None])
 
 
 def _block_sizes(boundaries: np.ndarray) -> tuple[int, ...]:

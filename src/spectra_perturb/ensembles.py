@@ -116,20 +116,20 @@ def _haar_unitaries(z: np.ndarray) -> np.ndarray:
     """Haar unitaries from a stack of complex Gaussian matrices: the QR
     factor q with the phases of diag(r) divided out."""
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=1, axis2=2).copy()
+    d = r.diagonal(0, 1, 2).copy()
     d[d == 0] = 1.0  # zero pivots have probability zero; keep the phase defined
     return q * (d / np.abs(d))[:, None, :]
 
 
-def _normal_matrices(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """U diag(lambda) U* for stacks of unitaries and spectra."""
-    return (u * lam[:, None, :]) @ u.conj().transpose(0, 2, 1)
+def _normal_matrices(u: np.ndarray, lam: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """U diag(lambda) U* for stacks of unitaries and spectra, into ``out`` if given."""
+    return np.matmul(u * lam[:, None, :], u.conj().transpose(0, 2, 1), out=out)
 
 
-def _perturbations(e: np.ndarray, scale: float, trace_mode: str) -> np.ndarray:
+def _perturbations(e: np.ndarray, scale: float, trace_mode: str, out: np.ndarray | None = None) -> np.ndarray:
     """A stack of perturbations, Gaussian draws or a generator's planted
     upper triangular F, projected (trace_mode zero) and scaled to
-    Frobenius norm ``scale``; modifies ``e``."""
+    Frobenius norm ``scale``, into ``out`` if given; modifies ``e``."""
     n = e.shape[-1]
     if trace_mode == "zero":
         e -= (np.trace(e, axis1=1, axis2=2) / n)[:, None, None] * np.eye(n)
@@ -137,7 +137,7 @@ def _perturbations(e: np.ndarray, scale: float, trace_mode: str) -> np.ndarray:
     if not nrm.all():
         raise ArithmeticError("degenerate zero draw")
     # float: a Fraction divided by an ndarray makes an object array
-    return e * (float(scale) / nrm)[:, None, None]
+    return np.multiply(e, (float(scale) / nrm)[:, None, None], out=out)
 
 
 def _seed_normals(seeds, width: int) -> np.ndarray:
@@ -166,11 +166,12 @@ def _draw_cases(kind: str, n: int, seeds, scale: float, trace_mode: str) -> _Cas
         lam, rest = rest[:, :n], rest[:, n:]
     else:
         lam, rest = rest[:, :n] + 1j * rest[:, n : 2 * n], rest[:, 2 * n :]
-    a = _normal_matrices(_haar_unitaries(z.reshape(-1, n, n)), lam)
+    stacks = np.empty((5, len(seeds), n, n), dtype=np.complex128)  # A, E, then the case's scratch
+    a = _normal_matrices(_haar_unitaries(z.reshape(-1, n, n)), lam, stacks[0])
     if real:
-        a = (a + a.conj().transpose(0, 2, 1)) / 2.0
-    e = (rest[:, :m] + 1j * rest[:, m:]).reshape(-1, n, n)
-    return _make_cases(a, _perturbations(e, scale, trace_mode))
+        np.divide(a + a.conj().transpose(0, 2, 1), 2.0, out=a)
+    _perturbations((rest[:, :m] + 1j * rest[:, m:]).reshape(-1, n, n), scale, trace_mode, stacks[1])
+    return _make_cases(stacks)
 
 
 def _blocked_cases(n: int, seeds, scale: float, trace_mode: str) -> _Cases:
@@ -188,32 +189,35 @@ def _blocked_cases(n: int, seeds, scale: float, trace_mode: str) -> _Cases:
     # s - 1 smallest o mark the cuts, a uniform (s - 1)-subset of the n - 1 gaps
     # independent of s.  c is known only after the cuts, so the noise is drawn
     # for the largest c, (n - 1)(n - 2) / 2; the unused part moves no later draw.
-    k, m = len(seeds), n * n
-    ends = np.cumsum([2 * m + 2 * n, 2 * n + (n - 1) * (n - 2), n - 1, n - 1])
-    head, tail, r, o = np.split(_seed_normals(seeds, ends[-1]), ends[:-1], axis=1)
-    lam = head[:, 2 * m : 2 * m + n] + 1j * head[:, 2 * m + n :]
-    lam = np.take_along_axis(lam, _descending_order(lam), axis=1)
-    cut_count = 1 + np.count_nonzero(r[:, 1:] < r[:, :1], axis=1)
-    last_cut = np.sort(o, axis=1)[np.arange(k), cut_count - 1]
+    k, m, n1 = len(seeds), n * n, n - 1
+    width = 2 * m + 4 * n + n1 * (n - 2) + 2 * n1
+    draws = _seed_normals(seeds, width)
+    rows = np.arange(k)[:, None]
+    lam = draws[:, 2 * m : 2 * m + n] + 1j * draws[:, 2 * m + n : 2 * m + 2 * n]
+    lam = lam[rows, _descending_order(lam)]
+    nu, r, o = draws[:, 2 * m + 2 * n : 2 * m + 4 * n], draws[:, -2 * n1 : -n1], draws[:, -n1:]
+    cut_count = 1 + (r[:, 1:] < r[:, :1]).sum(axis=1)
+    last_cut = np.sort(o, axis=1)[rows[:, 0], cut_count - 1]
     block_of = np.zeros((k, n), dtype=int)
-    block_of[:, 1:] = np.cumsum(o <= last_cut[:, None], axis=1)
-    # strictly upper positions inside blocks, matrix by matrix in row-major order
-    inside = (block_of[:, :, None] == block_of[:, None, :]) & _strict_upper(n)
-    counts = np.count_nonzero(inside, axis=(1, 2))
-    first = np.cumsum(counts) - counts
-    owner = np.nonzero(inside)[0]
-    real_col = 2 * n + np.arange(owner.size) - first[owner]
-    f = np.zeros((k, n, n), dtype=np.complex128)
-    f[inside] = tail[owner, real_col] + 1j * tail[owner, real_col + counts[owner]]
-    diagonal = np.arange(n)
-    f[:, diagonal, diagonal] = tail[:, :n] + 1j * tail[:, n : 2 * n]
-    f = _perturbations(f, scale, trace_mode)
-    mu = lam - f[:, diagonal, diagonal]
+    (o <= last_cut[:, None]).cumsum(axis=1, out=block_of[:, 1:])
+    # the strictly upper positions inside blocks, each matrix's in row-major
+    # order, and 1 + the rank of each among them (the last, c); an entry is
+    # gathered by its flat index in the draws, one in range elsewhere too,
+    # and dropped there
+    inside = ((block_of[:, :, None] == block_of[:, None, :]) & _strict_upper(n)).reshape(k, m)
+    rank = inside.cumsum(axis=1)
+    real = rank + (rows * width + 2 * m + 4 * n - 1)
+    f = np.where(inside, draws.take(real) + 1j * draws.take(real + rank[:, -1:]), 0)
+    f[:, :: n + 1] = nu[:, :n] + 1j * nu[:, n:]
+    f = _perturbations(f.reshape(k, n, n), scale, trace_mode)
+    mu = lam - f.reshape(k, m)[:, :: n + 1]
     t = f.copy()
-    t[:, diagonal, diagonal] = lam
-    u = _haar_unitaries((head[:, :m] + 1j * head[:, m : 2 * m]).reshape(-1, n, n))
-    e = u @ f @ u.conj().transpose(0, 2, 1)
-    return _make_cases(_normal_matrices(u, mu), e, u, t, mu)
+    t.reshape(k, m)[:, :: n + 1] = lam
+    u = _haar_unitaries((draws[:, :m] + 1j * draws[:, m : 2 * m]).reshape(k, n, n))
+    stacks = np.empty((5, k, n, n), dtype=np.complex128)  # A, E, then the case's scratch
+    _normal_matrices(u, mu, stacks[0])
+    np.matmul(u @ f, u.conj().transpose(0, 2, 1), out=stacks[1])
+    return _make_cases(stacks, u, t, mu)
 
 
 def random_case(spec: EnsembleSpec) -> PerturbationCase:

@@ -7,7 +7,9 @@ serves as the independent oracle for small n.  Both take a pair of
 spectra or a pair of stacks (k, n) of them: the cost matrices of a stack
 are built in one broadcast, the assignment runs matrix by matrix, and
 the distances are gathered for the whole stack, so a pair of spectra is
-the stack of one, bit for bit.
+the stack of one, bit for bit.  The catalog core matches its trusted
+stacks through ``_stack_match``, ``optimal_match`` without the input
+checks, with the same bits.
 """
 
 from __future__ import annotations
@@ -52,12 +54,9 @@ def _as_stack(spec: np.ndarray, name: str, one: bool) -> np.ndarray:
     return as_spectrum(spec, name).reshape(spec.shape)
 
 
-def _cost_stack(spec_a, spec_b) -> tuple[np.ndarray, np.ndarray, bool]:
-    """The squared distances (k, n, n) between the eigenvalues of each
-    pair at the pair's unit scale, where no square of its largest real or
-    imaginary part under- or overflows and the exact scale moves no
-    assignment; the exponents p (k,) that scale a distance back; and
-    whether the input was one pair of spectra (a stack of one)."""
+def _checked_stacks(spec_a, spec_b) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The two arguments as validated stacks (k, n), and whether they were
+    one pair of spectra (a stack of one)."""
     a = np.asarray(spec_a, dtype=np.complex128)
     b = np.asarray(spec_b, dtype=np.complex128)
     one = a.ndim < 2 and b.ndim < 2
@@ -67,15 +66,25 @@ def _cost_stack(spec_a, spec_b) -> tuple[np.ndarray, np.ndarray, bool]:
         if one:
             raise ValueError(f"spectrum length mismatch: {a.size} vs {b.size}")
         raise ValueError(f"spectrum stack shape mismatch: {a.shape} vs {b.shape}")
-    unit, exponent = _unit(np.stack((a, b), axis=1))
-    return np.abs(unit[:, 1, None, :] - unit[:, 0, :, None]) ** 2, exponent, one
+    return a, b, one
+
+
+def _cost_stack(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The squared distances (k, n, n) between the eigenvalues of each
+    pair of two stacks (k, n) at the pair's unit scale, where no square of
+    its largest real or imaginary part under- or overflows and the exact
+    scale moves no assignment; and the exponents p (k,) that scale a
+    distance back."""
+    pair = np.empty((len(a), 2, a.shape[-1]), dtype=np.complex128)
+    pair[:, 0], pair[:, 1] = a, b
+    unit, exponent = _unit(pair, out=pair)
+    return np.abs(unit[:, 1, None, :] - unit[:, 0, :, None]) ** 2, exponent
 
 
 def _match(cost: np.ndarray, exponent: np.ndarray, perm: np.ndarray, one: bool) -> SpectrumMatch:
     k, n = perm.shape
     terms = cost[np.arange(k)[:, None], np.arange(n), perm]
-    d2 = _scaled(np.sqrt(terms.sum(axis=1)), exponent)
-    d_inf = _scaled(np.sqrt(terms.max(axis=1)), exponent)
+    d2, d_inf = _scaled(np.sqrt([terms.sum(axis=1), terms.max(axis=1)]), exponent[None])
     if one:
         return SpectrumMatch(permutation=tuple(perm[0].tolist()), d2=float(d2[0]), d_inf=float(d_inf[0]))
     return SpectrumMatch(permutation=perm, d2=d2, d_inf=d_inf)
@@ -88,7 +97,14 @@ def optimal_match(spec_a, spec_b) -> SpectrumMatch:
     The reported d_inf is evaluated under the l2-optimal permutation;
     it is an upper bound for the sup distance minimized on its own.
     """
-    cost, exponent, one = _cost_stack(spec_a, spec_b)
+    return _stack_match(*_checked_stacks(spec_a, spec_b))
+
+
+def _stack_match(a: np.ndarray, b: np.ndarray, one: bool = False) -> SpectrumMatch:
+    """:func:`optimal_match` on two trusted stacks (k, n) of finite spectra,
+    without its checks, bit for bit; ``one`` reports the stack of one as a
+    pair of spectra."""
+    cost, exponent = _cost_stack(a, b)
     # a square problem's row indices are 0..n-1 in order
     perm = np.array([linear_sum_assignment(c)[1] for c in cost])
     return _match(cost, exponent, perm, one)
@@ -100,7 +116,8 @@ def brute_force_match(spec_a, spec_b) -> SpectrumMatch:
     Refuses n > 8.  Ties between permutations of equal cost are resolved
     to the lexicographically first one, so the result is deterministic.
     """
-    cost, exponent, one = _cost_stack(spec_a, spec_b)
+    a, b, one = _checked_stacks(spec_a, spec_b)
+    cost, exponent = _cost_stack(a, b)
     n = cost.shape[-1]
     if n > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute force matching is limited to n <= {BRUTE_FORCE_LIMIT}, got {n}")

@@ -178,12 +178,13 @@ def _unit(m: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.
 
 
 def _scaled(m: np.ndarray, exponent: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """2^p m for a stack m (k, ...) and integers p (k,), exact where the
-    result is normal, into ``out`` (C-ordered, of m's shape) if given.
-    ``np.ldexp`` with int32 p (as :func:`_unit_exponents` gives it) is as
-    cheap as a product; its int64 loop is several times slower."""
+    """2^p m for a stack m (k, ...) and integers p (k,), or p of the shape
+    of m's leading axes, exact where the result is normal, into ``out``
+    (C-ordered, of m's shape) if given.  ``np.ldexp`` with int32 p (as
+    :func:`_unit_exponents` gives it) is as cheap as a product; its int64
+    loop is several times slower."""
     x = np.ascontiguousarray(m).view(np.float64)
-    p = np.reshape(exponent, (-1,) + (1,) * (x.ndim - 1))
+    p = exponent.reshape(exponent.shape + (1,) * (x.ndim - exponent.ndim))
     return np.ldexp(x, p, out=None if out is None else out.view(np.float64)).view(m.dtype)
 
 
@@ -233,13 +234,9 @@ def _is_normal(defect, nrm):
     return defect <= _TOLERANCES["normal"](nrm)
 
 
-def _is_hermitian(m: np.ndarray) -> np.ndarray:
-    """Whether M = M* within the ``"hermitian"`` row of ``_TOLERANCES``, for
-    each matrix M of a stack; ||M - M*||_F and ||M||_F come from one buffer."""
-    pair = np.empty((2, *m.shape), dtype=np.complex128)
-    np.subtract(m, m.conj().transpose(0, 2, 1), out=pair[0])
-    pair[1] = m
-    defect, nrm = _fro_norms(pair.reshape(-1, *m.shape[1:])).reshape(2, -1)
+def _is_hermitian(defect, nrm):
+    """Whether M = M* within the ``"hermitian"`` row of ``_TOLERANCES``, from
+    ``defect`` = ||M - M*||_F and ``nrm`` = ||M||_F."""
     return defect <= _TOLERANCES["hermitian"](nrm)
 
 
@@ -251,7 +248,8 @@ def is_normal(m) -> bool:
 
 def is_hermitian(m) -> bool:
     """Whether M = M* within the ``"hermitian"`` row of ``_TOLERANCES``."""
-    return bool(_is_hermitian(_unit(as_matrix(m)[None])[0])[0])
+    unit, _ = _unit(as_matrix(m)[None])
+    return bool(_is_hermitian(_fro_norms(unit - unit.conj().transpose(0, 2, 1)), _fro_norms(unit))[0])
 
 
 # -- compiled scipy modules ---------------------------------------------
@@ -410,25 +408,18 @@ def save_matrix(path, m) -> None:
 
 
 def load_matrix(path) -> np.ndarray:
-    """Read a matrix file in the wire format.
+    """Read a matrix file in the wire format (:func:`matrix_from_json`).
 
-    The file's bytes are decoded by ``orjson``.  Only text that orjson
-    refuses (``NaN`` and ``Infinity`` literals, an integer beyond the
-    float range, a lone surrogate, a BOM, bytes that are not UTF-8, or
-    invalid JSON), and text that may nest 100,000 levels deep (1,000
-    outside the main thread), which orjson 3.8 decodes on the C stack
-    with no depth limit, are decoded by
-    the stdlib ``json`` instead, from the text a text-mode read gives, so
-    that :func:`matrix_from_json` judges every value the stdlib accepts
-    and every error message is the stdlib's.  orjson 3.8 reads an integer
-    above 2^64 as a float.  Raises OSError when the file cannot be read, and
-    ValueError when it is not valid JSON (text nested deeper than the
-    stdlib decoder's recursion limit included) or not a valid matrix (see
-    :func:`matrix_from_json`); every ValueError message starts with the
-    path.  The cyclic garbage collector is paused from the decode until
-    the decoded object is freed, so the n*n [re, im] lists, which hold no
-    cycles, are made, validated and freed without a collection walking
-    them.  Its previous state is then restored, on every path.
+    ``orjson`` decodes the file's bytes.  What it refuses, and text that
+    may nest deeper than it can take (:func:`_too_deep_for_orjson`), the
+    stdlib ``json`` decodes from the text a text-mode read gives, so that
+    :func:`matrix_from_json` judges every value the stdlib accepts and
+    every decode error is the stdlib's (orjson 3.8 reads an integer above
+    2^64 as a float).  Raises OSError when the file cannot be read, and
+    ValueError, its message starting with the path, when it is not valid
+    JSON or not a valid matrix.  The cyclic garbage collector is paused
+    until the decoded object is freed; its previous state is restored on
+    every path.
     """
     try:
         with open(path, "rb") as fh:

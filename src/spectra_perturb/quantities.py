@@ -44,7 +44,7 @@ def _square(x):
 def _trace_moduli(m: np.ndarray) -> np.ndarray:
     """|tr(M)| of each matrix of a stack, with the bits of Python's
     ``abs(complex(np.trace(M)))`` (numpy's complex abs differs)."""
-    tr = np.trace(m, axis1=1, axis2=2)
+    tr = m.trace(0, 1, 2)
     return np.hypot(tr.real, tr.imag)
 
 

@@ -37,6 +37,14 @@ def random_complex(rng: np.random.Generator, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def case_stacks(a, e):
+    """The buffer (5, k, n, n) that ``bounds._make_cases`` takes over: the
+    stacks a and e (k, n, n) in its first two slots, the rest scratch."""
+    stacks = np.empty((5, *np.shape(a)), dtype=np.complex128)
+    stacks[0], stacks[1] = a, e
+    return stacks
+
+
 def unit_hermitian(rng: np.random.Generator, n: int):
     """Random Hermitian matrix (G + G*) / (2 sqrt(n)), whose spectrum is O(1)."""
     g = random_complex(rng, (n, n))

@@ -32,6 +32,8 @@ from spectra_perturb.bounds import D2_BOUND_IDS
 from spectra_perturb.cli import main
 from spectra_perturb.matrices import _scaled
 
+from conftest import case_stacks
+
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_jobs_give_identical_summaries(kind):
@@ -431,7 +433,7 @@ def _draw_jointly_scaled(monkeypatch, draw, p: int) -> None:
         planted = {}
         if cases.spectrum is not None:
             planted = dict(q=cases.q, t=_scaled(cases.t, exponent), spectrum=_scaled(cases.spectrum, exponent))
-        rebuilt = bounds._make_cases(_scaled(cases.a, exponent), _scaled(cases.e, exponent), **planted)
+        rebuilt = bounds._make_cases(case_stacks(_scaled(cases.a, exponent), _scaled(cases.e, exponent)), **planted)
         assert np.array_equal(rebuilt.exponent, exponent)
         for name in ("a", "e", "t", "hermitian"):
             assert np.array_equal(getattr(rebuilt, name), getattr(cases, name)), name

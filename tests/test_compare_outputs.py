@@ -168,3 +168,30 @@ def test_fresh_import_runs_on_the_tree():
     assert title == "### A fresh `import spectra_perturb`"
     assert re.fullmatch(r"Median of 5: \d+ ms\.", median)
     assert "`scipy.linalg._flapack`" in modules.removeprefix("Its `scipy` and `concurrent.futures` modules: ").split(", ")
+
+
+def test_campaign_intercept_reports_each_kind_from_its_two_medians(monkeypatch):
+    seen = []
+
+    def run(args, env, **kwargs):
+        seen.append((args[1:], env["PYTHONPATH"]))
+        return SimpleNamespace(stdout=json.dumps({"normal": [6.0, 26.9], "normal-blocked": [5.0, 9.18]}))
+
+    monkeypatch.setattr(compare_outputs.subprocess, "run", run)
+    assert compare_outputs.campaign_intercept(Path("tree")).split("\n") == [
+        "### In-process `run_campaign` calls (median of 20)",
+        "- `normal`: 6.00 ms at 11 trials, 26.90 ms at 220; fixed 4.90 ms, 100.0 us per trial",
+        "- `normal-blocked`: 5.00 ms at 11 trials, 9.18 ms at 220; fixed 4.78 ms, 20.0 us per trial",
+    ]
+    assert seen == [(["-c", compare_outputs.CAMPAIGN_TIMES], str(Path("tree") / "src"))]
+
+
+def test_campaign_intercept_runs_on_the_tree():
+    title, *kinds = compare_outputs.campaign_intercept(_SCRIPT.parents[1]).split("\n")
+    assert title == "### In-process `run_campaign` calls (median of 20)"
+    number = r"-?\d+\.\d+"
+    assert [kind.split("`")[1] for kind in kinds] == ["normal", "normal-blocked"]
+    for kind in kinds:
+        assert re.fullmatch(
+            rf"- `[a-z-]+`: {number} ms at 11 trials, {number} ms at 220; fixed {number} ms, {number} us per trial", kind
+        ), kind

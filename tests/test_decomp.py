@@ -3,6 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -64,6 +65,17 @@ def reordered(m):
     q, t = decomp._schur_factors(np.asarray(m, dtype=complex)[None])
     decomp._reorder(q, t)
     return SchurForm(q=q[0], t=t[0])
+
+
+def test_schur_factors_are_scipy_schur_bit_for_bit_at_n_200(rng):
+    # above 128 columns the zgees workspace sets zgehrd's block size: a
+    # larger one than scipy.linalg.schur asks for changes T's bits from
+    # n = 160 up, so the factors must stay scipy's, byte for byte
+    m = random_complex(rng, (200, 200))
+    q, t = decomp._schur_factors(m[None])
+    t_scipy, q_scipy = scipy.linalg.schur(m, output="complex")
+    assert np.ascontiguousarray(t[0]).tobytes() == np.ascontiguousarray(t_scipy).tobytes()
+    assert np.ascontiguousarray(q[0]).tobytes() == np.ascontiguousarray(q_scipy).tobytes()
 
 
 def test_schur_triangular_fast_path():
@@ -136,8 +148,7 @@ def test_reorder_makes_no_ztrexc_call_on_an_ordered_stack(rng, monkeypatch):
     n = 6
     t = np.triu(random_complex(rng, (3, n, n)), 1)
     t[:, np.arange(n), np.arange(n)] = [[6, 5, 4, 3, 2, 1], [1j, -1j, 0.5, 0.5, 0.0, -0.0], [2, 2, 2, 2, 2, 2]]
-    q = decomp._fortran_stack(np.broadcast_to(np.eye(n), t.shape))
-    t = decomp._fortran_stack(t)
+    q, t = decomp._schur_factors(t)  # t is triangular: q = I, both Fortran ordered
     t0 = t.copy()
     decomp._reorder(q, t)
     assert calls == [] and np.array_equal(t, t0)
@@ -171,7 +182,7 @@ def test_reorder_moves_are_those_of_moving_each_target_in_turn(rng, monkeypatch)
                     expected.append((j + 1, p + 1))
                     current.insert(p, current.pop(j))
         calls.clear()
-        decomp._reorder(decomp._fortran_stack(np.broadcast_to(np.eye(n), t.shape)), decomp._fortran_stack(t))
+        decomp._reorder(*decomp._schur_factors(t))
         assert calls == expected
 
 

@@ -29,7 +29,7 @@ from spectra_perturb.bounds import _make_cases
 from spectra_perturb.matrices import _TOLERANCES, _fro_norms, _scaled
 from spectra_perturb.quantities import _band_widths
 
-from conftest import haar_rotated_diagonal, random_complex, rng_for, schur_residuals
+from conftest import case_stacks, haar_rotated_diagonal, random_complex, rng_for, schur_residuals
 
 
 def test_spec_validation():
@@ -167,7 +167,7 @@ def test_a_planted_schur_form_is_in_order_at_its_unit_scale(scale, trace_mode):
         cases = ensembles._draw_cases("normal-blocked", n, range(40), scale, trace_mode)
         diagonal = np.diagonal(cases.t, axis1=1, axis2=2)
         assert np.array_equal(decomp._descending_order(diagonal), np.broadcast_to(np.arange(n), diagonal.shape))
-        q, t = decomp._fortran_stack(cases.q), decomp._fortran_stack(cases.t)
+        q, t = cases.q.copy(order="K"), cases.t.copy(order="K")  # writable, each matrix Fortran ordered
         decomp._reorder(q, t)
         assert np.array_equal(q, cases.q) and np.array_equal(t, cases.t)
 
@@ -268,7 +268,7 @@ def _blocked_cases_seed_by_seed(n, seeds, scale, trace_mode):
         np.fill_diagonal(t[i], lam)
     u = ensembles._haar_unitaries((z[:, :m] + 1j * z[:, m:]).reshape(-1, n, n))
     a = ensembles._normal_matrices(u, mu)
-    return _make_cases(a, u @ f @ u.conj().transpose(0, 2, 1), u, t, mu)
+    return _make_cases(case_stacks(a, u @ f @ u.conj().transpose(0, 2, 1)), u, t, mu)
 
 
 @pytest.mark.parametrize("trace_mode", TRACE_MODES)

@@ -6,6 +6,7 @@ import pytest
 from spectra_perturb import (
     BRUTE_FORCE_LIMIT,
     brute_force_match,
+    bounds,
     frobenius_norm,
     optimal_match,
 )
@@ -143,6 +144,35 @@ def test_stacked_match_equals_row_by_row_bit_for_bit(rng, repeated):
             cost = np.abs(b[i][None, :] - a[i][:, None]) ** 2
             terms = cost[np.arange(n), list(row.permutation)]
             assert repr(row.d2) == repr(math.sqrt(float(terms.sum())))
+
+
+def _same_bits(x, y) -> bool:
+    return np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 20])
+def test_the_core_matcher_is_optimal_match_bit_for_bit(rng, k):
+    # the catalog core matches through bounds.optimal_match, optimal_match
+    # without its checks; on every stack it takes (spectra (k, n), the
+    # second a diagonal view of a stack of factors) it must give the
+    # public matcher's bits, exactly tied costs included: repeated values,
+    # and pairs of constant spectra, whose costs are all equal
+    for n in range(2, 13):
+        ones = np.ones((k, n), dtype=complex)
+        spectra = [
+            (random_complex(rng, (k, n)), random_complex(rng, (k, n, n)).diagonal(0, 1, 2)),
+            (_repeated_spectra(rng, k, n), _repeated_spectra(rng, k, n)),
+            (ones, 1j * ones),
+            (0 * ones, 0 * ones),
+        ]
+        for a, b in spectra:
+            core, public = bounds.optimal_match(a, b), optimal_match(a, b)
+            assert np.array_equal(core.permutation, public.permutation), n
+            assert _same_bits(core.d2, public.d2) and _same_bits(core.d_inf, public.d_inf), n
+            if k == 1:
+                one = optimal_match(a[0], b[0])
+                assert one.permutation == tuple(core.permutation[0].tolist())
+                assert _same_bits(one.d2, core.d2) and _same_bits(one.d_inf, core.d_inf)
 
 
 def test_stacked_brute_force_equals_row_by_row(rng):

@@ -192,6 +192,40 @@ def fresh_import(tree: Path) -> str:
     ])
 
 
+# prints, as JSON, each kind's median time in ms of 20 in-process run_campaign calls at 11 and at 220 trials,
+# each after one warm-up call: {kind: [ms at 11, ms at 220]}
+CAMPAIGN_TIMES = """
+import json, statistics, time
+from spectra_perturb import CampaignConfig, run_campaign
+medians = {}
+for kind in ("normal", "normal-blocked"):
+    for trials in (11, 220):
+        times = []
+        for i in range(21):
+            config = CampaignConfig(trials=trials, kind=kind, seed=(42 << 32) | (i << 8))
+            start = time.perf_counter()
+            run_campaign(config)
+            times.append(time.perf_counter() - start)
+        medians.setdefault(kind, []).append(1000 * statistics.median(times[1:]))
+print(json.dumps(medians))
+"""
+
+
+def campaign_intercept(tree: Path) -> str:
+    """The report lines on in-process ``run_campaign`` calls of ``tree/src``, in one process: each kind's
+    median call time at 11 and 220 trials (n = 2..12, one and twenty trials of each size), and the fixed
+    cost of a call and the cost of a trial that the two give."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    out = subprocess.run([sys.executable, "-c", CAMPAIGN_TIMES], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    lines = ["### In-process `run_campaign` calls (median of 20)"]
+    for kind, (few, many) in json.loads(out).items():
+        per_trial = (many - few) / (220 - 11)
+        lines.append(f"- `{kind}`: {few:.2f} ms at 11 trials, {many:.2f} ms at 220; "
+                     f"fixed {few - 11 * per_trial:.2f} ms, {1000 * per_trial:.1f} us per trial")
+    return "\n".join(lines)
+
+
 def main(base: Path, head: Path, work: Path) -> None:
     fixtures = work / "fixtures"
     if python(head, ("-c", MAKE_FIXTURES, str(fixtures)), sys.stderr):
